@@ -21,12 +21,13 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from typing import Iterable, Sequence, TextIO
 
-from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
-from .monitor import MonitorState, StepResult
+from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, validate
+from .monitor import MonitorState, StepResult, make_prefix
 from .semantics import EvalConfig, bool_sat, eta, rho
 from .trace import PredicateTable, Word, load_trace
 
@@ -124,22 +125,15 @@ def _load_inputs(args) -> tuple:
     return f, table, cfg
 
 
-def _load_word(args, cfg: EvalConfig) -> Word:
+def _load_word(args, f, cfg: EvalConfig) -> Word:
+    """The --trace word, cut to f's horizon."""
     if not getattr(args, "trace", None):
         raise CliError("--trace is required")
     try:
-        return load_trace(args.trace, dt_expected=cfg.dt)
+        word = load_trace(args.trace, dt_expected=cfg.dt)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-
-
-def _truncate_to_horizon(word: Word, f, cfg: EvalConfig) -> Word:
-    hsteps = steps(horizon(f, cfg.dt), cfg.dt)
-    if word.n > hsteps + 1:
-        log.warning("trace has %d samples, horizon needs %d; extra samples ignored",
-                    word.n, hsteps + 1)
-        word = word.prefix(hsteps + 1)
-    return word
+    return make_prefix(word, f, cfg).word
 
 
 def _cmd_parse(args) -> int:
@@ -163,7 +157,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_check(args) -> int:
     f, table, cfg = _load_inputs(args)
-    word = _truncate_to_horizon(_load_word(args, cfg), f, cfg)
+    word = _load_word(args, f, cfg)
     try:
         sat = bool_sat(word, f, table, cfg)
         r = rho(word, f, table, cfg)
@@ -176,7 +170,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_value(args, which: str) -> int:
     f, table, cfg = _load_inputs(args)
-    word = _truncate_to_horizon(_load_word(args, cfg), f, cfg)
+    word = _load_word(args, f, cfg)
     try:
         value = (rho if which == "rho" else eta)(word, f, table, cfg)
     except (ValueError, KeyError) as exc:
@@ -185,7 +179,8 @@ def _cmd_value(args, which: str) -> int:
     return 0
 
 
-def _stdin_samples(signal_names: Sequence[str]):
+def _stdin_samples(signal_names: Sequence[str], dt: float):
+    """(time, sample) pairs read from stdin; row k must sit at time t0 + k*dt."""
     reader = csv.reader(sys.stdin)
     try:
         header = [h.strip() for h in next(reader)]
@@ -193,6 +188,10 @@ def _stdin_samples(signal_names: Sequence[str]):
         raise CliError("stream: empty input") from None
     if header[:1] != ["time"] or len(header) < 2:
         raise CliError(f"stream: header must be 'time,<sig1>,...', got {header}")
+    missing = [s for s in signal_names if s not in header[1:]]
+    if missing:
+        raise CliError(f"stream: header lacks signals {missing}")
+    t0, k = None, 0
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -202,7 +201,16 @@ def _stdin_samples(signal_names: Sequence[str]):
             raise CliError(f"stream:{lineno}: malformed line {row}") from None
         if len(values) != len(header):
             raise CliError(f"stream:{lineno}: expected {len(header)} columns")
-        yield dict(zip(header[1:], values[1:]))
+        if not all(math.isfinite(v) for v in values):
+            raise CliError(f"stream:{lineno}: non-finite value in {row}")
+        t = values[0]
+        if t0 is None:
+            t0 = t
+        elif abs((t - t0) / dt - k) > 1e-9:
+            raise CliError(f"stream:{lineno}: time {t:g} is off the sampling grid, "
+                           f"expected {t0 + k * dt:g}")
+        k += 1
+        yield t, dict(zip(header[1:], values[1:]))
 
 
 def _cmd_monitor(args) -> int:
@@ -215,29 +223,34 @@ def _cmd_monitor(args) -> int:
             raise CliError(f"malformed --tau {args.tau!r}") from None
     state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
     if args.stream:
-        samples = _stdin_samples(state.signal_names)
+        samples = _stdin_samples(state.signal_names, cfg.dt)
     else:
-        word = _truncate_to_horizon(_load_word(args, cfg), f, cfg)
-        samples = ({s: word.value(s, k) for s in state.signal_names}
+        word = _load_word(args, f, cfg)
+        samples = ((word.time_at(k), {s: vals[k] for s, vals in word.signals.items()})
                    for k in range(word.n))
 
+    records = []
+    for t, sample in samples:
+        if state.finalized:
+            log.warning("trace continues past the horizon; extra samples ignored")
+            break
+        if state.observed == 0:
+            state.t0 = t  # records carry the trace's own times
+        try:
+            res = state.step(sample)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        if taus is None or any(abs(res.t - tau) <= 1e-9 * cfg.dt for tau in taus):
+            records.append(res)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        records = []
-        for sample in samples:
-            if state.finalized:
-                log.warning("trace continues past the horizon; extra samples ignored")
-                break
-            res = state.step(sample)
-            if taus is None or any(abs(res.t - t) <= 1e-9 * cfg.dt for t in taus):
-                records.append(res)
         write_records(out, args.format, records)
     finally:
         if out is not sys.stdout:
             out.close()
     if not state.finalized:
         log.warning("inconclusive at end of trace: %d of %d samples observed",
-                    state._count, state.horizon_steps + 1)
+                    state.observed, state.horizon_steps + 1)
         return 3
     return 0
 
@@ -259,7 +272,7 @@ def _cmd_oracle(args) -> int:
     from . import oracle
 
     f, table, cfg = _load_inputs(args)
-    word = _truncate_to_horizon(_load_word(args, cfg), f, cfg)
+    word = _load_word(args, f, cfg)
     sat = oracle.oracle_bool(word, f, table, cfg)
     print(f"{'sat' if sat else 'unsat'} rho={_fmt(oracle.oracle_rho(word, f, table, cfg))} "
           f"eta={_fmt(oracle.oracle_eta(word, f, table, cfg))}")

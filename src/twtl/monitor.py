@@ -1,10 +1,11 @@
-"""Online interval semantics over trace prefixes.
+"""Online monitoring: robustness intervals over trace prefixes.
 
-Given a prefix of length n observed toward a horizon of H steps, the
-recursion mirrors the offline one over windows [i, j] with j anchored at
-the horizon; samples at indices >= n are unobserved and widen the result.
-Both interval families are sound (every completion's value lies inside)
-and nested (they only shrink as the prefix grows), converging to the
+A prefix of n samples observed toward a horizon of H steps leaves the
+samples at indices n..H open. Its interval [rho] (or [eta]) is a pair of
+runs of the semantics module's window recursion over [0, H]: the run that
+bounds every completion's value from below and the run that bounds it from
+above. The intervals are therefore sound (every completion's value lies
+inside), nested (they only shrink as the prefix grows) and converge to the
 offline singleton at the horizon.
 """
 
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, horizon, steps
+from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
 from .trace import PredicateTable, Word
-from .semantics import DEFAULT_CONFIG, EvalConfig, agm_and, agm_or
 
 log = logging.getLogger("twtl")
 
@@ -74,33 +74,6 @@ def interval_verdict(iv: RobustnessInterval) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def _require(intervals: Sequence[RobustnessInterval], what: str) -> list[RobustnessInterval]:
-    out = list(intervals)
-    if not out:
-        raise ValueError(f"{what} of an empty sequence")
-    return out
-
-
-def imin(intervals: Sequence[RobustnessInterval]) -> RobustnessInterval:
-    ivs = _require(intervals, "imin")
-    return RobustnessInterval(min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
-
-
-def imax(intervals: Sequence[RobustnessInterval]) -> RobustnessInterval:
-    ivs = _require(intervals, "imax")
-    return RobustnessInterval(max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
-
-
-def iagm_or(intervals: Sequence[RobustnessInterval]) -> RobustnessInterval:
-    ivs = _require(intervals, "iagm_or")
-    return RobustnessInterval(agm_or([iv.lo for iv in ivs]), agm_or([iv.hi for iv in ivs]))
-
-
-def iagm_and(intervals: Sequence[RobustnessInterval]) -> RobustnessInterval:
-    ivs = _require(intervals, "iagm_and")
-    return RobustnessInterval(agm_and([iv.lo for iv in ivs]), agm_and([iv.hi for iv in ivs]))
-
-
 @dataclass(frozen=True)
 class Prefix:
     """Observed part of a word together with its evaluation horizon (in steps)."""
@@ -128,178 +101,21 @@ def make_prefix(word: Word, f: Formula, cfg: EvalConfig = DEFAULT_CONFIG) -> Pre
     return Prefix(word, hsteps)
 
 
-class IntervalEvaluator:
-    """Interval recursion for one prefix; memoized on (node, i, j)."""
-
-    def __init__(self, prefix: Prefix, table: PredicateTable,
-                 cfg: EvalConfig = DEFAULT_CONFIG, conservative_eta: bool = False):
-        self.prefix = prefix
-        self.word = prefix.word
-        self.n = prefix.word.n
-        self.table = table
-        self.cfg = cfg
-        self.conservative_eta = conservative_eta
-        self._margins: dict[str, list[float]] = {}
-        self._eta_margins: dict[str, list[float]] = {}
-        self._memo_rho: dict[tuple, RobustnessInterval] = {}
-        self._memo_eta: dict[tuple, RobustnessInterval] = {}
-
-    def _steps(self, duration: float) -> int:
-        return steps(duration, self.cfg.dt)
-
-    def _margin(self, f: HoldAtom, k: int) -> float:
-        got = self._margins.get(f.atom)
-        if got is None:
-            spec = self.table[f.atom]
-            got = [spec.margin_of(v) for v in self.word.signals[spec.signal]]
-            self._margins[f.atom] = got
-        m = got[k]
-        return -m if f.negated else m
-
-    def _eta_margin(self, f: HoldAtom, k: int) -> float:
-        got = self._eta_margins.get(f.atom)
-        if got is None:
-            spec = self.table[f.atom]
-            got = [spec.eta_margin_of(v) for v in self.word.signals[spec.signal]]
-            self._eta_margins[f.atom] = got
-        m = got[k]
-        return -m if f.negated else m
-
-    def _eta_extremes(self, f: HoldAtom) -> tuple[float, float]:
-        if self.conservative_eta:
-            return -1.0, 1.0
-        lo, hi = self.table[f.atom].eta_extremes()
-        if f.negated:
-            lo, hi = -hi, -lo
-        return lo, hi
-
-    # -- [rho] ---------------------------------------------------------------
-
-    def rho_interval(self, f: Formula, i: int, j: int) -> RobustnessInterval:
-        key = (id(f), i, j)
-        got = self._memo_rho.get(key)
-        if got is None:
-            got = self._rho_int(f, i, j)
-            self._memo_rho[key] = got
-        return got
-
-    def _rho_int(self, f: Formula, i: int, j: int) -> RobustnessInterval:
-        bot, top = self.cfg.rho_bot, self.cfg.rho_top
-        if isinstance(f, HoldAtom):
-            if i >= self.n:  # wholly unobserved window: maximal uncertainty
-                return RobustnessInterval(bot, top)
-            if j - i < f.d:
-                return singleton(bot)
-            obs_end = min(i + f.d, self.n - 1)
-            m = min(self._margin(f, k) for k in range(i, obs_end + 1))
-            if obs_end == i + f.d:
-                return singleton(m)
-            return RobustnessInterval(bot, m)
-        if isinstance(f, And):
-            return imin([self.rho_interval(f.lhs, i, j), self.rho_interval(f.rhs, i, j)])
-        if isinstance(f, Or):
-            return imax([self.rho_interval(f.lhs, i, j), self.rho_interval(f.rhs, i, j)])
-        if isinstance(f, Not):
-            iv = self.rho_interval(f.sub, i, j)
-            return RobustnessInterval(-iv.hi, -iv.lo)
-        if isinstance(f, Concat):
-            if i == j:
-                return singleton(bot)
-            return imax([imin([self.rho_interval(f.lhs, i, t),
-                               self.rho_interval(f.rhs, t + 1, j)])
-                         for t in range(i, j)])
-        if isinstance(f, Within):
-            bs = self._steps(f.b)
-            if j - i < bs:
-                return singleton(bot)
-            as_ = self._steps(f.a)
-            return imax([self.rho_interval(f.sub, t, i + bs)
-                         for t in range(i + as_, i + bs + 1)])
-        raise TypeError(f"not a Formula: {f!r}")
-
-    # -- [eta] -----------------------------------------------------------------
-
-    def eta_interval(self, f: Formula, i: int, j: int) -> RobustnessInterval:
-        key = (id(f), i, j)
-        got = self._memo_eta.get(key)
-        if got is None:
-            got = self._eta_int(f, i, j)
-            self._memo_eta[key] = got
-        return got
-
-    def _eta_int(self, f: Formula, i: int, j: int) -> RobustnessInterval:
-        if isinstance(f, HoldAtom):
-            return self._eta_hold(f, i, j)
-        if isinstance(f, And):
-            return iagm_and([self.eta_interval(f.lhs, i, j), self.eta_interval(f.rhs, i, j)])
-        if isinstance(f, Or):
-            return iagm_or([self.eta_interval(f.lhs, i, j), self.eta_interval(f.rhs, i, j)])
-        if isinstance(f, Not):
-            iv = self.eta_interval(f.sub, i, j)
-            return RobustnessInterval(-iv.hi, -iv.lo)
-        if isinstance(f, Concat):
-            if i == j:
-                return singleton(-1.0)
-            return iagm_or([iagm_and([self.eta_interval(f.lhs, i, t),
-                                      self.eta_interval(f.rhs, t + 1, j)])
-                            for t in range(i, j)])
-        if isinstance(f, Within):
-            bs = self._steps(f.b)
-            if j - i < bs:
-                return singleton(-1.0)
-            as_ = self._steps(f.a)
-            return iagm_or([self.eta_interval(f.sub, t, i + bs)
-                            for t in range(i + as_, i + bs + 1)])
-        raise TypeError(f"not a Formula: {f!r}")
-
-    def _eta_hold(self, f: HoldAtom, i: int, j: int) -> RobustnessInterval:
-        # A too-short window yields -1 for every completion; this check must
-        # precede the unobserved-window widening or containment would break.
-        if j - i < f.d:
-            return singleton(-1.0)
-        obs_end = min(i + f.d, self.n - 1)
-        margins = [self._eta_margin(f, k) for k in range(i, obs_end + 1)] if i < self.n else []
-        full = f.d + 1
-        unobs = full - len(margins)
-        if unobs == 0:
-            return singleton(agm_and(margins))
-        em_min, em_max = self._eta_extremes(f)
-        if any(m <= 0.0 for m in margins):
-            # every completion lands in the mean-of-negative-parts branch
-            neg = sum(m for m in margins if m < 0.0)
-            hi = neg / full
-            lo = (neg + unobs * min(em_min, 0.0)) / full
-            return RobustnessInterval(lo, hi)
-        # all observed margins strictly positive (vacuously so if none observed)
-        if em_max > 0.0:
-            hi = (math.prod(1.0 + m for m in margins)
-                  * (1.0 + em_max) ** unobs) ** (1.0 / full) - 1.0
-        else:
-            hi = 0.0  # no completion can stay strictly positive
-        if em_min < 0.0:
-            lo = unobs * em_min / full
-        elif em_min == 0.0:
-            lo = 0.0
-        else:
-            # degenerate sigma <= L: all completions stay in the geometric branch
-            lo = (math.prod(1.0 + m for m in margins)
-                  * (1.0 + em_min) ** unobs) ** (1.0 / full) - 1.0
-        return RobustnessInterval(lo, hi)
-
-
 def rho_interval(prefix: Prefix, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG) -> RobustnessInterval:
     """Sound interval for the robustness of every completion of the prefix."""
-    ev = IntervalEvaluator(prefix, table, cfg)
-    return ev.rho_interval(f, 0, prefix.horizon_steps)
+    ev = Evaluator(prefix.word, table, cfg)
+    h = prefix.horizon_steps
+    return RobustnessInterval(ev.rho(f, 0, h), ev.rho(f, 0, h, upper=True))
 
 
 def eta_interval(prefix: Prefix, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG,
                  conservative_eta: bool = False) -> RobustnessInterval:
     """Sound interval for the AGM robustness of every completion of the prefix."""
-    ev = IntervalEvaluator(prefix, table, cfg, conservative_eta=conservative_eta)
-    return ev.eta_interval(f, 0, prefix.horizon_steps)
+    ev = Evaluator(prefix.word, table, cfg, conservative_eta)
+    h = prefix.horizon_steps
+    return RobustnessInterval(ev.eta(f, 0, h), ev.eta(f, 0, h, upper=True))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +134,23 @@ class StepResult:
     verdict_eta: Verdict
 
 
+def prefix_result(prefix: Prefix, f: Formula, table: PredicateTable,
+                  cfg: EvalConfig = DEFAULT_CONFIG,
+                  conservative_eta: bool = False) -> StepResult:
+    """Both intervals and their verdicts at a prefix, stamped with its last sample's time."""
+    r = rho_interval(prefix, f, table, cfg)
+    e = eta_interval(prefix, f, table, cfg, conservative_eta)
+    return StepResult(prefix.word.time_at(prefix.word.n - 1), r, e,
+                      interval_verdict(r), interval_verdict(e))
+
+
 class MonitorState:
     """Single-writer online monitor; each step appends one sample and re-evaluates.
 
     Emitted intervals equal batch recomputation on the extended prefix, are
     nested over time, and converge to the offline singleton at the horizon.
+    `observed` counts the samples stepped so far; sample k is stamped
+    t0 + k*dt.
     """
 
     def __init__(self, f: Formula, table: PredicateTable,
@@ -336,12 +164,12 @@ class MonitorState:
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
         self.signal_names = sorted({table[a].signal for a in _atoms_of(f)})
         self._columns: dict[str, list[float]] = {s: [] for s in self.signal_names}
-        self._count = 0
+        self.observed = 0
         self.last: StepResult | None = None
 
     @property
     def finalized(self) -> bool:
-        return self._count >= self.horizon_steps + 1
+        return self.observed >= self.horizon_steps + 1
 
     def step(self, sample: Mapping[str, float]) -> StepResult:
         if self.finalized:
@@ -351,18 +179,12 @@ class MonitorState:
             raise ValueError(f"sample missing signals: {missing}")
         for s in self.signal_names:
             self._columns[s].append(float(sample[s]))
-        self._count += 1
+        self.observed += 1
         word = Word(self.cfg.dt, {s: tuple(col) for s, col in self._columns.items()},
                     t0=self.t0)
-        prefix = Prefix(word, self.horizon_steps)
-        ev = IntervalEvaluator(prefix, self.table, self.cfg,
-                               conservative_eta=self.conservative_eta)
-        r = ev.rho_interval(self.formula, 0, self.horizon_steps)
-        e = ev.eta_interval(self.formula, 0, self.horizon_steps)
-        res = StepResult(word.time_at(self._count - 1), r, e,
-                         interval_verdict(r), interval_verdict(e))
-        self.last = res
-        return res
+        self.last = prefix_result(Prefix(word, self.horizon_steps), self.formula, self.table,
+                                  self.cfg, self.conservative_eta)
+        return self.last
 
 
 def step(state: MonitorState, sample: Mapping[str, float]

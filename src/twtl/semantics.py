@@ -1,25 +1,33 @@
-"""Offline TWTL evaluation over complete words.
+"""TWTL evaluation: one memoized window recursion for `rho` and `eta`.
 
-Three semantics share one recursion over index windows [i, j] of the word:
+Both quantitative semantics run one recursion over index windows [i, j] of
+a word, memoized on (node, i, j, upper) and parameterized by a table of
+bottom, conjunction, disjunction and hold: min/max over signed margins for
+robustness `rho`, arithmetic-geometric means of normalized margins in
+[-1, 1] for AGM robustness `eta`. A window too short for its subformula
+yields the bottom value (`rho_bot`, or -1).
 
-* Boolean satisfaction (hold requires a strictly positive margin at each of
-  the d+1 window samples; concatenation is the all-splits disjunction),
-* robustness `rho` (min/max over the same windows, bottom value when a
-  window is too short),
-* AGM robustness `eta` (arithmetic-geometric means, always in [-1, 1]).
+Samples at indices >= word.n are unobserved. A hold over unobserved
+samples reports the least value its completions can take when `upper` is
+false and the greatest when it is true; negation swaps the two. So the two
+runs bound every completion's value from below and from above: they are
+the monitor module's intervals [rho] and [eta]. A fully observed window
+(j < word.n) has one value, which both runs share, and on a complete word
+the recursion gives the offline value.
 
-The recursion is memoized per evaluation on (node, i, j); the oracle module
-carries the unmemoized literal transcription used to cross-check it.
+Boolean satisfaction keeps its own short-circuiting recursion over the same
+margin columns. The oracle module carries the unmemoized literal
+transcription used to cross-check the offline values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, steps
-from .trace import PredicateTable, Word
+from .trace import PredicateSpec, PredicateTable, Word
 
 
 @dataclass(frozen=True)
@@ -74,67 +82,105 @@ def agm_and(values: Sequence[float]) -> float:
     return _clamp_unit(sum(v for v in vals if v < 0.0) / n)
 
 
-class Evaluator:
-    """Shared recursion for one (word, formula-set) evaluation; memoized."""
+@dataclass(frozen=True, eq=False)
+class _Semantics:
+    """The operations one quantitative semantics plugs into the window recursion."""
 
-    def __init__(self, word: Word, table: PredicateTable, cfg: EvalConfig = DEFAULT_CONFIG):
+    margin: Callable[[PredicateSpec, float], float]  # per-sample margin of an atom
+    bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
+    conj: Callable[[float, float], float]
+    disj: Callable[[Sequence[float]], float]
+    hold: Callable[["_Recursion", HoldAtom, int, int, bool], float]
+
+
+def _rho_hold(run: "_Recursion", f: HoldAtom, i: int, j: int, upper: bool) -> float:
+    if i >= run.n:  # wholly unobserved window: any value in [rho_bot, rho_top]
+        return run.cfg.rho_top if upper else run.bottom
+    if j - i < f.d:
+        return run.bottom
+    m = min(run.margins(f, i, i + f.d + 1))
+    # a completion can still drive an unobserved sample's margin down to bottom
+    return m if upper or i + f.d < run.n else run.bottom
+
+
+def _eta_hold(run: "_Recursion", f: HoldAtom, i: int, j: int, upper: bool) -> float:
+    # A too-short window yields -1 for every completion; this check must
+    # precede the unobserved-window widening or containment would break.
+    if j - i < f.d:
+        return -1.0
+    margins = run.margins(f, i, i + f.d + 1)
+    full = f.d + 1
+    unobs = full - len(margins)
+    if unobs == 0:
+        return agm_and(margins)
+    if run.conservative_eta:
+        em_min, em_max = -1.0, 1.0
+    else:
+        em_min, em_max = run.table[f.atom].eta_extremes()
+        if f.negated:
+            em_min, em_max = -em_max, -em_min
+    if any(m <= 0.0 for m in margins):
+        # every completion lands in the mean-of-negative-parts branch
+        neg = sum(m for m in margins if m < 0.0)
+        return neg / full if upper else (neg + unobs * min(em_min, 0.0)) / full
+    # all observed margins strictly positive (vacuously so if none observed)
+    if upper:
+        if em_max <= 0.0:
+            return 0.0  # no completion can stay strictly positive
+        return (math.prod(1.0 + m for m in margins)
+                * (1.0 + em_max) ** unobs) ** (1.0 / full) - 1.0
+    if em_min < 0.0:
+        return unobs * em_min / full
+    if em_min == 0.0:
+        return 0.0
+    # degenerate sigma <= L: all completions stay in the geometric branch
+    return (math.prod(1.0 + m for m in margins)
+            * (1.0 + em_min) ** unobs) ** (1.0 / full) - 1.0
+
+
+_RHO = _Semantics(PredicateSpec.margin_of, lambda cfg: cfg.rho_bot, min, max, _rho_hold)
+_ETA = _Semantics(PredicateSpec.eta_margin_of, lambda cfg: -1.0,
+                 lambda a, b: agm_and((a, b)), agm_or, _eta_hold)
+
+
+class Evaluator:
+    """The recursions over one word, or one prefix of the windows asked for; memoized.
+
+    `conservative_eta` takes -1 and 1 instead of each atom's attainable
+    normalized margins for the unobserved samples of an `eta` hold.
+    """
+
+    def __init__(self, word: Word, table: PredicateTable, cfg: EvalConfig = DEFAULT_CONFIG,
+                 conservative_eta: bool = False):
         if word.n < 1:
             raise ValueError("cannot evaluate an empty word")
         self.word = word
         self.table = table
         self.cfg = cfg
-        self._margins: dict[str, list[float]] = {}
-        self._eta_margins: dict[str, list[float]] = {}
-        self._memo_bool: dict[tuple, bool] = {}
-        self._memo_rho: dict[tuple, float] = {}
-        self._memo_eta: dict[tuple, float] = {}
+        self.conservative_eta = conservative_eta
+        self._runs: dict[_Semantics, _Recursion] = {}
+        self._sat: dict[tuple, bool] = {}
 
-    # -- per-sample margins, cached per atom ------------------------------
-
-    def _raw_margins(self, atom: str) -> list[float]:
-        got = self._margins.get(atom)
-        if got is None:
-            spec = self.table[atom]
-            vals = self.word.signals[spec.signal]
-            got = [spec.margin_of(v) for v in vals]
-            self._margins[atom] = got
-        return got
-
-    def _raw_eta_margins(self, atom: str) -> list[float]:
-        got = self._eta_margins.get(atom)
-        if got is None:
-            spec = self.table[atom]
-            vals = self.word.signals[spec.signal]
-            got = [spec.eta_margin_of(v) for v in vals]
-            self._eta_margins[atom] = got
-        return got
-
-    def margin(self, f: HoldAtom, k: int) -> float:
-        m = self._raw_margins(f.atom)[k]
-        return -m if f.negated else m
-
-    def eta_margin(self, f: HoldAtom, k: int) -> float:
-        m = self._raw_eta_margins(f.atom)[k]
-        return -m if f.negated else m
-
-    def _steps(self, duration: float) -> int:
-        return steps(duration, self.cfg.dt)
+    def _run(self, sem: _Semantics) -> _Recursion:
+        run = self._runs.get(sem)
+        if run is None:
+            run = self._runs[sem] = _Recursion(sem, self)
+        return run
 
     # -- Boolean satisfaction ---------------------------------------------
 
     def bool_sat(self, f: Formula, i: int, j: int) -> bool:
         key = (id(f), i, j)
-        got = self._memo_bool.get(key)
+        got = self._sat.get(key)
         if got is None:
-            got = self._bool(f, i, j)
-            self._memo_bool[key] = got
+            got = self._sat[key] = self._bool(f, i, j)
         return got
 
     def _bool(self, f: Formula, i: int, j: int) -> bool:
         if isinstance(f, HoldAtom):
             if j - i < f.d:
                 return False
-            return all(self.margin(f, k) > 0.0 for k in range(i, i + f.d + 1))
+            return all(m > 0.0 for m in self._run(_RHO).margins(f, i, i + f.d + 1))
         if isinstance(f, And):
             return self.bool_sat(f.lhs, i, j) and self.bool_sat(f.rhs, i, j)
         if isinstance(f, Or):
@@ -145,81 +191,83 @@ class Evaluator:
             return any(self.bool_sat(f.lhs, i, t) and self.bool_sat(f.rhs, t + 1, j)
                        for t in range(i, j))
         if isinstance(f, Within):
-            bs = self._steps(f.b)
+            bs = steps(f.b, self.cfg.dt)
             if j - i < bs:
                 return False
-            as_ = self._steps(f.a)
+            as_ = steps(f.a, self.cfg.dt)
             return any(self.bool_sat(f.sub, t, i + bs) for t in range(i + as_, i + bs + 1))
         raise TypeError(f"not a Formula: {f!r}")
 
-    # -- robustness rho -----------------------------------------------------
+    # -- rho and eta ----------------------------------------------------------
 
-    def rho(self, f: Formula, i: int, j: int) -> float:
-        key = (id(f), i, j)
-        got = self._memo_rho.get(key)
+    def rho(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
+        return self._run(_RHO).value(f, i, j, upper)
+
+    def eta(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
+        return self._run(_ETA).value(f, i, j, upper)
+
+
+class _Recursion:
+    """The memoized window recursion of one semantics over one word.
+
+    It holds no reference to its evaluator: a cycle would keep every memo
+    alive until the cyclic garbage collector ran.
+    """
+
+    def __init__(self, sem: _Semantics, ev: Evaluator):
+        self.word, self.n = ev.word, ev.word.n
+        self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
+        self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
+        self.bottom = sem.bottom(ev.cfg)
+        self._columns: dict[str, list[float]] = {}
+        self._memo: dict[tuple, float] = {}
+
+    def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
+        """f's signed margins at the observed samples in [start, stop)."""
+        col = self._columns.get(f.atom)
+        if col is None:
+            spec = self.table[f.atom]
+            col = [self.margin(spec, v) for v in self.word.signals[spec.signal]]
+            self._columns[f.atom] = col
+        return [-m for m in col[start:stop]] if f.negated else col[start:stop]
+
+    def value(self, f: Formula, i: int, j: int, upper: bool) -> float:
+        """f on window [i, j]; on a prefix, the lower or the upper bound over completions."""
+        # a fully observed window (j < n) has one value, shared by both bounds
+        key = (id(f), i, j, True) if upper and j >= self.n else (id(f), i, j)
+        got = self._memo.get(key)
         if got is None:
-            got = self._rho(f, i, j)
-            self._memo_rho[key] = got
+            got = self._memo[key] = self._value(f, i, j, upper)
         return got
 
-    def _rho(self, f: Formula, i: int, j: int) -> float:
+    def _value(self, f: Formula, i: int, j: int, upper: bool) -> float:
+        # plain loops, not comprehensions: a comprehension would turn these
+        # locals into closure cells, paid for on every call
+        value = self.value
         if isinstance(f, HoldAtom):
-            if j - i < f.d:
-                return self.cfg.rho_bot
-            return min(self.margin(f, k) for k in range(i, i + f.d + 1))
+            return self.hold(self, f, i, j, upper)
         if isinstance(f, And):
-            return min(self.rho(f.lhs, i, j), self.rho(f.rhs, i, j))
+            return self.conj(value(f.lhs, i, j, upper), value(f.rhs, i, j, upper))
         if isinstance(f, Or):
-            return max(self.rho(f.lhs, i, j), self.rho(f.rhs, i, j))
+            return self.disj((value(f.lhs, i, j, upper), value(f.rhs, i, j, upper)))
         if isinstance(f, Not):
-            return -self.rho(f.sub, i, j)
-        if isinstance(f, Concat):
-            best = self.cfg.rho_bot
-            for t in range(i, j):
-                split = min(self.rho(f.lhs, i, t), self.rho(f.rhs, t + 1, j))
-                if split > best:
-                    best = split
-            return best
-        if isinstance(f, Within):
-            bs = self._steps(f.b)
-            if j - i < bs:
-                return self.cfg.rho_bot
-            as_ = self._steps(f.a)
-            return max(self.rho(f.sub, t, i + bs) for t in range(i + as_, i + bs + 1))
-        raise TypeError(f"not a Formula: {f!r}")
-
-    # -- AGM robustness eta -------------------------------------------------
-
-    def eta(self, f: Formula, i: int, j: int) -> float:
-        key = (id(f), i, j)
-        got = self._memo_eta.get(key)
-        if got is None:
-            got = self._eta(f, i, j)
-            self._memo_eta[key] = got
-        return got
-
-    def _eta(self, f: Formula, i: int, j: int) -> float:
-        if isinstance(f, HoldAtom):
-            if j - i < f.d:
-                return -1.0
-            return agm_and([self.eta_margin(f, k) for k in range(i, i + f.d + 1)])
-        if isinstance(f, And):
-            return agm_and([self.eta(f.lhs, i, j), self.eta(f.rhs, i, j)])
-        if isinstance(f, Or):
-            return agm_or([self.eta(f.lhs, i, j), self.eta(f.rhs, i, j)])
-        if isinstance(f, Not):
-            return -self.eta(f.sub, i, j)
+            return -value(f.sub, i, j, not upper)
         if isinstance(f, Concat):
             if i == j:
-                return -1.0
-            return agm_or([agm_and([self.eta(f.lhs, i, t), self.eta(f.rhs, t + 1, j)])
-                           for t in range(i, j)])
+                return self.bottom
+            conj = self.conj
+            splits = []
+            for t in range(i, j):
+                splits.append(conj(value(f.lhs, i, t, upper), value(f.rhs, t + 1, j, upper)))
+            return self.disj(splits)
         if isinstance(f, Within):
-            bs = self._steps(f.b)
+            bs = steps(f.b, self.cfg.dt)
             if j - i < bs:
-                return -1.0
-            as_ = self._steps(f.a)
-            return agm_or([self.eta(f.sub, t, i + bs) for t in range(i + as_, i + bs + 1)])
+                return self.bottom
+            starts = []
+            for t in range(i + steps(f.a, self.cfg.dt), i + bs + 1):
+                starts.append(value(f.sub, t, i + bs, upper))
+            return self.disj(starts)
         raise TypeError(f"not a Formula: {f!r}")
 
 

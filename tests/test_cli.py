@@ -82,6 +82,20 @@ class TestCheckCommand:
                          "--config", files["config"], "--trace", files["trace"])
         assert rc == 0 and -1.0 <= float(out) <= 1.0
 
+    def test_concat_takes_best_split_below_bottom(self, capsys, tmp_path):
+        # both splits score -50, under the default rho_bot of -10
+        paths = {"formula": "!H^0 A . H^0 A\n",
+                 "cfg.json": json.dumps({"atoms": {"A": {
+                     "signal": "x", "op": ">=", "sigma": 0.0, "min": -100.0, "max": 100.0}}}),
+                 "trace.csv": "time,x\n0,50\n1,50\n"}
+        for name, text in paths.items():
+            (tmp_path / name).write_text(text)
+        rc, out, _ = run(capsys, "check", "--formula", str(tmp_path / "formula"),
+                         "--config", str(tmp_path / "cfg.json"),
+                         "--trace", str(tmp_path / "trace.csv"))
+        assert rc == 1
+        assert out.startswith("unsat rho=-50 ")
+
     def test_eta_needs_bounds(self, files, capsys, tmp_path):
         cfg = tmp_path / "nobounds.json"
         cfg.write_text(json.dumps(
@@ -146,6 +160,49 @@ class TestMonitorCommand:
                          "--config", files["config"], "--stream")
         assert rc == 2
         assert "header" in err
+
+    def test_records_keep_trace_times(self, files, capsys, tmp_path):
+        trace = tmp_path / "late.csv"
+        trace.write_text("time,x\n10,5.0\n11,4.5\n12,4.2\n")
+        argv = ["monitor", "--formula", files["formula"], "--config", files["config"],
+                "--trace", str(trace)]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 3
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["10", "11", "12"]
+        rc, out, _ = run(capsys, *argv, "--tau", "11")
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["11"]
+
+    def test_stream_rejects_off_grid_time(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("time,x\n0,5.0\n7,4.5\n7.5,4.2\n"))
+        rc, _, err = run(capsys, "monitor", "--formula", files["formula"],
+                         "--config", files["config"], "--stream")
+        assert rc == 2
+        assert err.startswith("twtl: error: stream:3: time 7 is off the sampling grid")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_stream_rejects_non_finite_sample(self, files, capsys, monkeypatch, value):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"time,x\n0,5.0\n1,{value}\n"))
+        rc, _, err = run(capsys, "monitor", "--formula", files["formula"],
+                         "--config", files["config"], "--stream")
+        assert rc == 2
+        assert err.startswith("twtl: error: stream:3: non-finite value")
+
+    def test_stream_header_lacks_signal(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("time,y\n0,5.0\n"))
+        rc, _, err = run(capsys, "monitor", "--formula", files["formula"],
+                         "--config", files["config"], "--stream")
+        assert rc == 2
+        assert err.startswith("twtl: error: stream: header lacks signals ['x']")
+
+    def test_config_without_bounds(self, files, capsys, tmp_path):
+        cfg = tmp_path / "nobounds.json"
+        cfg.write_text(json.dumps(
+            {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0}}}))
+        rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                           "--config", str(cfg), "--trace", files["trace"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("twtl: error: ") and "bounds" in err
 
     def test_custom_rho_bounds(self, files, capsys, tmp_path):
         trace = tmp_path / "one.csv"

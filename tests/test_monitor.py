@@ -1,10 +1,9 @@
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twtl.formula import parse
+from twtl.formula import Not, parse
 from twtl.monitor import (
     MonitorFinalizedError,
     MonitorState,
@@ -12,10 +11,6 @@ from twtl.monitor import (
     RobustnessInterval,
     Verdict,
     eta_interval,
-    iagm_and,
-    iagm_or,
-    imax,
-    imin,
     interval_verdict,
     make_prefix,
     rho_interval,
@@ -54,18 +49,6 @@ class TestInterval:
         assert interval_verdict(iv(-1.0, 1.0)) is Verdict.INCONCLUSIVE
         # verdicts are strict-sign based, so an endpoint at 0 stays open
         assert interval_verdict(singleton(0.0)) is Verdict.INCONCLUSIVE
-
-    def test_endpointwise_ops(self):
-        a, b = iv(-1.0, 2.0), iv(0.0, 1.0)
-        assert imin([a, b]) == iv(-1.0, 1.0)
-        assert imax([a, b]) == iv(0.0, 2.0)
-        u, v = iv(-0.5, 0.2), iv(-0.3, 0.8)
-        got = iagm_and([u, v])
-        assert got.lo == pytest.approx(-0.8 / 2)
-        assert got.hi == pytest.approx(math.sqrt(1.2 * 1.8) - 1)
-        got = iagm_or([u, v])
-        assert got.lo == pytest.approx(1 - math.sqrt(1.5 * 1.3))
-        assert got.hi == pytest.approx(1.0 / 2)
 
 
 class TestPrefix:
@@ -212,3 +195,18 @@ class TestSoundnessProperties:
                 assert prev_eta.contains_interval(res.eta, tol=1e-9)
             prev_rho, prev_eta = res.rho, res.eta
         assert res.rho.is_singleton() and res.eta.is_singleton()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_negation_swaps_bounds(self, seed, conservative):
+        rng = random.Random(seed)
+        f = random_formula(rng, ["A"], GenConfig(max_depth=3), max_horizon=6)
+        hsteps = MonitorState(f, TABLE).horizon_steps
+        w = random_word(rng, self.RANGES, n=hsteps + 1)
+        for k in range(1, w.n + 1):
+            p = Prefix(w.prefix(k), hsteps)
+            r = rho_interval(p, f, TABLE)
+            assert rho_interval(p, Not(f), TABLE) == iv(-r.hi, -r.lo)
+            e = eta_interval(p, f, TABLE, conservative_eta=conservative)
+            assert eta_interval(p, Not(f), TABLE, conservative_eta=conservative) \
+                == iv(-e.hi, -e.lo)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.formula import Not, parse
-from twtl.oracle import GenConfig, random_formula, random_word
+from twtl.monitor import make_prefix, rho_interval, singleton
+from twtl.oracle import GenConfig, oracle_rho, random_formula, random_word
 from twtl.semantics import EvalConfig, agm_and, agm_or, bool_sat, eta, rho
 from twtl.trace import PredicateTable, Word
 
@@ -93,6 +94,17 @@ class TestBoolAndRho:
         # min(min(1, 2), min(4, 5)) = 1
         assert rho(w, f, TABLE) == pytest.approx(1.0)
         assert bool_sat(w, f, TABLE) is True
+
+    def test_concat_bottom_only_for_single_sample(self):
+        # the only split scores min(-50, 50) = -50, below rho_bot = -10; a
+        # Concat over i < j is the max of its splits, with no bottom floor
+        table = PredicateTable.from_dict({"atoms": {
+            "A": {"signal": "x", "op": ">=", "sigma": 0.0, "min": -100.0, "max": 100.0}}})
+        f = parse("!H^0 A . H^0 A")
+        w = Word(1.0, {"x": (50.0, 50.0)})
+        assert rho(w, f, table) == -50.0
+        assert oracle_rho(w, f, table) == -50.0
+        assert rho_interval(make_prefix(w, f), f, table) == singleton(-50.0)
 
     def test_too_short_window_is_bottom(self):
         cfg = EvalConfig(rho_bot=-10.0, rho_top=10.0)
