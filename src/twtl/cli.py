@@ -62,12 +62,19 @@ class CliError(Exception):
     """User-facing failure; maps to exit code 2."""
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, trace: bool = True) -> None:
     p.add_argument("--formula", required=True, help="path to a formula file")
     p.add_argument("--config", required=True, help="path to the predicate/bounds JSON")
     if trace:
         p.add_argument("--trace", help="path to the trace CSV")
-    p.add_argument("--dt", type=float, default=1.0, help="sampling step (default 1)")
+    p.add_argument("--dt", type=_positive, default=1.0, help="sampling step (default 1)")
     p.add_argument("--rho-bot", type=float, default=-10.0)
     p.add_argument("--rho-top", type=float, default=10.0)
     p.add_argument("--conservative-eta", action="store_true",
@@ -81,12 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse and validate a formula")
     p.add_argument("--formula", required=True)
     p.add_argument("--config", help="optional predicate JSON for atom resolution checks")
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--dt", type=_positive, default=1.0)
 
     for name in ("check", "rho", "eta"):
         p = sub.add_parser(name)
         _add_common(p)
-        p.set_defaults(trace_required=True)
 
     p = sub.add_parser("monitor", help="replay a trace through the online monitors")
     _add_common(p)
@@ -104,24 +110,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_inputs(args) -> tuple:
+def _load_formula(path: str):
     try:
-        f = parse_file(args.formula)
+        return parse_file(path)
     except OSError as exc:
         raise CliError(f"cannot read formula: {exc}") from exc
     except TwtlSyntaxError as exc:
-        raise CliError(f"{args.formula}: {exc}") from exc
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _load_table(path: str, f, dt: float) -> PredicateTable:
+    """The config's predicate table, validated against f: errors raise, warnings log."""
     try:
-        table = PredicateTable.from_json(args.config)
+        table = PredicateTable.from_json(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load config {args.config}: {exc}") from exc
-    cfg = EvalConfig(rho_bot=args.rho_bot, rho_top=args.rho_top, dt=args.dt)
-    problems = [d for d in validate(f, table, args.dt) if d.severity == "error"]
-    if problems:
-        raise CliError("; ".join(str(d) for d in problems))
-    for d in validate(f, table, args.dt):
-        if d.severity == "warning":
+        raise CliError(f"cannot load config {path}: {exc}") from exc
+    problems = []
+    for d in validate(f, table, dt):
+        if d.severity == "error":
+            problems.append(d.message)
+        else:
             log.warning("%s", d.message)
+    if problems:
+        raise CliError("; ".join(problems))
+    return table
+
+
+def _load_inputs(args) -> tuple:
+    f = _load_formula(args.formula)
+    table = _load_table(args.config, f, args.dt)
+    try:
+        cfg = EvalConfig(rho_bot=args.rho_bot, rho_top=args.rho_top, dt=args.dt)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return f, table, cfg
 
 
@@ -136,45 +157,33 @@ def _load_word(args, f, cfg: EvalConfig) -> Word:
     return make_prefix(word, f, cfg).word
 
 
-def _cmd_parse(args) -> int:
+def _evaluate(args, *evaluators) -> list:
+    """Each evaluator's value on the --trace word; evaluation failures are CLI errors."""
+    f, table, cfg = _load_inputs(args)
+    word = _load_word(args, f, cfg)
     try:
-        f = parse_file(args.formula)
-    except OSError as exc:
-        raise CliError(f"cannot read formula: {exc}") from exc
-    except TwtlSyntaxError as exc:
-        raise CliError(f"{args.formula}: {exc}") from exc
+        return [ev(word, f, table, cfg) for ev in evaluators]
+    except (ValueError, KeyError) as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _cmd_parse(args) -> int:
+    f = _load_formula(args.formula)
+    if args.config:
+        _load_table(args.config, f, args.dt)
     print(format_formula(f))
     print(f"horizon: {horizon(f, args.dt):g}")
-    if args.config:
-        table = PredicateTable.from_json(args.config)
-        diags = validate(f, table, args.dt)
-        for d in diags:
-            print(str(d), file=sys.stderr)
-        if any(d.severity == "error" for d in diags):
-            return 2
     return 0
 
 
 def _cmd_check(args) -> int:
-    f, table, cfg = _load_inputs(args)
-    word = _load_word(args, f, cfg)
-    try:
-        sat = bool_sat(word, f, table, cfg)
-        r = rho(word, f, table, cfg)
-        e = eta(word, f, table, cfg)
-    except (ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
+    sat, r, e = _evaluate(args, bool_sat, rho, eta)
     print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={_fmt(e)}")
     return 0 if sat else 1
 
 
-def _cmd_value(args, which: str) -> int:
-    f, table, cfg = _load_inputs(args)
-    word = _load_word(args, f, cfg)
-    try:
-        value = (rho if which == "rho" else eta)(word, f, table, cfg)
-    except (ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_value(args) -> int:
+    value, = _evaluate(args, rho if args.command == "rho" else eta)
     print(_fmt(value))
     return 0
 
@@ -271,11 +280,8 @@ def _cmd_casestudy(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle
 
-    f, table, cfg = _load_inputs(args)
-    word = _load_word(args, f, cfg)
-    sat = oracle.oracle_bool(word, f, table, cfg)
-    print(f"{'sat' if sat else 'unsat'} rho={_fmt(oracle.oracle_rho(word, f, table, cfg))} "
-          f"eta={_fmt(oracle.oracle_eta(word, f, table, cfg))}")
+    sat, r, e = _evaluate(args, oracle.oracle_bool, oracle.oracle_rho, oracle.oracle_eta)
+    print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={_fmt(e)}")
     return 0
 
 
@@ -284,22 +290,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="twtl: %(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    commands = {"parse": _cmd_parse, "check": _cmd_check, "rho": _cmd_value, "eta": _cmd_value,
+                "monitor": _cmd_monitor, "casestudy": _cmd_casestudy, "oracle": _cmd_oracle}
     try:
-        if args.command == "parse":
-            return _cmd_parse(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command in ("rho", "eta"):
-            return _cmd_value(args, args.command)
-        if args.command == "monitor":
-            return _cmd_monitor(args)
-        if args.command == "casestudy":
-            return _cmd_casestudy(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise CliError(f"unknown command {args.command}")
+        return commands[args.command](args)
     except CliError as exc:
         print(f"twtl: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # every formula walk recurses once per nesting level
+        print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

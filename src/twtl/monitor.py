@@ -4,9 +4,12 @@ A prefix of n samples observed toward a horizon of H steps leaves the
 samples at indices n..H open. Its interval [rho] (or [eta]) is a pair of
 runs of the semantics module's window recursion over [0, H]: the run that
 bounds every completion's value from below and the run that bounds it from
-above. The intervals are therefore sound (every completion's value lies
-inside), nested (they only shrink as the prefix grows) and converge to the
-offline singleton at the horizon.
+above. A hold reads each open sample as the extreme margin of the bound
+it serves: `rho_bot` or `rho_top` for [rho], the atom's attainable
+normalized margins for [eta]. The intervals are therefore sound for every
+completion whose margins lie in that range (its value lies inside), nested
+(they only shrink as the prefix grows) and converge to the offline
+singleton at the horizon.
 """
 
 from __future__ import annotations

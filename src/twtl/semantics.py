@@ -2,18 +2,20 @@
 
 Both quantitative semantics run one recursion over index windows [i, j] of
 a word, memoized on (node, i, j, upper) and parameterized by a table of
-bottom, conjunction, disjunction and hold: min/max over signed margins for
-robustness `rho`, arithmetic-geometric means of normalized margins in
-[-1, 1] for AGM robustness `eta`. A window too short for its subformula
-yields the bottom value (`rho_bot`, or -1).
+bottom, conjunction, disjunction and hold aggregate: min/max over signed
+margins for robustness `rho`, arithmetic-geometric means of normalized
+margins in [-1, 1] for AGM robustness `eta`. A window too short for its
+subformula yields the bottom value (`rho_bot`, or -1).
 
-Samples at indices >= word.n are unobserved. A hold over unobserved
-samples reports the least value its completions can take when `upper` is
-false and the greatest when it is true; negation swaps the two. So the two
-runs bound every completion's value from below and from above: they are
-the monitor module's intervals [rho] and [eta]. A fully observed window
-(j < word.n) has one value, which both runs share, and on a complete word
-the recursion gives the offline value.
+Samples at indices >= word.n are unobserved. Every operator is monotone
+and negation swaps the bound it asks for, so one rule bounds a hold over
+them: each unobserved sample takes its atom's least margin when `upper` is
+false and its greatest when it is true (a negated atom takes the negated
+opposite extreme), and the hold aggregates as usual. So the two runs bound
+from below and from above every completion whose margins lie within those
+extremes: they are the monitor module's intervals [rho] and [eta]. A fully
+observed window (j < word.n) has one value, which both runs share, and on a
+complete word the recursion gives the offline value.
 
 Boolean satisfaction keeps its own short-circuiting recursion over the same
 margin columns. The oracle module carries the unmemoized literal
@@ -32,7 +34,13 @@ from .trace import PredicateSpec, PredicateTable, Word
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation parameters; rho_bot/rho_top must dominate attainable margins."""
+    """Evaluation parameters.
+
+    rho_bot scores a window too short for its subformula, and an unobserved
+    sample's margin is taken to lie in [rho_bot, rho_top]. An observed margin
+    m outside that range is kept: a hold over m and unobserved samples gets
+    [min(m, rho_bot), min(m, rho_top)].
+    """
 
     rho_bot: float = -10.0
     rho_top: float = 10.0
@@ -90,57 +98,18 @@ class _Semantics:
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
     conj: Callable[[float, float], float]
     disj: Callable[[Sequence[float]], float]
-    hold: Callable[["_Recursion", HoldAtom, int, int, bool], float]
+    hold: Callable[[Sequence[float]], float]  # aggregate of a hold's margins
+    # (least, greatest) margin an unobserved sample of the atom can take,
+    # given the config and the conservative_eta flag
+    extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
 
 
-def _rho_hold(run: "_Recursion", f: HoldAtom, i: int, j: int, upper: bool) -> float:
-    if i >= run.n:  # wholly unobserved window: any value in [rho_bot, rho_top]
-        return run.cfg.rho_top if upper else run.bottom
-    if j - i < f.d:
-        return run.bottom
-    m = min(run.margins(f, i, i + f.d + 1))
-    # a completion can still drive an unobserved sample's margin down to bottom
-    return m if upper or i + f.d < run.n else run.bottom
-
-
-def _eta_hold(run: "_Recursion", f: HoldAtom, i: int, j: int, upper: bool) -> float:
-    # A too-short window yields -1 for every completion; this check must
-    # precede the unobserved-window widening or containment would break.
-    if j - i < f.d:
-        return -1.0
-    margins = run.margins(f, i, i + f.d + 1)
-    full = f.d + 1
-    unobs = full - len(margins)
-    if unobs == 0:
-        return agm_and(margins)
-    if run.conservative_eta:
-        em_min, em_max = -1.0, 1.0
-    else:
-        em_min, em_max = run.table[f.atom].eta_extremes()
-        if f.negated:
-            em_min, em_max = -em_max, -em_min
-    if any(m <= 0.0 for m in margins):
-        # every completion lands in the mean-of-negative-parts branch
-        neg = sum(m for m in margins if m < 0.0)
-        return neg / full if upper else (neg + unobs * min(em_min, 0.0)) / full
-    # all observed margins strictly positive (vacuously so if none observed)
-    if upper:
-        if em_max <= 0.0:
-            return 0.0  # no completion can stay strictly positive
-        return (math.prod(1.0 + m for m in margins)
-                * (1.0 + em_max) ** unobs) ** (1.0 / full) - 1.0
-    if em_min < 0.0:
-        return unobs * em_min / full
-    if em_min == 0.0:
-        return 0.0
-    # degenerate sigma <= L: all completions stay in the geometric branch
-    return (math.prod(1.0 + m for m in margins)
-            * (1.0 + em_min) ** unobs) ** (1.0 / full) - 1.0
-
-
-_RHO = _Semantics(PredicateSpec.margin_of, lambda cfg: cfg.rho_bot, min, max, _rho_hold)
+_RHO = _Semantics(PredicateSpec.margin_of, lambda cfg: cfg.rho_bot, min, max, min,
+                  lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top))
 _ETA = _Semantics(PredicateSpec.eta_margin_of, lambda cfg: -1.0,
-                 lambda a, b: agm_and((a, b)), agm_or, _eta_hold)
+                  lambda a, b: agm_and((a, b)), agm_or, agm_and,
+                  lambda spec, cfg, conservative:
+                  (-1.0, 1.0) if conservative else spec.eta_extremes())
 
 
 class Evaluator:
@@ -218,8 +187,10 @@ class _Recursion:
         self.word, self.n = ev.word, ev.word.n
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
         self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
+        self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
+        self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         self._memo: dict[tuple, float] = {}
 
     def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
@@ -229,6 +200,7 @@ class _Recursion:
             spec = self.table[f.atom]
             col = [self.margin(spec, v) for v in self.word.signals[spec.signal]]
             self._columns[f.atom] = col
+            self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
         return [-m for m in col[start:stop]] if f.negated else col[start:stop]
 
     def value(self, f: Formula, i: int, j: int, upper: bool) -> float:
@@ -240,12 +212,26 @@ class _Recursion:
             got = self._memo[key] = self._value(f, i, j, upper)
         return got
 
+    def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
+        # too short for every completion; tested before the padding, which
+        # would otherwise lift eta's lower bound above -1
+        if j - i < f.d:
+            return self.bottom
+        stop = i + f.d + 1
+        ms = self.margins(f, i, stop)
+        if stop <= self.n:
+            return self.hold(ms)
+        # an unobserved sample takes the extreme margin of the bound asked for
+        lo, hi = self._extremes[f.atom]
+        pad = (-lo if upper else -hi) if f.negated else (hi if upper else lo)
+        return pad if i >= self.n else self.hold(ms + [pad] * (stop - self.n))
+
     def _value(self, f: Formula, i: int, j: int, upper: bool) -> float:
         # plain loops, not comprehensions: a comprehension would turn these
         # locals into closure cells, paid for on every call
         value = self.value
         if isinstance(f, HoldAtom):
-            return self.hold(self, f, i, j, upper)
+            return self._hold(f, i, j, upper)
         if isinstance(f, And):
             return self.conj(value(f.lhs, i, j, upper), value(f.rhs, i, j, upper))
         if isinstance(f, Or):

@@ -52,6 +52,14 @@ class TestParseCommand:
         assert rc == 2
         assert "Zz" in err
 
+    def test_config_atom_lacks_op(self, files, capsys, tmp_path):
+        cfg = tmp_path / "noop.json"
+        cfg.write_text(json.dumps({"atoms": {"A": {"signal": "x", "sigma": 4.0}}}))
+        rc, out, err = run(capsys, "parse", "--formula", files["formula"], "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"twtl: error: cannot load config {cfg}: ")
+
 
 class TestCheckCommand:
     def test_satisfied(self, files, capsys):
@@ -104,6 +112,55 @@ class TestCheckCommand:
                          "--config", str(cfg), "--trace", files["trace"])
         assert rc == 2
         assert "bounds" in err
+
+
+@pytest.mark.parametrize("argv", [["parse"], ["check", "--trace", "t.csv"]],
+                         ids=["parse", "check"])
+def test_dt_must_be_positive(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--formula", files["formula"], "--config", files["config"], "--dt", "0"])
+    assert exc.value.code == 2
+    assert "argument --dt: must be > 0, got 0" in capsys.readouterr().err
+
+
+def test_rho_bounds_must_straddle_zero(files, capsys):
+    rc, out, err = run(capsys, "check", "--formula", files["formula"],
+                       "--config", files["config"], "--trace", files["trace"],
+                       "--rho-bot", "5")
+    assert rc == 2
+    assert out == ""
+    assert err == "twtl: error: require rho_bot < 0 < rho_top\n"
+
+
+class TestOracleCommand:
+    def test_agrees_with_check(self, files, capsys):
+        argv = ["--formula", files["formula"], "--config", files["config"],
+                "--trace", files["trace"]]
+        rc, out, _ = run(capsys, "oracle", *argv)
+        assert rc == 0
+        assert out == run(capsys, "check", *argv)[1]
+
+    def test_config_without_bounds(self, files, capsys, tmp_path):
+        cfg = tmp_path / "nobounds.json"
+        cfg.write_text(json.dumps(
+            {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0}}}))
+        rc, out, err = run(capsys, "oracle", "--formula", files["formula"],
+                           "--config", str(cfg), "--trace", files["trace"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("twtl: error: ") and "bounds" in err
+
+
+@pytest.mark.parametrize("text", [" & ".join(["H^0 A"] * 1000), "!" * 1000 + "H^0 A"],
+                         ids=["and-chain", "not-prefix"])
+def test_deep_formula_is_an_error(files, capsys, tmp_path, text):
+    deep = tmp_path / "deep.twtl"
+    deep.write_text(text + "\n")
+    rc, out, err = run(capsys, "check", "--formula", str(deep),
+                       "--config", files["config"], "--trace", files["trace"])
+    assert rc == 2
+    assert out == ""
+    assert err == "twtl: error: formula nested too deeply\n"
 
 
 class TestMonitorCommand:
@@ -203,6 +260,20 @@ class TestMonitorCommand:
         assert rc == 2
         assert out == ""
         assert err.startswith("twtl: error: ") and "bounds" in err
+
+    def test_observed_margin_below_rho_bot(self, capsys, tmp_path):
+        # x = -50 gives the margin -50, under the default rho_bot of -10
+        (tmp_path / "f.twtl").write_text("H^1 A\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"atoms": {"A": {
+            "signal": "x", "op": ">=", "sigma": 0.0, "min": -100.0, "max": 100.0}}}))
+        (tmp_path / "t.csv").write_text("time,x\n0,-50\n")
+        rc, out, err = run(capsys, "monitor", "--formula", str(tmp_path / "f.twtl"),
+                           "--config", str(tmp_path / "cfg.json"),
+                           "--trace", str(tmp_path / "t.csv"))
+        assert rc == 3
+        row = out.splitlines()[1].split(",")
+        assert (row[1], row[2], row[5]) == ("-50", "-50", "violated")
+        assert "error" not in err
 
     def test_custom_rho_bounds(self, files, capsys, tmp_path):
         trace = tmp_path / "one.csv"

@@ -17,7 +17,7 @@ from twtl.monitor import (
     singleton,
     step,
 )
-from twtl.oracle import GenConfig, random_formula, random_word
+from twtl.oracle import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 from twtl.semantics import EvalConfig, eta, rho
 from twtl.trace import PredicateTable, Word
 
@@ -86,9 +86,9 @@ class TestRhoInterval:
     def test_within_combines_starts(self):
         f = parse("[H^1 A]^[0,2]")
         p = make_prefix(Word(1.0, {"x": (3.0, 5.0)}), f)
-        # start t=0: both samples seen -> {-1}; t=1: [-10, 1];
-        # t=2: wholly unobserved -> [-10, 10]; max endpoint-wise
-        assert rho_interval(p, f, TABLE) == iv(-1.0, 10.0)
+        # start t=0: both samples seen -> {-1}; t=1: [-10, 1]; t=2: the
+        # window [2, 2] is too short for H^1, so every completion gives -10
+        assert rho_interval(p, f, TABLE) == iv(-1.0, 1.0)
         p2 = make_prefix(Word(1.0, {"x": (3.0, 3.5, 3.0)}), f)
         got = rho_interval(p2, f, TABLE)
         assert got.is_singleton()
@@ -98,6 +98,26 @@ class TestRhoInterval:
         cfg = EvalConfig(rho_bot=-3.0, rho_top=3.0)
         p = make_prefix(Word(1.0, {"x": (5.0,)}), self.F, cfg)
         assert rho_interval(p, self.F, TABLE, cfg) == iv(-3.0, 1.0)
+
+    def test_negated_hold_takes_opposite_extreme(self):
+        # with P's margin m in [rho_bot, rho_top], !P's margin -m lies in
+        # [-rho_top, -rho_bot]; the interval is the exact hull over completions
+        cfg = EvalConfig(rho_bot=-100.0, rho_top=60.0)
+        table = PredicateTable.from_dict({"atoms": {
+            "P": {"signal": "x", "op": ">=", "sigma": 0.0, "min": -100.0, "max": 100.0}}})
+        f = parse("[H^0 !P]^[1,1]")
+        p = make_prefix(Word(1.0, {"x": (0.5,)}), f, cfg)
+        (lo, hi), _ = completion_bounds(p.word, f, table, ValueGrid({"x": (-100.0, 60.0)}),
+                                        p.horizon_steps, cfg)
+        assert rho_interval(p, f, table, cfg) == iv(lo, hi) == iv(-60.0, 100.0)
+
+    @pytest.mark.parametrize("x, want", [(-50.0, iv(-50.0, -50.0)), (50.0, iv(-10.0, 10.0))])
+    def test_observed_margin_beyond_bounds(self, x, want):
+        # an unobserved sample takes rho_bot or rho_top, so an observed margin
+        # outside [rho_bot, rho_top] gives [min(m, rho_bot), min(m, rho_top)]
+        f = parse("H^1 P")
+        p = make_prefix(Word(1.0, {"x": (x,)}), f)
+        assert rho_interval(p, f, UNIT) == want
 
 
 class TestEtaInterval:
