@@ -24,7 +24,7 @@ import logging
 import math
 import os
 import sys
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, validate
 from .monitor import MonitorState, StepResult, make_prefix
@@ -41,10 +41,15 @@ def _fmt(v: float) -> str:
 
 
 def write_records(out: TextIO, fmt: str, records: Iterable[StepResult]) -> None:
-    """Emit monitor records as CSV (with header) or JSON lines."""
-    if fmt == "csv":
-        out.write(",".join(RECORD_FIELDS) + "\n")
+    """Emit monitor records as CSV (with header) or JSON lines, flushing each.
+
+    The CSV header goes out with the first record, or at the end if there is
+    none, so a failure to produce the first record leaves the output empty.
+    """
+    header = ",".join(RECORD_FIELDS) + "\n" if fmt == "csv" else ""
     for rec in records:
+        out.write(header)
+        header = ""
         if fmt == "csv":
             out.write(f"{_fmt(rec.t)},{_fmt(rec.rho.lo)},{_fmt(rec.rho.hi)},"
                       f"{_fmt(rec.eta.lo)},{_fmt(rec.eta.hi)},"
@@ -56,6 +61,8 @@ def write_records(out: TextIO, fmt: str, records: Iterable[StepResult]) -> None:
                 "eta_lo": rec.eta.lo, "eta_hi": rec.eta.hi,
                 "verdict_rho": str(rec.verdict_rho), "verdict_eta": str(rec.verdict_eta),
             }) + "\n")
+        out.flush()
+    out.write(header)
 
 
 class CliError(Exception):
@@ -69,11 +76,10 @@ def _positive(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, trace: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", required=True, help="path to a formula file")
     p.add_argument("--config", required=True, help="path to the predicate/bounds JSON")
-    if trace:
-        p.add_argument("--trace", help="path to the trace CSV")
+    p.add_argument("--trace", help="path to the trace CSV")
     p.add_argument("--dt", type=_positive, default=1.0, help="sampling step (default 1)")
     p.add_argument("--rho-bot", type=float, default=-10.0)
     p.add_argument("--rho-top", type=float, default=10.0)
@@ -188,8 +194,12 @@ def _cmd_value(args) -> int:
     return 0
 
 
-def _stdin_samples(signal_names: Sequence[str], dt: float):
-    """(time, sample) pairs read from stdin; row k must sit at time t0 + k*dt."""
+def _cannot_write(exc: OSError, path: str) -> CliError:
+    return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
+def _stdin_samples(signal_names: Sequence[str], dt: float) -> Iterator:
+    """Check stdin's header now; then its (time, sample) pairs, row k at time t0 + k*dt."""
     reader = csv.reader(sys.stdin)
     try:
         header = [h.strip() for h in next(reader)]
@@ -200,26 +210,29 @@ def _stdin_samples(signal_names: Sequence[str], dt: float):
     missing = [s for s in signal_names if s not in header[1:]]
     if missing:
         raise CliError(f"stream: header lacks signals {missing}")
-    t0, k = None, 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            values = [float(c) for c in row]
-        except ValueError:
-            raise CliError(f"stream:{lineno}: malformed line {row}") from None
-        if len(values) != len(header):
-            raise CliError(f"stream:{lineno}: expected {len(header)} columns")
-        if not all(math.isfinite(v) for v in values):
-            raise CliError(f"stream:{lineno}: non-finite value in {row}")
-        t = values[0]
-        if t0 is None:
-            t0 = t
-        elif abs((t - t0) / dt - k) > 1e-9:
-            raise CliError(f"stream:{lineno}: time {t:g} is off the sampling grid, "
-                           f"expected {t0 + k * dt:g}")
-        k += 1
-        yield t, dict(zip(header[1:], values[1:]))
+
+    def rows():
+        t0, k = None, 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                raise CliError(f"stream:{lineno}: malformed line {row}") from None
+            if len(values) != len(header):
+                raise CliError(f"stream:{lineno}: expected {len(header)} columns")
+            if not all(math.isfinite(v) for v in values):
+                raise CliError(f"stream:{lineno}: non-finite value in {row}")
+            t = values[0]
+            if t0 is None:
+                t0 = t
+            elif abs((t - t0) / dt - k) > 1e-9:
+                raise CliError(f"stream:{lineno}: time {t:g} is off the sampling grid, "
+                               f"expected {t0 + k * dt:g}")
+            k += 1
+            yield t, dict(zip(header[1:], values[1:]))
+    return rows()
 
 
 def _cmd_monitor(args) -> int:
@@ -238,22 +251,26 @@ def _cmd_monitor(args) -> int:
         samples = ((word.time_at(k), {s: vals[k] for s, vals in word.signals.items()})
                    for k in range(word.n))
 
-    records = []
-    for t, sample in samples:
-        if state.finalized:
-            log.warning("trace continues past the horizon; extra samples ignored")
-            break
-        if state.observed == 0:
-            state.t0 = t  # records carry the trace's own times
-        try:
-            res = state.step(sample)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        if taus is None or any(abs(res.t - tau) <= 1e-9 * cfg.dt for tau in taus):
-            records.append(res)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    def records():
+        for t, sample in samples:
+            if state.finalized:
+                log.warning("trace continues past the horizon; extra samples ignored")
+                return
+            if state.observed == 0:
+                state.t0 = t  # records carry the trace's own times
+            try:
+                res = state.step(sample)
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
+            if taus is None or any(abs(res.t - tau) <= 1e-9 * cfg.dt for tau in taus):
+                yield res
+
     try:
-        write_records(out, args.format, records)
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise _cannot_write(exc, args.out) from exc
+    try:
+        write_records(out, args.format, records())
     finally:
         if out is not sys.stdout:
             out.close()
@@ -267,7 +284,10 @@ def _cmd_monitor(args) -> int:
 def _cmd_casestudy(args) -> int:
     from . import casestudy
 
-    result = casestudy.run_case_study(args.out, fmt=args.format)
+    try:
+        result = casestudy.run_case_study(args.out, fmt=args.format)
+    except OSError as exc:
+        raise _cannot_write(exc, args.out) from exc
     print(f"horizon: {result.horizon:g}")
     for label, vals in result.results.items():
         print(f"{label}: {'sat' if vals['sat'] else 'unsat'} "

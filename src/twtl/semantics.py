@@ -1,11 +1,17 @@
 """TWTL evaluation: one memoized window recursion for `rho` and `eta`.
 
-Both quantitative semantics run one recursion over index windows [i, j] of
-a word, memoized on (node, i, j, upper) and parameterized by a table of
-bottom, conjunction, disjunction and hold aggregate: min/max over signed
-margins for robustness `rho`, arithmetic-geometric means of normalized
-margins in [-1, 1] for AGM robustness `eta`. A window too short for its
-subformula yields the bottom value (`rho_bot`, or -1).
+Both quantitative semantics run one memoized recursion over index windows
+[i, j] of a word, parameterized by a table of bottom, conjunction,
+disjunction and hold aggregate: min/max over signed margins for robustness
+`rho`, arithmetic-geometric means of normalized margins in [-1, 1] for AGM
+robustness `eta`. A window too short for its subformula yields the bottom
+value (`rho_bot`, or -1).
+
+A window is keyed on the samples it reads. `H^d` and `[.]^[a,b]` read no
+sample after i + d and i + b (in steps), their pinned length: a shorter
+window is bottom, unmemoized, and a longer one is cut to that length. A
+window starting at or after word.n reads no sample, so its value depends
+on its node, length and bound only and is memoized on those.
 
 Samples at indices >= word.n are unobserved. Every operator is monotone
 and negation swaps the bound it asks for, so one rule bounds a hold over
@@ -15,7 +21,8 @@ opposite extreme), and the hold aggregates as usual. So the two runs bound
 from below and from above every completion whose margins lie within those
 extremes: they are the monitor module's intervals [rho] and [eta]. A fully
 observed window (j < word.n) has one value, which both runs share, and on a
-complete word the recursion gives the offline value.
+complete word the recursion gives the offline value. Other windows are
+memoized per bound.
 
 Boolean satisfaction keeps its own short-circuiting recursion over the same
 margin columns. The oracle module carries the unmemoized literal
@@ -112,6 +119,15 @@ _ETA = _Semantics(PredicateSpec.eta_margin_of, lambda cfg: -1.0,
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
 
 
+def _pinned_length(f: Formula, dt: float) -> int | None:
+    """The steps after a window's start that f reads; None if it reads to the end."""
+    if isinstance(f, HoldAtom):
+        return f.d
+    if isinstance(f, Within):
+        return steps(f.b, dt)
+    return None
+
+
 class Evaluator:
     """The recursions over one word, or one prefix of the windows asked for; memoized.
 
@@ -129,6 +145,7 @@ class Evaluator:
         self.conservative_eta = conservative_eta
         self._runs: dict[_Semantics, _Recursion] = {}
         self._sat: dict[tuple, bool] = {}
+        self._pins: dict[int, int | None] = {}  # id(node) -> _pinned_length
 
     def _run(self, sem: _Semantics) -> _Recursion:
         run = self._runs.get(sem)
@@ -139,7 +156,16 @@ class Evaluator:
     # -- Boolean satisfaction ---------------------------------------------
 
     def bool_sat(self, f: Formula, i: int, j: int) -> bool:
-        key = (id(f), i, j)
+        fid = id(f)
+        try:
+            pin = self._pins[fid]
+        except KeyError:
+            pin = self._pins[fid] = _pinned_length(f, self.cfg.dt)
+        if pin is not None:
+            if j - i < pin:
+                return False
+            j = i + pin
+        key = (fid, i, j)
         got = self._sat.get(key)
         if got is None:
             got = self._sat[key] = self._bool(f, i, j)
@@ -147,9 +173,7 @@ class Evaluator:
 
     def _bool(self, f: Formula, i: int, j: int) -> bool:
         if isinstance(f, HoldAtom):
-            if j - i < f.d:
-                return False
-            return all(m > 0.0 for m in self._run(_RHO).margins(f, i, i + f.d + 1))
+            return all(m > 0.0 for m in self._run(_RHO).margins(f, i, j + 1))
         if isinstance(f, And):
             return self.bool_sat(f.lhs, i, j) and self.bool_sat(f.rhs, i, j)
         if isinstance(f, Or):
@@ -160,11 +184,8 @@ class Evaluator:
             return any(self.bool_sat(f.lhs, i, t) and self.bool_sat(f.rhs, t + 1, j)
                        for t in range(i, j))
         if isinstance(f, Within):
-            bs = steps(f.b, self.cfg.dt)
-            if j - i < bs:
-                return False
-            as_ = steps(f.a, self.cfg.dt)
-            return any(self.bool_sat(f.sub, t, i + bs) for t in range(i + as_, i + bs + 1))
+            return any(self.bool_sat(f.sub, t, j)
+                       for t in range(i + steps(f.a, self.cfg.dt), j + 1))
         raise TypeError(f"not a Formula: {f!r}")
 
     # -- rho and eta ----------------------------------------------------------
@@ -186,12 +207,14 @@ class _Recursion:
     def __init__(self, sem: _Semantics, ev: Evaluator):
         self.word, self.n = ev.word, ev.word.n
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
+        self.pins = ev._pins
         self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
-        self._memo: dict[tuple, float] = {}
+        self._memo: dict[tuple, float] = {}  # (id, i, j); upper bound if j >= n: (id, i, j, True)
+        self._unobserved: dict[tuple, float] = {}  # i >= n: (id, j - i, upper)
 
     def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
         """f's signed margins at the observed samples in [start, stop)."""
@@ -205,19 +228,29 @@ class _Recursion:
 
     def value(self, f: Formula, i: int, j: int, upper: bool) -> float:
         """f on window [i, j]; on a prefix, the lower or the upper bound over completions."""
-        # a fully observed window (j < n) has one value, shared by both bounds
-        key = (id(f), i, j, True) if upper and j >= self.n else (id(f), i, j)
-        got = self._memo.get(key)
+        fid = id(f)
+        try:
+            pin = self.pins[fid]
+        except KeyError:
+            pin = self.pins[fid] = _pinned_length(f, self.cfg.dt)
+        if pin is not None:
+            # too short for every completion; tested before a hold's padding,
+            # which would otherwise lift eta's lower bound above -1
+            if j - i < pin:
+                return self.bottom
+            j = i + pin
+        if i >= self.n:
+            memo, key = self._unobserved, (fid, j - i, upper)
+        else:
+            # a fully observed window (j < n) has one value, shared by both bounds
+            memo, key = self._memo, (fid, i, j, True) if upper and j >= self.n else (fid, i, j)
+        got = memo.get(key)
         if got is None:
-            got = self._memo[key] = self._value(f, i, j, upper)
+            got = memo[key] = self._value(f, i, j, upper)
         return got
 
     def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
-        # too short for every completion; tested before the padding, which
-        # would otherwise lift eta's lower bound above -1
-        if j - i < f.d:
-            return self.bottom
-        stop = i + f.d + 1
+        stop = j + 1
         ms = self.margins(f, i, stop)
         if stop <= self.n:
             return self.hold(ms)
@@ -247,12 +280,9 @@ class _Recursion:
                 splits.append(conj(value(f.lhs, i, t, upper), value(f.rhs, t + 1, j, upper)))
             return self.disj(splits)
         if isinstance(f, Within):
-            bs = steps(f.b, self.cfg.dt)
-            if j - i < bs:
-                return self.bottom
             starts = []
-            for t in range(i + steps(f.a, self.cfg.dt), i + bs + 1):
-                starts.append(value(f.sub, t, i + bs, upper))
+            for t in range(i + steps(f.a, self.cfg.dt), j + 1):
+                starts.append(value(f.sub, t, j, upper))
             return self.disj(starts)
         raise TypeError(f"not a Formula: {f!r}")
 

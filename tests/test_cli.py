@@ -251,6 +251,25 @@ class TestMonitorCommand:
         assert rc == 2
         assert err.startswith("twtl: error: stream: header lacks signals ['x']")
 
+    def test_stream_writes_records_before_a_bad_row(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("time,x\n0,5.0\n1,4.5\n2.5,4.2\n"))
+        rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                           "--config", files["config"], "--stream")
+        assert rc == 2
+        lines = out.splitlines()
+        assert lines[0] == self.HEADER
+        assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
+        assert err.startswith("twtl: error: stream:4: time 2.5 is off the sampling grid")
+
+    def test_out_in_missing_directory(self, files, capsys, tmp_path):
+        out_path = tmp_path / "nodir" / "x.csv"
+        rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                           "--config", files["config"], "--trace", files["trace"],
+                           "--out", str(out_path))
+        assert rc == 2
+        assert out == ""
+        assert err == f"twtl: error: cannot write {out_path}: No such file or directory\n"
+
     def test_config_without_bounds(self, files, capsys, tmp_path):
         cfg = tmp_path / "nobounds.json"
         cfg.write_text(json.dumps(
@@ -310,3 +329,11 @@ class TestCaseStudyCommand:
             assert (out_dir / name).exists()
         final = (out_dir / "monitor_nominal.csv").read_text().splitlines()[-1]
         assert final.endswith("satisfied,satisfied")
+
+    def test_out_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "casestudy", "--out", str(blocker / "sub"))
+        assert rc == 2
+        assert out == ""
+        assert err == f"twtl: error: cannot write {blocker / 'sub'}: Not a directory\n"

@@ -3,6 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twtl.casestudy import (
+    build_formula,
+    build_table,
+    inside_obstacle_margin,
+    nominal_trajectory,
+    tight_trajectory,
+)
 from twtl.formula import Not, parse
 from twtl.monitor import (
     MonitorFinalizedError,
@@ -13,6 +20,7 @@ from twtl.monitor import (
     eta_interval,
     interval_verdict,
     make_prefix,
+    prefix_result,
     rho_interval,
     singleton,
     step,
@@ -170,6 +178,23 @@ class TestMonitorState:
         assert res.verdict_rho is Verdict.SATISFIED
         assert res.rho.is_singleton()
         assert res.rho.lo == pytest.approx(rho(Word(1.0, {"x": xs}), f, TABLE))
+
+    @pytest.mark.parametrize("trajectory, conservative",
+                             [(nominal_trajectory, False), (tight_trajectory, True)])
+    def test_case_study_steps_equal_batch_exactly(self, trajectory, conservative):
+        rng = random.Random(17)
+        word = trajectory()
+        pts = [(x + rng.uniform(-0.2, 0.2), y + rng.uniform(-0.2, 0.2))
+               for x, y in zip(word.signals["x"], word.signals["y"])]
+        word = Word(1.0, {"x": tuple(x for x, _ in pts), "y": tuple(y for _, y in pts),
+                          "inO": tuple(inside_obstacle_margin(*p) for p in pts)})
+        f, table = build_formula(), build_table()
+        st_ = MonitorState(f, table, conservative_eta=conservative)
+        for k in range(word.n):
+            res = st_.step({s: word.value(s, k) for s in word.signals})
+            batch = prefix_result(Prefix(word.prefix(k + 1), st_.horizon_steps), f, table,
+                                  conservative_eta=conservative)
+            assert res == batch
 
     def test_step_after_finalized_raises(self):
         st_ = MonitorState(parse("H^0 A"), TABLE)

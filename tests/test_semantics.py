@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twtl.casestudy import build_formula, build_table, nominal_trajectory
 from twtl.formula import Not, parse
 from twtl.monitor import make_prefix, rho_interval, singleton
 from twtl.oracle import GenConfig, oracle_rho, random_formula, random_word
-from twtl.semantics import EvalConfig, agm_and, agm_or, bool_sat, eta, rho
+from twtl.semantics import EvalConfig, Evaluator, agm_and, agm_or, bool_sat, eta, rho
 from twtl.trace import PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
@@ -174,3 +175,26 @@ class TestProperties:
             EvalConfig(rho_bot=1.0, rho_top=-1.0)
         with pytest.raises(ValueError):
             EvalConfig(dt=0.0)
+
+
+class TestWorkCounts:
+    """Each window is memoized on the samples it reads."""
+
+    @staticmethod
+    def entries(ev):
+        return sum(len(run._memo) + len(run._unobserved) for run in ev._runs.values())
+
+    def test_case_study_memo_entries(self):
+        f, table, word = build_formula(), build_table(), nominal_trajectory()
+        # prefix length 1: nearly every window starts after the observed
+        # sample, so windows of one length share an entry whatever their start
+        ev = Evaluator(word.prefix(1), table)
+        for value in (ev.rho, ev.eta):
+            value(f, 0, 50)
+            value(f, 0, 50, upper=True)
+        assert self.entries(ev) <= 1_000
+        # complete word: a hold or within window is cut to its pinned length,
+        # so windows with one start share an entry whatever their end
+        ev = Evaluator(word, table)
+        ev.rho(f, 0, 50)
+        assert self.entries(ev) <= 4_000
