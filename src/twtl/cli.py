@@ -12,13 +12,14 @@ Subcommands::
 
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
-I/O, parse, or validation failure. Set TWTL_LOG=DEBUG|INFO|... for logging.
+I/O, parse, or validation failure; 141, silently, when a closed pipe ends
+stdout. Set TWTL_LOG=DEBUG|INFO|... for logging.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import logging
 import math
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, validate
 from .monitor import MonitorState, StepResult, make_prefix
 from .semantics import EvalConfig, bool_sat, eta, rho
-from .trace import PredicateTable, Word, load_trace
+from .trace import PredicateTable, load_trace, read_trace
 
 log = logging.getLogger("twtl")
 
@@ -76,6 +77,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _times(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed time list {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", required=True, help="path to a formula file")
     p.add_argument("--config", required=True, help="path to the predicate/bounds JSON")
@@ -103,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="replay a trace through the online monitors")
     _add_common(p)
     p.add_argument("--stream", action="store_true", help="read samples from stdin")
-    p.add_argument("--tau", help="comma-separated emission times (default: every step)")
+    p.add_argument("--tau", type=_times, help="comma-separated emission times (default: all)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
 
@@ -152,24 +160,15 @@ def _load_inputs(args) -> tuple:
     return f, table, cfg
 
 
-def _load_word(args, f, cfg: EvalConfig) -> Word:
-    """The --trace word, cut to f's horizon."""
-    if not getattr(args, "trace", None):
+def _evaluate(args, *evaluators) -> list:
+    """Each evaluator's value on the --trace word cut to f's horizon; failures are CLI errors."""
+    f, table, cfg = _load_inputs(args)
+    if not args.trace:
         raise CliError("--trace is required")
     try:
-        word = load_trace(args.trace, dt_expected=cfg.dt)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    return make_prefix(word, f, cfg).word
-
-
-def _evaluate(args, *evaluators) -> list:
-    """Each evaluator's value on the --trace word; evaluation failures are CLI errors."""
-    f, table, cfg = _load_inputs(args)
-    word = _load_word(args, f, cfg)
-    try:
+        word = make_prefix(load_trace(args.trace, dt_expected=cfg.dt), f, cfg).word
         return [ev(word, f, table, cfg) for ev in evaluators]
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -198,82 +197,53 @@ def _cannot_write(exc: OSError, path: str) -> CliError:
     return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
-def _stdin_samples(signal_names: Sequence[str], dt: float) -> Iterator:
-    """Check stdin's header now; then its (time, sample) pairs, row k at time t0 + k*dt."""
-    reader = csv.reader(sys.stdin)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise CliError("stream: empty input") from None
-    if header[:1] != ["time"] or len(header) < 2:
-        raise CliError(f"stream: header must be 'time,<sig1>,...', got {header}")
-    missing = [s for s in signal_names if s not in header[1:]]
-    if missing:
-        raise CliError(f"stream: header lacks signals {missing}")
-
-    def rows():
-        t0, k = None, 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                raise CliError(f"stream:{lineno}: malformed line {row}") from None
-            if len(values) != len(header):
-                raise CliError(f"stream:{lineno}: expected {len(header)} columns")
-            if not all(math.isfinite(v) for v in values):
-                raise CliError(f"stream:{lineno}: non-finite value in {row}")
-            t = values[0]
-            if t0 is None:
-                t0 = t
-            elif abs((t - t0) / dt - k) > 1e-9:
-                raise CliError(f"stream:{lineno}: time {t:g} is off the sampling grid, "
-                               f"expected {t0 + k * dt:g}")
-            k += 1
-            yield t, dict(zip(header[1:], values[1:]))
-    return rows()
+def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]],
+               taus: list[float] | None) -> Iterator[StepResult]:
+    """Step the monitor once per row up to its horizon; yield the records at the --tau times."""
+    dt, h = state.cfg.dt, state.horizon_steps
+    for row in rows:
+        if state.finalized:
+            log.warning("trace continues past the horizon; extra samples ignored")
+            return
+        if state.observed == 0:
+            state.t0 = t0 = row[0]  # records carry the trace's own times
+            for tau in taus or ():  # each must now be a sample time
+                k = (tau - t0) / dt
+                if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9 and 0 <= round(k) <= h):
+                    raise CliError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
+                                   f"k in 0..{h}")
+            emit = taus and {round((tau - t0) / dt) for tau in taus}
+        res = state.step(dict(zip(names, row[1:])))
+        if taus is None or state.observed - 1 in emit:
+            yield res
 
 
 def _cmd_monitor(args) -> int:
     f, table, cfg = _load_inputs(args)
-    taus = None
-    if args.tau:
-        try:
-            taus = [float(t) for t in args.tau.split(",")]
-        except ValueError:
-            raise CliError(f"malformed --tau {args.tau!r}") from None
     state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
-    if args.stream:
-        samples = _stdin_samples(state.signal_names, cfg.dt)
-    else:
-        word = _load_word(args, f, cfg)
-        samples = ((word.time_at(k), {s: vals[k] for s, vals in word.signals.items()})
-                   for k in range(word.n))
-
-    def records():
-        for t, sample in samples:
-            if state.finalized:
-                log.warning("trace continues past the horizon; extra samples ignored")
-                return
-            if state.observed == 0:
-                state.t0 = t  # records carry the trace's own times
-            try:
-                res = state.step(sample)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            if taus is None or any(abs(res.t - tau) <= 1e-9 * cfg.dt for tau in taus):
-                yield res
-
+    source = "stream" if args.stream else args.trace
+    if not source:
+        raise CliError("--trace or --stream is required")
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        opened = (contextlib.nullcontext(sys.stdin) if args.stream
+                  else open(source, encoding="utf-8", newline=""))
     except OSError as exc:
-        raise _cannot_write(exc, args.out) from exc
-    try:
-        write_records(out, args.format, records())
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        raise CliError(str(exc)) from exc
+    with opened as lines:
+        try:
+            names, rows = read_trace(lines, source, cfg.dt)
+            missing = [s for s in state.signal_names if s not in names]
+            if missing:
+                raise CliError(f"{source}: header lacks signals {missing}")
+            try:
+                out = (open(args.out, "w", encoding="utf-8") if args.out
+                       else contextlib.nullcontext(sys.stdout))
+            except OSError as exc:
+                raise _cannot_write(exc, args.out) from exc
+            with out as fh:
+                write_records(fh, args.format, _step_rows(state, names, rows, args.tau))
+        except ValueError as exc:  # a bad header or row, or a step the config cannot evaluate
+            raise CliError(str(exc)) from exc
     if not state.finalized:
         log.warning("inconclusive at end of trace: %d of %d samples observed",
                     state.observed, state.horizon_steps + 1)
@@ -314,6 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "monitor": _cmd_monitor, "casestudy": _cmd_casestudy, "oracle": _cmd_oracle}
     try:
         return commands[args.command](args)
+    except BrokenPipeError:  # stdout goes to devnull, so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2

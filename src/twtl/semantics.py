@@ -101,7 +101,7 @@ def agm_and(values: Sequence[float]) -> float:
 class _Semantics:
     """The operations one quantitative semantics plugs into the window recursion."""
 
-    margin: Callable[[PredicateSpec, float], float]  # per-sample margin of an atom
+    margins: Callable[[PredicateSpec, Sequence[float]], list[float]]  # an atom's margin column
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
     conj: Callable[[float, float], float]
     disj: Callable[[Sequence[float]], float]
@@ -111,9 +111,10 @@ class _Semantics:
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
 
 
-_RHO = _Semantics(PredicateSpec.margin_of, lambda cfg: cfg.rho_bot, min, max, min,
+_RHO = _Semantics(lambda spec, vals: list(map(spec.margin_of, vals)),
+                  lambda cfg: cfg.rho_bot, min, max, min,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top))
-_ETA = _Semantics(PredicateSpec.eta_margin_of, lambda cfg: -1.0,
+_ETA = _Semantics(PredicateSpec.eta_margins, lambda cfg: -1.0,
                   lambda a, b: agm_and((a, b)), agm_or, agm_and,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
@@ -208,7 +209,7 @@ class _Recursion:
         self.word, self.n = ev.word, ev.word.n
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
         self.pins = ev._pins
-        self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
+        self.column, self.conj, self.disj, self.hold = sem.margins, sem.conj, sem.disj, sem.hold
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
@@ -221,7 +222,7 @@ class _Recursion:
         col = self._columns.get(f.atom)
         if col is None:
             spec = self.table[f.atom]
-            col = [self.margin(spec, v) for v in self.word.signals[spec.signal]]
+            col = self.column(spec, self.word.signals[spec.signal])
             self._columns[f.atom] = col
             self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
         return [-m for m in col[start:stop]] if f.negated else col[start:stop]

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 log = logging.getLogger("twtl")
 
@@ -65,12 +65,18 @@ class PredicateSpec:
 
     def eta_margin_of(self, value: float) -> float:
         """Normalized margin in [eta_min, eta_max]; values are clamped to [L, U]."""
+        return self.eta_margins((value,))[0]
+
+    def eta_margins(self, values: Sequence[float]) -> list[float]:
+        """eta_margin_of of each value; one warning counts the values clamped."""
         b = self._require_bounds()
-        if value < b.lo or value > b.hi:
-            log.warning("atom %s: sample %g outside bounds [%g, %g], clamping",
-                        self.name, value, b.lo, b.hi)
-            value = min(max(value, b.lo), b.hi)
-        return self.margin_of(value) / (b.hi - b.lo)
+        lo, hi, span = b.lo, b.hi, b.hi - b.lo
+        outside = [v for v in values if not lo <= v <= hi]
+        if outside:
+            log.warning("atom %s: %d of %d samples outside bounds [%g, %g], clamping",
+                        self.name, len(outside), len(values), lo, hi)
+            values = [min(max(v, lo), hi) for v in values]
+        return [self.margin_of(v) / span for v in values]
 
     def eta_extremes(self) -> tuple[float, float]:
         """(eta_min, eta_max): the attainable range of eta_margin_of."""
@@ -225,44 +231,61 @@ def eta_margin(word: Word, atom: PredicateSpec, k: int) -> float:
     return atom.eta_margin_of(word.value(atom.signal, k))
 
 
-def load_trace(path, dt_expected: float | None = None) -> Word:
-    """Load a trace CSV and verify uniform sampling."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def read_trace(lines: Iterable[str], source: str, dt: float | None = None
+               ) -> tuple[list[str], Iterator[list[float]]]:
+    """A trace CSV's signal names, its header checked now, and its rows.
+
+    Each row ``[t, v1, ...]`` is read and checked when it is asked for: one
+    finite number per column, and row k's time on the first row's grid,
+    |(t - t0)/dt - k| <= 1e-9; without a known dt the first two rows fix it.
+    Blank lines are skipped. Errors are ValueErrors naming ``<source>:<line>``.
+    """
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{source}: no samples")
+    header = [h.strip() for h in header]
+    if header[:1] != ["time"] or len(header) < 2:
+        raise ValueError(f"{source}: header must be 'time,<sig1>,...', got {header}")
+    return header[1:], _rows(reader, source, len(header), dt)
+
+
+def _rows(reader, source: str, width: int, dt: float | None) -> Iterator[list[float]]:
+    basis = "expected" if dt is not None else "non-uniform timestamps; the first two rows give"
+    t0, k = 0.0, 0
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            raise ValueError(f"{source}:{lineno}: expected {width} columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: no samples") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "time" or len(header) < 2:
-            raise ValueError(f"{path}: header must be 'time,<sig1>,...', got {header}")
-        names = header[1:]
-        times: list[float] = []
-        columns: list[list[float]] = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparsable number in {row}") from None
-            times.append(values[0])
-            for col, v in zip(columns, values[1:]):
-                col.append(v)
-    if not times:
-        raise ValueError(f"{path}: no samples")
-    if len(times) == 1:
-        dt = dt_expected if dt_expected is not None else 1.0
-    else:
-        dt = (times[-1] - times[0]) / (len(times) - 1)
-        if dt <= 0:
-            raise ValueError(f"{path}: timestamps must be strictly increasing")
-        tol = _GRID_RTOL * max(1.0, abs(dt)) * len(times)
-        for k, t in enumerate(times):
-            if abs(t - (times[0] + k * dt)) > tol:
-                raise ValueError(f"{path}: non-uniform timestamps (row {k + 2}: {t})")
-    if dt_expected is not None and abs(dt - dt_expected) > _GRID_RTOL * max(1.0, dt_expected):
-        raise ValueError(f"{path}: step {dt:g} does not match expected dt={dt_expected:g}")
-    return Word(dt, dict(zip(names, map(tuple, columns))), t0=times[0])
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: unparsable number in {row}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{source}:{lineno}: non-finite value in {row}")
+        t = values[0]
+        if k == 0:
+            t0 = t
+        elif dt is None:  # the first two rows fix dt
+            dt = t - t0
+            if not dt > 0:
+                raise ValueError(f"{source}:{lineno}: timestamps must be strictly increasing")
+        elif abs((t - t0) / dt - k) > _GRID_RTOL:
+            raise ValueError(f"{source}:{lineno}: time {t:g} is off the sampling grid, "
+                             f"expected {t0 + k * dt:g} ({basis} dt={dt:g})")
+        k += 1
+        yield values
+    if k == 0:
+        raise ValueError(f"{source}: no samples")
+
+
+def load_trace(path, dt_expected: float | None = None) -> Word:
+    """Load a trace CSV, every row checked as `read_trace` checks it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        names, rows = read_trace(fh, str(path), dt_expected)
+        times, *columns = zip(*rows)
+    dt = dt_expected or (times[1] - times[0] if len(times) > 1 else 1.0)
+    return Word(dt, dict(zip(names, columns)), t0=times[0])

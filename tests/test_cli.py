@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twtl
 from twtl.cli import main
 
 FORMULA = "[H^2 A]^[1,5]\n"
@@ -260,6 +264,103 @@ class TestMonitorCommand:
         assert lines[0] == self.HEADER
         assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
         assert err.startswith("twtl: error: stream:4: time 2.5 is off the sampling grid")
+
+    @pytest.mark.parametrize("text, want", [
+        ("a,b\n1,2\n", ": header must be 'time,<sig1>,...'"),
+        ("time,x\n0,5.0\n7,4.5\n7.5,4.2\n", ":3: time 7 is off the sampling grid"),
+        ("time,x\n0,5.0\n1,nan\n", ":3: non-finite value"),
+        ("time,x\n0,5.0\n1,inf\n", ":3: non-finite value"),
+        ("time,y\n0,5.0\n", ": header lacks signals ['x']"),
+        ("time,x\n0,5.0\n1,4.5\n2.5,4.2\n", ":4: time 2.5 is off the sampling grid"),
+    ], ids=["bad_header", "off_grid", "nan", "inf", "lacks_signal", "after_two_records"])
+    def test_trace_file_fails_as_the_stream_does(self, files, capsys, monkeypatch, tmp_path,
+                                                 text, want):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(text)
+        got = {}
+        for source, flags in ((str(trace), ["--trace", str(trace)]), ("stream", ["--stream"])):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                               "--config", files["config"], *flags)
+            assert rc == 2
+            assert err.startswith(f"twtl: error: {source}{want}")
+            got[source] = (out, err.replace(source, "<source>", 1))
+        assert got[str(trace)] == got["stream"]
+
+    @pytest.mark.parametrize("text, flags", [
+        (TRACE, []),
+        (TRACE, ["--tau", "2,5", "--format", "jsonl"]),
+        (TRACE + "6,5.0\n7,oops\n", []),  # rows past the horizon
+        ("time,x\n10,5.0\n11,4.5\n", ["--conservative-eta"]),  # inconclusive
+    ], ids=["all_steps", "tau_jsonl", "past_horizon", "short"])
+    def test_trace_file_and_stream_print_the_same(self, files, capsys, monkeypatch, tmp_path,
+                                                  text, flags):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text)
+        argv = ["monitor", "--formula", files["formula"], "--config", files["config"], *flags]
+        from_file = run(capsys, *argv, "--trace", str(trace))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, *argv, "--stream") == from_file
+        assert from_file[0] in (0, 3)
+
+    def test_rows_past_the_horizon_are_not_read(self, files, capsys, caplog, tmp_path):
+        trace = tmp_path / "long.csv"
+        trace.write_text(TRACE + "6,5.0\n7,oops\n")
+        with caplog.at_level("WARNING", logger="twtl"):
+            rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                               "--config", files["config"], "--trace", str(trace))
+        assert rc == 0
+        assert len(out.splitlines()) == 7
+        assert err == ""
+        assert caplog.messages == ["trace continues past the horizon; extra samples ignored"]
+
+    @pytest.mark.parametrize("tau, message", [
+        ("1.5", "--tau 1.5 is not a sample time 0 + k*1, k in 0..5"),
+        ("2,99", "--tau 99 is not a sample time 0 + k*1, k in 0..5"),
+    ], ids=["off_grid", "past_horizon"])
+    def test_tau_that_never_matches(self, files, capsys, tau, message):
+        rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
+                           "--config", files["config"], "--trace", files["trace"],
+                           "--tau", tau)
+        assert rc == 2
+        assert out == ""
+        assert err == f"twtl: error: {message}\n"
+
+    def test_clamping_warns_once_per_atom_and_evaluation(self, capsys, caplog, tmp_path):
+        (tmp_path / "f.twtl").write_text("H^30 A\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        (tmp_path / "t.csv").write_text("time,x\n" + "".join(f"{t},9.5\n" for t in range(31)))
+        argv = ["--formula", str(tmp_path / "f.twtl"), "--config", str(tmp_path / "cfg.json"),
+                "--trace", str(tmp_path / "t.csv")]
+        for command, warnings in (("check", 1), ("monitor", 31)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="twtl"):
+                run(capsys, command, *argv)
+            clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
+            assert len(clamps) == warnings
+        assert clamps[-1] == "atom A: 31 of 31 samples outside bounds [0, 8], clamping"
+
+    def test_closed_stdout_exits_141_quietly(self, files):
+        src = os.path.dirname(os.path.dirname(twtl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twtl.cli", "monitor", "--formula", files["formula"],
+             "--config", files["config"], "--stream"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        rows = TRACE.splitlines(keepends=True)
+        proc.stdin.write("".join(rows[:2]).encode())
+        proc.stdin.flush()
+        assert proc.stdout.readline().decode().startswith("t,rho_lo")
+        assert proc.stdout.readline().decode().startswith("0,")
+        proc.stdout.close()
+        proc.stdin.write("".join(rows[2:]).encode())
+        proc.stdin.close()
+        try:
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_out_in_missing_directory(self, files, capsys, tmp_path):
         out_path = tmp_path / "nodir" / "x.csv"

@@ -154,6 +154,11 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match="header"):
             load_trace(self.write(tmp_path, "t,x\n0,1\n"))
 
+    def test_gap_rejected_with_its_line(self, tmp_path):
+        p = self.write(tmp_path, "time,x\n0,1\n1,2\n3,3\n")
+        with pytest.raises(ValueError, match=r"trace\.csv:4: time 3 is off the sampling grid"):
+            load_trace(p)
+
     def test_bad_rows(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
             load_trace(self.write(tmp_path, "time,x\n0,1,9\n"))
