@@ -26,7 +26,6 @@ from .monitor import (
     eta_interval,
     make_prefix,
     rho_interval,
-    step,
 )
 from .semantics import DEFAULT_CONFIG, EvalConfig, agm_and, agm_or, bool_sat, eta, rho
 from .trace import (
@@ -34,9 +33,7 @@ from .trace import (
     PredicateSpec,
     PredicateTable,
     Word,
-    eta_margin,
     load_trace,
-    margin,
 )
 
 __version__ = "0.1.0"
@@ -47,9 +44,8 @@ __all__ = [
     "validate",
     "MonitorFinalizedError", "MonitorState", "Prefix", "RobustnessInterval",
     "StepResult", "Verdict", "eta_interval", "make_prefix", "rho_interval",
-    "step",
     "DEFAULT_CONFIG", "EvalConfig", "agm_and", "agm_or", "bool_sat", "eta",
     "rho",
     "NormalizationBounds", "PredicateSpec", "PredicateTable", "Word",
-    "eta_margin", "load_trace", "margin",
+    "load_trace",
 ]

@@ -22,12 +22,11 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, validate
+from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
 from .monitor import MonitorState, StepResult, make_prefix
 from .semantics import EvalConfig, bool_sat, eta, rho
 from .trace import PredicateTable, load_trace, read_trace
@@ -84,15 +83,16 @@ def _times(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"malformed time list {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, source=None) -> None:
+    """Flags of the evaluating commands; --trace is required unless it joins `source`."""
     p.add_argument("--formula", required=True, help="path to a formula file")
     p.add_argument("--config", required=True, help="path to the predicate/bounds JSON")
-    p.add_argument("--trace", help="path to the trace CSV")
     p.add_argument("--dt", type=_positive, default=1.0, help="sampling step (default 1)")
     p.add_argument("--rho-bot", type=float, default=-10.0)
     p.add_argument("--rho-top", type=float, default=10.0)
     p.add_argument("--conservative-eta", action="store_true",
                    help="use +-1 instead of per-atom eta extremes in [eta]")
+    (source or p).add_argument("--trace", required=source is None, help="path to the trace CSV")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = sub.add_parser("monitor", help="replay a trace through the online monitors")
-    _add_common(p)
-    p.add_argument("--stream", action="store_true", help="read samples from stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    _add_common(p, source)
+    source.add_argument("--stream", action="store_true", help="read samples from stdin")
     p.add_argument("--tau", type=_times, help="comma-separated emission times (default: all)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
@@ -163,8 +164,6 @@ def _load_inputs(args) -> tuple:
 def _evaluate(args, *evaluators) -> list:
     """Each evaluator's value on the --trace word cut to f's horizon; failures are CLI errors."""
     f, table, cfg = _load_inputs(args)
-    if not args.trace:
-        raise CliError("--trace is required")
     try:
         word = make_prefix(load_trace(args.trace, dt_expected=cfg.dt), f, cfg).word
         return [ev(word, f, table, cfg) for ev in evaluators]
@@ -207,12 +206,16 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
             return
         if state.observed == 0:
             state.t0 = t0 = row[0]  # records carry the trace's own times
+            emit = set()
             for tau in taus or ():  # each must now be a sample time
-                k = (tau - t0) / dt
-                if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9 and 0 <= round(k) <= h):
+                try:
+                    k = steps(tau - t0, dt)
+                except ValueError:
+                    k = -1
+                if not 0 <= k <= h:
                     raise CliError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
                                    f"k in 0..{h}")
-            emit = taus and {round((tau - t0) / dt) for tau in taus}
+                emit.add(k)
         res = state.step(dict(zip(names, row[1:])))
         if taus is None or state.observed - 1 in emit:
             yield res
@@ -222,8 +225,6 @@ def _cmd_monitor(args) -> int:
     f, table, cfg = _load_inputs(args)
     state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
     source = "stream" if args.stream else args.trace
-    if not source:
-        raise CliError("--trace or --stream is required")
     try:
         opened = (contextlib.nullcontext(sys.stdin) if args.stream
                   else open(source, encoding="utf-8", newline=""))
@@ -291,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # every formula walk recurses once per nesting level
+        # parsing, validation and evaluation recurse once per nesting level
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ time units (so the horizon of ``[phi]^[a,b]`` is exactly `b`).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, TYPE_CHECKING
@@ -297,10 +298,9 @@ def horizon(f: Formula, dt: float = 1.0) -> float:
 def steps(duration: float, dt: float) -> int:
     """Convert a time duration to a sample-step count; duration must sit on the grid."""
     s = duration / dt
-    r = round(s)
-    if abs(s - r) > 1e-9:
+    if not (math.isfinite(s) and abs(s - round(s)) <= 1e-9):
         raise ValueError(f"duration {duration} is not a multiple of dt={dt}")
-    return int(r)
+    return round(s)
 
 
 @dataclass(frozen=True)

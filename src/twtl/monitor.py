@@ -2,14 +2,15 @@
 
 A prefix of n samples observed toward a horizon of H steps leaves the
 samples at indices n..H open. Its interval [rho] (or [eta]) is a pair of
-runs of the semantics module's window recursion over [0, H]: the run that
-bounds every completion's value from below and the run that bounds it from
-above. A hold reads each open sample as the extreme margin of the bound
-it serves: `rho_bot` or `rho_top` for [rho], the atom's attainable
-normalized margins for [eta]. The intervals are therefore sound for every
-completion whose margins lie in that range (its value lies inside), nested
-(they only shrink as the prefix grows) and converge to the offline
-singleton at the horizon.
+runs of the semantics module's compiled window recursion over [0, H]: the
+run that bounds every completion's value from below and the run that
+bounds it from above. A window that reads only observed samples has one
+value, which both runs share. A hold reads each open sample as the extreme
+margin of the bound it serves: `rho_bot` or `rho_top` for [rho], the
+atom's attainable normalized margins for [eta]. The intervals are
+therefore sound for every completion whose margins lie in that range (its
+value lies inside), nested (they only shrink as the prefix grows) and
+converge to the offline singleton at the horizon.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping
 
-from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, horizon, steps
-from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
+from .formula import Formula, horizon, steps
+from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator, compile_formula
 from .trace import PredicateTable, Word
 
 log = logging.getLogger("twtl")
@@ -165,7 +166,9 @@ class MonitorState:
         self.t0 = t0
         self.conservative_eta = conservative_eta
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
-        self.signal_names = sorted({table[a].signal for a in _atoms_of(f)})
+        nodes = []
+        compile_formula(f, cfg.dt, nodes)
+        self.signal_names = sorted({table[hold.atom].signal for *_, hold in nodes if hold})
         self._columns: dict[str, list[float]] = {s: [] for s in self.signal_names}
         self.observed = 0
         self.last: StepResult | None = None
@@ -188,23 +191,3 @@ class MonitorState:
         self.last = prefix_result(Prefix(word, self.horizon_steps), self.formula, self.table,
                                   self.cfg, self.conservative_eta)
         return self.last
-
-
-def step(state: MonitorState, sample: Mapping[str, float]
-         ) -> tuple[MonitorState, RobustnessInterval, RobustnessInterval,
-                    tuple[Verdict, Verdict]]:
-    """Functional wrapper around MonitorState.step."""
-    res = state.step(sample)
-    return state, res.rho, res.eta, (res.verdict_rho, res.verdict_eta)
-
-
-def _atoms_of(f: Formula):
-    if isinstance(f, HoldAtom):
-        yield f.atom
-    elif isinstance(f, Not):
-        yield from _atoms_of(f.sub)
-    elif isinstance(f, (And, Or, Concat)):
-        yield from _atoms_of(f.lhs)
-        yield from _atoms_of(f.rhs)
-    elif isinstance(f, Within):
-        yield from _atoms_of(f.sub)

@@ -9,14 +9,17 @@ They are exponential-time; keep instances small (n <= 12, depth <= 5).
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, horizon, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig, agm_and, agm_or
 from .semantics import rho as offline_rho, eta as offline_eta
 from .trace import PredicateSpec, PredicateTable, Word
+
+log = logging.getLogger("twtl")
 
 Sample = Mapping[str, float]
 
@@ -28,11 +31,6 @@ def word_to_samples(word: Word) -> list[dict[str, float]]:
 
 def _margin(sample: Sample, spec: PredicateSpec, negated: bool) -> float:
     m = spec.margin_of(sample[spec.signal])
-    return -m if negated else m
-
-
-def _eta_margin(sample: Sample, spec: PredicateSpec, negated: bool) -> float:
-    m = spec.eta_margin_of(sample[spec.signal])
     return -m if negated else m
 
 
@@ -89,29 +87,29 @@ def _rho(samples: list, f: Formula, table: PredicateTable, cfg: EvalConfig) -> f
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def _eta(samples: list, f: Formula, table: PredicateTable, cfg: EvalConfig) -> float:
+def _eta(samples: list, f: Formula, margin: Callable[[Sample, HoldAtom], float],
+         dt: float) -> float:
     if isinstance(f, HoldAtom):
         if len(samples) - 1 < f.d:
             return -1.0
-        spec = table[f.atom]
-        return agm_and([_eta_margin(s, spec, f.negated) for s in samples[: f.d + 1]])
+        return agm_and([margin(s, f) for s in samples[: f.d + 1]])
     if isinstance(f, And):
-        return agm_and([_eta(samples, f.lhs, table, cfg), _eta(samples, f.rhs, table, cfg)])
+        return agm_and([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
     if isinstance(f, Or):
-        return agm_or([_eta(samples, f.lhs, table, cfg), _eta(samples, f.rhs, table, cfg)])
+        return agm_or([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
     if isinstance(f, Not):
-        return -_eta(samples, f.sub, table, cfg)
+        return -_eta(samples, f.sub, margin, dt)
     if isinstance(f, Concat):
-        candidates = [agm_and([_eta(samples[: t + 1], f.lhs, table, cfg),
-                               _eta(samples[t + 1:], f.rhs, table, cfg)])
+        candidates = [agm_and([_eta(samples[: t + 1], f.lhs, margin, dt),
+                               _eta(samples[t + 1:], f.rhs, margin, dt)])
                       for t in range(len(samples) - 1)]
         return agm_or(candidates) if candidates else -1.0
     if isinstance(f, Within):
-        bs = steps(f.b, cfg.dt)
+        bs = steps(f.b, dt)
         if len(samples) - 1 < bs:
             return -1.0
-        as_ = steps(f.a, cfg.dt)
-        return agm_or([_eta(samples[t: bs + 1], f.sub, table, cfg)
+        as_ = steps(f.a, dt)
+        return agm_or([_eta(samples[t: bs + 1], f.sub, margin, dt)
                        for t in range(as_, bs + 1)])
     raise TypeError(f"not a Formula: {f!r}")
 
@@ -128,7 +126,25 @@ def oracle_rho(word: Word, f: Formula, table: PredicateTable,
 
 def oracle_eta(word: Word, f: Formula, table: PredicateTable,
                cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    return _eta(word_to_samples(word), f, table, cfg)
+    samples = word_to_samples(word)
+    warned: set[str] = set()
+
+    def margin(sample: Sample, hold: HoldAtom) -> float:
+        """The hold's normalized margin at the sample, its value clamped to [L, U]."""
+        spec = table[hold.atom]
+        b = spec.bounds
+        if b is None:
+            raise ValueError(f"atom {spec.name}: normalization bounds required for AGM robustness")
+        if spec.name not in warned:  # one warning per atom counts its samples clamped
+            warned.add(spec.name)
+            outside = sum(not b.lo <= s[spec.signal] <= b.hi for s in samples)
+            if outside:
+                log.warning("atom %s: %d of %d samples outside bounds [%g, %g], clamping",
+                            spec.name, outside, len(samples), b.lo, b.hi)
+        m = spec.margin_of(min(max(sample[spec.signal], b.lo), b.hi)) / (b.hi - b.lo)
+        return -m if hold.negated else m
+
+    return _eta(samples, f, margin, cfg.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""TWTL evaluation: one memoized window recursion for `rho` and `eta`.
+"""TWTL evaluation: one memoized window recursion for bool, `rho` and `eta`.
 
-Both quantitative semantics run one memoized recursion over index windows
-[i, j] of a word, parameterized by a table of bottom, conjunction,
-disjunction and hold aggregate: min/max over signed margins for robustness
-`rho`, arithmetic-geometric means of normalized margins in [-1, 1] for AGM
-robustness `eta`. A window too short for its subformula yields the bottom
-value (`rho_bot`, or -1).
+Boolean satisfaction and both quantitative semantics run one memoized
+recursion over index windows [i, j] of a word, parameterized by a table of
+bottom, conjunction, disjunction and hold aggregate: min/max over signed
+margins for robustness `rho`, arithmetic-geometric means of normalized
+margins in [-1, 1] for AGM robustness `eta`, and min/max over 1 and -1 for
+satisfaction, where a hold is 1 when all its margins are positive. A window
+too short for its subformula yields the bottom value (`rho_bot`, or -1).
 
-A window is keyed on the samples it reads. `H^d` and `[.]^[a,b]` read no
-sample after i + d and i + b (in steps), their pinned length: a shorter
-window is bottom, unmemoized, and a longer one is cut to that length. A
-window starting at or after word.n reads no sample, so its value depends
-on its node, length and bound only and is memoized on those.
+Each formula is compiled once per evaluator into a post-order table of
+nodes (kind, children, pinned length, `Within` start offset, hold), and the
+recursion runs over node indices, with one memo per node. A window is keyed
+on the samples it reads. `H^d` and `[.]^[a,b]` read no sample after i + d
+and i + b (in steps), their pinned length: a shorter window is bottom, not
+memoized, and a longer one is cut to that length. A window starting at or
+after word.n reads no sample, so its value depends on its length and bound
+only, and it is shifted to start at word.n.
 
 Samples at indices >= word.n are unobserved. Every operator is monotone
 and negation swaps the bound it asks for, so one rule bounds a hold over
@@ -20,13 +24,12 @@ false and its greatest when it is true (a negated atom takes the negated
 opposite extreme), and the hold aggregates as usual. So the two runs bound
 from below and from above every completion whose margins lie within those
 extremes: they are the monitor module's intervals [rho] and [eta]. A fully
-observed window (j < word.n) has one value, which both runs share, and on a
-complete word the recursion gives the offline value. Other windows are
-memoized per bound.
+observed window (j < word.n) has one value, which both runs share, keyed
+(i, j); a window that reads unobserved samples is keyed (i, j, upper). On
+a complete word the recursion gives the offline value.
 
-Boolean satisfaction keeps its own short-circuiting recursion over the same
-margin columns. The oracle module carries the unmemoized literal
-transcription used to cross-check the offline values.
+The oracle module carries the unmemoized literal transcription used to
+cross-check the offline values.
 """
 
 from __future__ import annotations
@@ -99,8 +102,9 @@ def agm_and(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Semantics:
-    """The operations one quantitative semantics plugs into the window recursion."""
+    """The operations one semantics plugs into the window recursion."""
 
+    name: str
     margins: Callable[[PredicateSpec, Sequence[float]], list[float]]  # an atom's margin column
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
     conj: Callable[[float, float], float]
@@ -111,27 +115,68 @@ class _Semantics:
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
 
 
-_RHO = _Semantics(lambda spec, vals: list(map(spec.margin_of, vals)),
-                  lambda cfg: cfg.rho_bot, min, max, min,
+def _rho_margins(spec: PredicateSpec, values: Sequence[float]) -> list[float]:
+    return list(map(spec.margin_of, values))
+
+
+# Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
+# take the sign of rho's margins after a negated hold has flipped them: a
+# column of signs would make H^d !pi hold where pi's margin is exactly 0.
+_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, min, max,
+                   lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
+                   lambda spec, cfg, conservative: (-1.0, 1.0))
+_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, min, max, min,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top))
-_ETA = _Semantics(PredicateSpec.eta_margins, lambda cfg: -1.0,
+_ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0,
                   lambda a, b: agm_and((a, b)), agm_or, agm_and,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
 
 
-def _pinned_length(f: Formula, dt: float) -> int | None:
-    """The steps after a window's start that f reads; None if it reads to the end."""
-    if isinstance(f, HoldAtom):
-        return f.d
-    if isinstance(f, Within):
-        return steps(f.b, dt)
-    return None
+def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
+    """Append f's subformulas to `nodes` in post-order; return the index of f's node.
+
+    A node is a tuple (kind, lhs, rhs, pin, offset, hold): the Formula class;
+    the indices of its children, or None (a Not's or a Within's only child is
+    lhs); its pinned length, the steps after a window's start that it reads
+    (None: to the window's end); a Within's first start, in steps after the
+    window's start (else 0); and a hold's HoldAtom (else None). The walk
+    keeps its own stack, so it does not recurse.
+    """
+    todo: list = [f]  # subformulas to visit; a 1-tuple (g,) once g's children are compiled
+    done: list[int] = []  # node indices of compiled subformulas not yet claimed by a parent
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is tuple:
+            g, = g
+            kind = type(g)
+            if kind is Within:
+                node = (kind, done.pop(), None, steps(g.b, dt), steps(g.a, dt), None)
+            elif kind is Not:
+                node = (kind, done.pop(), None, None, 0, None)
+            else:
+                rhs = done.pop()
+                node = (kind, done.pop(), rhs, None, 0, None)
+        elif kind is HoldAtom:
+            node = (kind, None, None, g.d, 0, g)
+        elif kind is Not or kind is Within:
+            todo += ((g,), g.sub)
+            continue
+        elif kind is And or kind is Or or kind is Concat:
+            todo += ((g,), g.rhs, g.lhs)
+            continue
+        else:
+            raise TypeError(f"not a Formula: {g!r}")
+        done.append(len(nodes))
+        nodes.append(node)
+    return done.pop()
 
 
 class Evaluator:
     """The recursions over one word, or one prefix of the windows asked for; memoized.
 
+    Each formula asked for is compiled once into the evaluator's node table.
     `conservative_eta` takes -1 and 1 instead of each atom's attainable
     normalized margins for the unobserved samples of an `eta` hold.
     """
@@ -144,58 +189,33 @@ class Evaluator:
         self.table = table
         self.cfg = cfg
         self.conservative_eta = conservative_eta
+        self._nodes: list[tuple] = []
+        self._roots: dict[Formula, int] = {}  # formula -> its node's index
         self._runs: dict[_Semantics, _Recursion] = {}
-        self._sat: dict[tuple, bool] = {}
-        self._pins: dict[int, int | None] = {}  # id(node) -> _pinned_length
 
-    def _run(self, sem: _Semantics) -> _Recursion:
+    def _evaluate(self, sem: _Semantics, f: Formula, i: int, j: int, upper: bool) -> float:
+        k = self._roots.get(f)
+        if k is None:
+            k = self._roots[f] = compile_formula(f, self.cfg.dt, self._nodes)
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
-        return run
-
-    # -- Boolean satisfaction ---------------------------------------------
+        run.slots.extend((node[3], {}) for node in self._nodes[len(run.slots):])
+        return run.value(k, i, j, upper)
 
     def bool_sat(self, f: Formula, i: int, j: int) -> bool:
-        fid = id(f)
-        try:
-            pin = self._pins[fid]
-        except KeyError:
-            pin = self._pins[fid] = _pinned_length(f, self.cfg.dt)
-        if pin is not None:
-            if j - i < pin:
-                return False
-            j = i + pin
-        key = (fid, i, j)
-        got = self._sat.get(key)
-        if got is None:
-            got = self._sat[key] = self._bool(f, i, j)
-        return got
-
-    def _bool(self, f: Formula, i: int, j: int) -> bool:
-        if isinstance(f, HoldAtom):
-            return all(m > 0.0 for m in self._run(_RHO).margins(f, i, j + 1))
-        if isinstance(f, And):
-            return self.bool_sat(f.lhs, i, j) and self.bool_sat(f.rhs, i, j)
-        if isinstance(f, Or):
-            return self.bool_sat(f.lhs, i, j) or self.bool_sat(f.rhs, i, j)
-        if isinstance(f, Not):
-            return not self.bool_sat(f.sub, i, j)
-        if isinstance(f, Concat):
-            return any(self.bool_sat(f.lhs, i, t) and self.bool_sat(f.rhs, t + 1, j)
-                       for t in range(i, j))
-        if isinstance(f, Within):
-            return any(self.bool_sat(f.sub, t, j)
-                       for t in range(i + steps(f.a, self.cfg.dt), j + 1))
-        raise TypeError(f"not a Formula: {f!r}")
-
-    # -- rho and eta ----------------------------------------------------------
+        return self._evaluate(_BOOL, f, i, j, False) > 0.0
 
     def rho(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
-        return self._run(_RHO).value(f, i, j, upper)
+        return self._evaluate(_RHO, f, i, j, upper)
 
     def eta(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
-        return self._run(_ETA).value(f, i, j, upper)
+        return self._evaluate(_ETA, f, i, j, upper)
+
+    def stats(self) -> dict[str, int]:
+        """Memo entries of each semantics run so far."""
+        return {sem.name: sum(len(memo) for _, memo in run.slots)
+                for sem, run in self._runs.items()}
 
 
 class _Recursion:
@@ -206,16 +226,14 @@ class _Recursion:
     """
 
     def __init__(self, sem: _Semantics, ev: Evaluator):
-        self.word, self.n = ev.word, ev.word.n
+        self.word, self.n, self.nodes = ev.word, ev.word.n, ev._nodes
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
-        self.pins = ev._pins
         self.column, self.conj, self.disj, self.hold = sem.margins, sem.conj, sem.disj, sem.hold
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
-        self._memo: dict[tuple, float] = {}  # (id, i, j); upper bound if j >= n: (id, i, j, True)
-        self._unobserved: dict[tuple, float] = {}  # i >= n: (id, j - i, upper)
+        self.slots: list[tuple] = []  # (pin, memo) per node; memo keyed as in value()
 
     def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
         """f's signed margins at the observed samples in [start, stop)."""
@@ -227,27 +245,24 @@ class _Recursion:
             self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
         return [-m for m in col[start:stop]] if f.negated else col[start:stop]
 
-    def value(self, f: Formula, i: int, j: int, upper: bool) -> float:
-        """f on window [i, j]; on a prefix, the lower or the upper bound over completions."""
-        fid = id(f)
-        try:
-            pin = self.pins[fid]
-        except KeyError:
-            pin = self.pins[fid] = _pinned_length(f, self.cfg.dt)
+    def value(self, k: int, i: int, j: int, upper: bool) -> float:
+        """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
+        pin, memo = self.slots[k]
         if pin is not None:
             # too short for every completion; tested before a hold's padding,
             # which would otherwise lift eta's lower bound above -1
             if j - i < pin:
                 return self.bottom
             j = i + pin
-        if i >= self.n:
-            memo, key = self._unobserved, (fid, j - i, upper)
-        else:
-            # a fully observed window (j < n) has one value, shared by both bounds
-            memo, key = self._memo, (fid, i, j, True) if upper and j >= self.n else (fid, i, j)
+        n = self.n
+        if i > n:  # reads no sample: its value depends on its length and bound only
+            j -= i - n
+            i = n
+        # a fully observed window (j < n) has one value, shared by both bounds
+        key = (i, j) if j < n else (i, j, upper)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = self._value(f, i, j, upper)
+            got = memo[key] = self._value(self.nodes[k], i, j, upper)
         return got
 
     def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
@@ -260,32 +275,31 @@ class _Recursion:
         pad = (-lo if upper else -hi) if f.negated else (hi if upper else lo)
         return pad if i >= self.n else self.hold(ms + [pad] * (stop - self.n))
 
-    def _value(self, f: Formula, i: int, j: int, upper: bool) -> float:
+    def _value(self, node: tuple, i: int, j: int, upper: bool) -> float:
         # plain loops, not comprehensions: a comprehension would turn these
         # locals into closure cells, paid for on every call
+        kind, lhs, rhs, _, offset, hold = node
         value = self.value
-        if isinstance(f, HoldAtom):
-            return self._hold(f, i, j, upper)
-        if isinstance(f, And):
-            return self.conj(value(f.lhs, i, j, upper), value(f.rhs, i, j, upper))
-        if isinstance(f, Or):
-            return self.disj((value(f.lhs, i, j, upper), value(f.rhs, i, j, upper)))
-        if isinstance(f, Not):
-            return -value(f.sub, i, j, not upper)
-        if isinstance(f, Concat):
+        if kind is HoldAtom:
+            return self._hold(hold, i, j, upper)
+        if kind is And:
+            return self.conj(value(lhs, i, j, upper), value(rhs, i, j, upper))
+        if kind is Or:
+            return self.disj((value(lhs, i, j, upper), value(rhs, i, j, upper)))
+        if kind is Not:
+            return -value(lhs, i, j, not upper)
+        if kind is Concat:
             if i == j:
                 return self.bottom
             conj = self.conj
             splits = []
             for t in range(i, j):
-                splits.append(conj(value(f.lhs, i, t, upper), value(f.rhs, t + 1, j, upper)))
+                splits.append(conj(value(lhs, i, t, upper), value(rhs, t + 1, j, upper)))
             return self.disj(splits)
-        if isinstance(f, Within):
-            starts = []
-            for t in range(i + steps(f.a, self.cfg.dt), j + 1):
-                starts.append(value(f.sub, t, j, upper))
-            return self.disj(starts)
-        raise TypeError(f"not a Formula: {f!r}")
+        starts = []  # a Within
+        for t in range(i + offset, j + 1):
+            starts.append(value(lhs, t, j, upper))
+        return self.disj(starts)
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

@@ -63,12 +63,8 @@ class PredicateSpec:
     def margin_of(self, value: float) -> float:
         return value - self.sigma if self.op == ">=" else self.sigma - value
 
-    def eta_margin_of(self, value: float) -> float:
-        """Normalized margin in [eta_min, eta_max]; values are clamped to [L, U]."""
-        return self.eta_margins((value,))[0]
-
     def eta_margins(self, values: Sequence[float]) -> list[float]:
-        """eta_margin_of of each value; one warning counts the values clamped."""
+        """Normalized margins, values clamped to [L, U]; one warning counts those clamped."""
         b = self._require_bounds()
         lo, hi, span = b.lo, b.hi, b.hi - b.lo
         outside = [v for v in values if not lo <= v <= hi]
@@ -79,7 +75,7 @@ class PredicateSpec:
         return [self.margin_of(v) / span for v in values]
 
     def eta_extremes(self) -> tuple[float, float]:
-        """(eta_min, eta_max): the attainable range of eta_margin_of."""
+        """(eta_min, eta_max): the attainable range of eta_margins."""
         b = self._require_bounds()
         span = b.hi - b.lo
         if self.op == ">=":
@@ -189,14 +185,6 @@ class Word:
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt
 
-    def index_of(self, t: float) -> int:
-        """Sample index of grid time t; rejects off-grid times."""
-        k = (t - self.t0) / self.dt
-        r = round(k)
-        if abs(k - r) > _GRID_RTOL:
-            raise ValueError(f"time {t} is off the sampling grid (t0={self.t0}, dt={self.dt})")
-        return int(r)
-
     def value(self, signal: str, k: int) -> float:
         vals = self.signals.get(signal)
         if vals is None:
@@ -205,30 +193,10 @@ class Word:
             raise IndexError(f"sample index {k} out of range [0, {len(vals)})")
         return vals[k]
 
-    def slice(self, t1: float, t2: float) -> "Word":
-        """Subword over grid times [t1, t2]; empty when t2 < t1."""
-        i = self.index_of(t1)
-        j = self.index_of(t2)
-        if i < 0 or j > self.n - 1:
-            raise ValueError(f"slice [{t1}, {t2}] outside word span")
-        stop = max(j + 1, i)
-        return Word(self.dt, {name: vals[i:stop] for name, vals in self.signals.items()},
-                    t0=t1)
-
     def prefix(self, length: int) -> "Word":
         """First `length` samples."""
         return Word(self.dt, {name: vals[:length] for name, vals in self.signals.items()},
                     t0=self.t0)
-
-
-def margin(word: Word, atom: PredicateSpec, k: int) -> float:
-    """Signed satisfaction distance of `atom` at sample k; positive iff it holds."""
-    return atom.margin_of(word.value(atom.signal, k))
-
-
-def eta_margin(word: Word, atom: PredicateSpec, k: int) -> float:
-    """Normalized margin at sample k, in [eta_min, eta_max] suggested by atom bounds."""
-    return atom.eta_margin_of(word.value(atom.signal, k))
 
 
 def read_trace(lines: Iterable[str], source: str, dt: float | None = None

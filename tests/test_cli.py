@@ -303,6 +303,20 @@ class TestMonitorCommand:
         assert run(capsys, *argv, "--stream") == from_file
         assert from_file[0] in (0, 3)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trace", "/nonexistent.csv", "--stream"],
+         "argument --stream: not allowed with argument --trace"),
+        ([], "one of the arguments --trace --stream is required"),
+    ], ids=["both", "neither"])
+    def test_trace_and_stream_are_one_choice(self, files, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TRACE))
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--formula", files["formula"], "--config", files["config"], *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"twtl monitor: error: {message}\n")
+
     def test_rows_past_the_horizon_are_not_read(self, files, capsys, caplog, tmp_path):
         trace = tmp_path / "long.csv"
         trace.write_text(TRACE + "6,5.0\n7,oops\n")
@@ -332,7 +346,7 @@ class TestMonitorCommand:
         (tmp_path / "t.csv").write_text("time,x\n" + "".join(f"{t},9.5\n" for t in range(31)))
         argv = ["--formula", str(tmp_path / "f.twtl"), "--config", str(tmp_path / "cfg.json"),
                 "--trace", str(tmp_path / "t.csv")]
-        for command, warnings in (("check", 1), ("monitor", 31)):
+        for command, warnings in (("check", 1), ("monitor", 31), ("oracle", 1)):
             caplog.clear()
             with caplog.at_level("WARNING", logger="twtl"):
                 run(capsys, command, *argv)

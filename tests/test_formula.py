@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -115,8 +116,10 @@ class TestHorizon:
     def test_steps_grid(self):
         assert steps(5.0, 0.5) == 10
         assert steps(0.0, 1.0) == 0
-        with pytest.raises(ValueError):
-            steps(1.3, 0.5)
+        # off the grid, or not finite (1 / 1e-320 overflows)
+        for duration, dt in ((1.3, 0.5), (1.0, 1e-320), (math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                steps(duration, dt)
 
 
 class TestFormat:

@@ -23,7 +23,6 @@ from twtl.monitor import (
     prefix_result,
     rho_interval,
     singleton,
-    step,
 )
 from twtl.oracle import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 from twtl.semantics import EvalConfig, eta, rho
@@ -202,13 +201,6 @@ class TestMonitorState:
         assert st_.finalized
         with pytest.raises(MonitorFinalizedError):
             st_.step({"x": 5.0})
-
-    def test_functional_step_wrapper(self):
-        state = MonitorState(parse("H^1 A"), TABLE)
-        state, rho_iv, eta_iv, (vr, ve) = step(state, {"x": 6.0})
-        assert rho_iv == iv(-10.0, 2.0)
-        assert vr is Verdict.INCONCLUSIVE and ve is Verdict.INCONCLUSIVE
-        assert -1.0 <= eta_iv.lo <= eta_iv.hi <= 1.0
 
     def test_signal_names(self):
         assert MonitorState(parse("H^1 A"), TABLE).signal_names == ["x"]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
-from twtl.formula import Not, parse
+from twtl.formula import Not, format_formula, parse
 from twtl.monitor import make_prefix, rho_interval, singleton
-from twtl.oracle import GenConfig, oracle_rho, random_formula, random_word
+from twtl.oracle import GenConfig, oracle_bool, oracle_rho, random_formula, random_word
 from twtl.semantics import EvalConfig, Evaluator, agm_and, agm_or, bool_sat, eta, rho
 from twtl.trace import PredicateTable, Word
 
@@ -19,6 +19,13 @@ TABLE = PredicateTable.from_dict({"atoms": {
 # symmetric setup (sigma at mid-range) so eta margins are easy to hand-compute
 UNIT = PredicateTable.from_dict({"atoms": {
     "P": {"signal": "x", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0},
+}})
+
+
+# thresholds on the sample values used below, so margins are often exactly 0
+TIES = PredicateTable.from_dict({"atoms": {
+    "A": {"signal": "x", "op": ">=", "sigma": 0.0},
+    "B": {"signal": "x", "op": "<=", "sigma": 1.0},
 }})
 
 
@@ -74,6 +81,13 @@ class TestBoolAndRho:
         f = parse("H^2 A")
         assert bool_sat(w, f, TABLE) is False
         assert rho(w, f, TABLE) == pytest.approx(0.0)
+
+    def test_negated_hold_violates_at_zero_margin(self):
+        # B's margins are 0 and -1: !B fails where B fails too, at margin 0
+        assert bool_sat(Word(1.0, {"x": (1.0, 2.0)}), parse("H^1 !B"), TIES) is False
+
+    def test_negated_formula_satisfied_at_zero_margin(self):
+        assert bool_sat(Word(1.0, {"x": (0.0,)}), parse("!H^0 A"), TIES) is True
 
     def test_negated_atom_flips(self):
         w = Word(1.0, {"x": (2.0, 3.0)})
@@ -170,6 +184,15 @@ class TestProperties:
         assert -1.0 <= e <= 1.0
         assert eta(w, Not(f), TABLE) == pytest.approx(-e)
 
+    def test_sat_agrees_with_oracle_on_zero_margins(self):
+        rng = random.Random(909)
+        gen = GenConfig(max_depth=3, p_negate_atom=0.5)
+        for _ in range(1_000):
+            f = random_formula(rng, ["A", "B"], gen, max_horizon=8)
+            w = Word(1.0, {"x": tuple(float(rng.choice((-1, 0, 1, 2)))
+                                      for _ in range(rng.randint(1, 10)))})
+            assert bool_sat(w, f, TIES) == oracle_bool(w, f, TIES), (format_formula(f), w)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(rho_bot=1.0, rho_top=-1.0)
@@ -180,10 +203,6 @@ class TestProperties:
 class TestWorkCounts:
     """Each window is memoized on the samples it reads."""
 
-    @staticmethod
-    def entries(ev):
-        return sum(len(run._memo) + len(run._unobserved) for run in ev._runs.values())
-
     def test_case_study_memo_entries(self):
         f, table, word = build_formula(), build_table(), nominal_trajectory()
         # prefix length 1: nearly every window starts after the observed
@@ -192,9 +211,9 @@ class TestWorkCounts:
         for value in (ev.rho, ev.eta):
             value(f, 0, 50)
             value(f, 0, 50, upper=True)
-        assert self.entries(ev) <= 1_000
+        assert sum(ev.stats().values()) <= 1_000
         # complete word: a hold or within window is cut to its pinned length,
         # so windows with one start share an entry whatever their end
         ev = Evaluator(word, table)
         ev.rho(f, 0, 50)
-        assert self.entries(ev) <= 4_000
+        assert sum(ev.stats().values()) <= 4_000

@@ -8,9 +8,7 @@ from twtl.trace import (
     PredicateSpec,
     PredicateTable,
     Word,
-    eta_margin,
     load_trace,
-    margin,
 )
 
 ATOM_GE = PredicateSpec("A", "x", ">=", 4.0, NormalizationBounds(0.0, 8.0))
@@ -25,15 +23,14 @@ class TestPredicateSpec:
         assert ATOM_LE.margin_of(7.5) == -1.5
 
     def test_eta_margin_normalizes(self):
-        assert ATOM_GE.eta_margin_of(8.0) == pytest.approx(0.5)
-        assert ATOM_GE.eta_margin_of(0.0) == pytest.approx(-0.5)
-        assert ATOM_LE.eta_margin_of(0.0) == pytest.approx(0.75)
+        assert ATOM_GE.eta_margins([8.0, 0.0, 4.0]) == pytest.approx([0.5, -0.5, 0.0])
+        assert ATOM_LE.eta_margins([0.0]) == pytest.approx([0.75])
 
     def test_eta_margin_clamps_out_of_bounds(self, caplog):
         with caplog.at_level("WARNING", logger="twtl"):
-            v = ATOM_GE.eta_margin_of(9.5)
-        assert v == pytest.approx(0.5)
-        assert "clamp" in caplog.text
+            ms = ATOM_GE.eta_margins([9.5, 8.0, -1.0])
+        assert ms == pytest.approx([0.5, 0.5, -0.5])
+        assert caplog.messages == ["atom A: 2 of 3 samples outside bounds [0, 8], clamping"]
 
     def test_extremes(self):
         lo, hi = ATOM_GE.eta_extremes()
@@ -44,7 +41,8 @@ class TestPredicateSpec:
     @given(st.floats(min_value=0.0, max_value=8.0))
     def test_eta_margin_stays_in_extremes(self, v):
         lo, hi = ATOM_GE.eta_extremes()
-        assert lo - 1e-12 <= ATOM_GE.eta_margin_of(v) <= hi + 1e-12
+        m, = ATOM_GE.eta_margins([v])
+        assert lo - 1e-12 <= m <= hi + 1e-12
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
@@ -57,7 +55,7 @@ class TestPredicateSpec:
     def test_bounds_required_for_eta(self):
         spec = PredicateSpec("A", "x", ">=", 1.0)
         with pytest.raises(ValueError, match="bounds"):
-            spec.eta_margin_of(3.0)
+            spec.eta_margins([3.0])
 
 
 class TestPredicateTable:
@@ -89,20 +87,7 @@ class TestWord:
         w = Word(0.5, {"x": (1.0, 2.0, 3.0)}, t0=1.0)
         assert w.n == 3
         assert w.time_at(2) == 2.0
-        assert w.index_of(1.5) == 1
         assert w.value("x", 1) == 2.0
-
-    def test_off_grid_time_rejected(self):
-        w = Word(0.5, {"x": (1.0, 2.0)})
-        with pytest.raises(ValueError, match="grid"):
-            w.index_of(0.3)
-
-    def test_slice(self):
-        w = Word(1.0, {"x": (0.0, 1.0, 2.0, 3.0), "y": (9.0, 8.0, 7.0, 6.0)})
-        s = w.slice(1.0, 2.0)
-        assert s.signals["x"] == (1.0, 2.0)
-        assert s.t0 == 1.0
-        assert w.slice(2.0, 1.0).n == 0  # empty when t2 < t1
 
     def test_prefix(self):
         w = Word(1.0, {"x": (0.0, 1.0, 2.0)})
@@ -117,11 +102,6 @@ class TestWord:
             Word(1.0, {"x": (1.0, 2.0), "y": (1.0,)})
         with pytest.raises(ValueError):
             Word(1.0, {"x": (math.nan,)})
-
-    def test_margin_helpers(self):
-        w = Word(1.0, {"x": (4.099, 2.0)})
-        assert margin(w, ATOM_GE, 0) == pytest.approx(0.099)
-        assert eta_margin(w, ATOM_GE, 1) == pytest.approx(-0.25)
 
 
 class TestLoadTrace:
