@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -69,8 +70,15 @@ class CliError(Exception):
     """User-facing failure; maps to exit code 2."""
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
@@ -88,8 +96,8 @@ def _add_common(p: argparse.ArgumentParser, source=None) -> None:
     p.add_argument("--formula", required=True, help="path to a formula file")
     p.add_argument("--config", required=True, help="path to the predicate/bounds JSON")
     p.add_argument("--dt", type=_positive, default=1.0, help="sampling step (default 1)")
-    p.add_argument("--rho-bot", type=float, default=-10.0)
-    p.add_argument("--rho-top", type=float, default=10.0)
+    p.add_argument("--rho-bot", type=_finite, default=-10.0)
+    p.add_argument("--rho-top", type=_finite, default=10.0)
     p.add_argument("--conservative-eta", action="store_true",
                    help="use +-1 instead of per-atom eta extremes in [eta]")
     (source or p).add_argument("--trace", required=source is None, help="path to the trace CSV")

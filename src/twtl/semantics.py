@@ -7,6 +7,17 @@ margins for robustness `rho`, arithmetic-geometric means of normalized
 margins in [-1, 1] for AGM robustness `eta`, and min/max over 1 and -1 for
 satisfaction, where a hold is 1 when all its margins are positive. A window
 too short for its subformula yields the bottom value (`rho_bot`, or -1).
+The disjunction is a left-to-right fold, so no list of values is built;
+satisfaction stops a conjunction at -1 and a disjunction at 1.
+
+A `Concat` on [i, j] takes the best of its splits t in [i, j). When its rhs
+has a pinned length p, a split t < j - p reads the rhs window [t+1, t+1+p]
+whatever j is, so the recursion keeps one sweep per (node, start, bound):
+the splits folded so far and their accumulator. A window extends the sweep
+by the splits its end adds, in a loop, and then folds the at most p splits
+whose rhs is too short. Over ascending ends a window so costs O(p + 1)
+splits, not O(j - i); a window below the sweep's end starts it again at i.
+An unpinned rhs has no such splits, and each window folds all of its own.
 
 Each formula is compiled once per evaluator into a post-order table of
 nodes (kind, children, pinned length, `Within` start offset, hold), and the
@@ -34,9 +45,10 @@ cross-check the offline values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, steps
 from .trace import PredicateSpec, PredicateTable, Word
@@ -65,35 +77,48 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
-_EPS = 1e-12
-
-
-def _check_agm_args(values: Sequence[float], what: str) -> list[float]:
-    vals = list(values)
-    if not vals:
-        raise ValueError(f"{what} of an empty sequence")
-    for v in vals:
-        if not -1.0 - _EPS <= v <= 1.0 + _EPS:
-            raise ValueError(f"{what}: value {v} outside [-1, 1]")
-    return vals
+_AGM_LO, _AGM_HI = -1.0 - 1e-12, 1.0 + 1e-12  # the range an AGM argument must lie in
 
 
 def _clamp_unit(v: float) -> float:
     return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
 
 
-def agm_or(values: Sequence[float]) -> float:
+# An AGM disjunction folds its values left to right into (count, sum of the
+# positive parts, product of 1 - v, whether every value is negative). The sum
+# runs in that order from 0.0, as CPython's sum() of floats did before 3.12.
+_AGM_OR_START = (0, 0.0, 1.0, True)
+
+
+def _agm_or_fold(acc: tuple, v: float) -> tuple:
+    if not _AGM_LO <= v <= _AGM_HI:
+        raise ValueError(f"agm_or: value {v} outside [-1, 1]")
+    n, pos, prod, neg = acc
+    return n + 1, (pos + v if v > 0.0 else pos), prod * (1.0 - v), neg and v < 0.0
+
+
+def _agm_or_finish(acc: tuple) -> float:
+    n, pos, prod, neg = acc
+    if not n:
+        raise ValueError("agm_or of an empty sequence")
+    if neg:
+        return _clamp_unit(1.0 - prod ** (1.0 / n))
+    return _clamp_unit(pos / n)
+
+
+def agm_or(values: Iterable[float]) -> float:
     """AGM disjunction: geometric blend when all negative, mean of positive parts otherwise."""
-    vals = _check_agm_args(values, "agm_or")
-    n = len(vals)
-    if all(v < 0.0 for v in vals):
-        return _clamp_unit(1.0 - math.prod(1.0 - v for v in vals) ** (1.0 / n))
-    return _clamp_unit(sum(v for v in vals if v > 0.0) / n)
+    return _agm_or_finish(functools.reduce(_agm_or_fold, values, _AGM_OR_START))
 
 
 def agm_and(values: Sequence[float]) -> float:
     """AGM conjunction: geometric blend when all positive, mean of negative parts otherwise."""
-    vals = _check_agm_args(values, "agm_and")
+    vals = list(values)
+    if not vals:
+        raise ValueError("agm_and of an empty sequence")
+    for v in vals:
+        if not _AGM_LO <= v <= _AGM_HI:
+            raise ValueError(f"agm_and: value {v} outside [-1, 1]")
     n = len(vals)
     if all(v > 0.0 for v in vals):
         return _clamp_unit(math.prod(1.0 + v for v in vals) ** (1.0 / n) - 1.0)
@@ -108,28 +133,52 @@ class _Semantics:
     margins: Callable[[PredicateSpec, Sequence[float]], list[float]]  # an atom's margin column
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
     conj: Callable[[float, float], float]
-    disj: Callable[[Sequence[float]], float]
+    # disjunction as a left-to-right fold: an empty accumulator, a step that
+    # adds one value, and the value of a nonempty accumulator
+    start: Any
+    fold: Callable[[Any, float], Any]
+    finish: Callable[[Any], float]
     hold: Callable[[Sequence[float]], float]  # aggregate of a hold's margins
     # (least, greatest) margin an unobserved sample of the atom can take,
     # given the config and the conservative_eta flag
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
+    # values that decide a conjunction and a disjunction (and a disjunction's
+    # accumulator) whatever else they meet, or None
+    conj_absorbing: float | None = None
+    disj_absorbing: float | None = None
 
 
 def _rho_margins(spec: PredicateSpec, values: Sequence[float]) -> list[float]:
     return list(map(spec.margin_of, values))
 
 
+# min and max of two values; like min() and max(), each keeps the first of
+# equal values, and a call costs a fraction of theirs
+def _min2(a: float, b: float) -> float:
+    return b if b < a else a
+
+
+def _max2(a: float, b: float) -> float:
+    return b if b > a else a
+
+
+def _same(v: float) -> float:
+    return v
+
+
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
-_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, min, max,
+_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, _min2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
-                   lambda spec, cfg, conservative: (-1.0, 1.0))
-_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, min, max, min,
-                  lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top))
+                   lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0)
+# rho reaches -inf or inf only with an infinite rho_bot or rho_top
+_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, _min2, -math.inf, _max2, _same,
+                  min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
+                  -math.inf, math.inf)
 _ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0,
-                  lambda a, b: agm_and((a, b)), agm_or, agm_and,
-                  lambda spec, cfg, conservative:
+                  lambda a, b: agm_and((a, b)), _AGM_OR_START, _agm_or_fold, _agm_or_finish,
+                  agm_and, lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
 
 
@@ -212,9 +261,10 @@ class Evaluator:
     def eta(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
         return self._evaluate(_ETA, f, i, j, upper)
 
-    def stats(self) -> dict[str, int]:
-        """Memo entries of each semantics run so far."""
-        return {sem.name: sum(len(memo) for _, memo in run.slots)
+    def stats(self) -> dict[str, dict[str, int]]:
+        """Per semantics run so far: memo entries, and split and start values folded."""
+        return {sem.name: {"memo": sum(len(memo) for _, memo in run.slots),
+                           "folded": run.folded}
                 for sem, run in self._runs.items()}
 
 
@@ -228,12 +278,17 @@ class _Recursion:
     def __init__(self, sem: _Semantics, ev: Evaluator):
         self.word, self.n, self.nodes = ev.word, ev.word.n, ev._nodes
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
-        self.column, self.conj, self.disj, self.hold = sem.margins, sem.conj, sem.disj, sem.hold
+        self.column, self.conj, self.hold = sem.margins, sem.conj, sem.hold
+        self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
+        self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         self.slots: list[tuple] = []  # (pin, memo) per node; memo keyed as in value()
+        # (Concat node, start, upper) -> (t, acc): its splits before t folded into acc
+        self.sweeps: dict[tuple, tuple] = {}
+        self.folded = 0  # split and start values folded
 
     def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
         """f's signed margins at the observed samples in [start, stop)."""
@@ -262,7 +317,7 @@ class _Recursion:
         key = (i, j) if j < n else (i, j, upper)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = self._value(self.nodes[k], i, j, upper)
+            got = memo[key] = self._value(k, i, j, upper)
         return got
 
     def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
@@ -275,31 +330,63 @@ class _Recursion:
         pad = (-lo if upper else -hi) if f.negated else (hi if upper else lo)
         return pad if i >= self.n else self.hold(ms + [pad] * (stop - self.n))
 
-    def _value(self, node: tuple, i: int, j: int, upper: bool) -> float:
+    def _value(self, k: int, i: int, j: int, upper: bool) -> float:
         # plain loops, not comprehensions: a comprehension would turn these
         # locals into closure cells, paid for on every call
-        kind, lhs, rhs, _, offset, hold = node
+        kind, lhs, rhs, _, offset, hold = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
             return self._hold(hold, i, j, upper)
-        if kind is And:
-            return self.conj(value(lhs, i, j, upper), value(rhs, i, j, upper))
-        if kind is Or:
-            return self.disj((value(lhs, i, j, upper), value(rhs, i, j, upper)))
         if kind is Not:
             return -value(lhs, i, j, not upper)
+        if kind is And:
+            v = value(lhs, i, j, upper)
+            return v if v == self.conj_absorbing else self.conj(v, value(rhs, i, j, upper))
+        if kind is Or:
+            v = value(lhs, i, j, upper)
+            if v == self.disj_absorbing:
+                return v
+            fold = self.fold
+            return self.finish(fold(fold(self.start, v), value(rhs, i, j, upper)))
         if kind is Concat:
             if i == j:
                 return self.bottom
-            conj = self.conj
-            splits = []
-            for t in range(i, j):
-                splits.append(conj(value(lhs, i, t, upper), value(rhs, t + 1, j, upper)))
-            return self.disj(splits)
-        starts = []  # a Within
-        for t in range(i + offset, j + 1):
-            starts.append(value(lhs, t, j, upper))
-        return self.disj(starts)
+            # When rhs pins p steps, every split t < j - p reads rhs on
+            # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
+            # of [i, j-1] and t = j-1-p. One sweep per start folds them across
+            # ends; the at most p short splits after them, and every split
+            # of an unpinned rhs, are folded per window.
+            pin = self.slots[rhs][0]
+            fit = i if pin is None or j - pin < i else j - pin
+            t, acc = i, self.start
+            keep = fit > i
+            if keep:
+                state = self.sweeps.get((k, i, upper))
+                if state is not None and state[0] <= fit:  # else j is below the sweep: restart
+                    t, acc = state
+            first = t
+            conj, fold = self.conj, self.fold
+            conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
+            for end in (fit, j):
+                while t < end and acc != stop:
+                    v = value(lhs, i, t, upper)
+                    if v != conj_absorbing:
+                        v = conj(v, value(rhs, t + 1, j, upper))
+                    acc = fold(acc, v)
+                    t += 1
+                if keep:
+                    self.sweeps[k, i, upper] = t, acc
+                    keep = False
+            self.folded += t - first
+            return self.finish(acc)
+        fold, stop = self.fold, self.disj_absorbing  # a Within: the best start
+        acc = self.start
+        t = first = i + offset
+        while t <= j and acc != stop:
+            acc = fold(acc, value(lhs, t, j, upper))
+            t += 1
+        self.folded += t - first
+        return self.finish(acc)
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

@@ -127,6 +127,19 @@ def test_dt_must_be_positive(files, capsys, argv):
     assert "argument --dt: must be > 0, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--rho-bot", "--rho-top", "--dt"])
+def test_bounds_and_dt_must_be_finite(files, capsys, flag, value):
+    # an infinite bound would reach the JSON records, which cannot hold it
+    with pytest.raises(SystemExit) as exc:
+        main(["monitor", "--formula", files["formula"], "--config", files["config"],
+              "--trace", files["trace"], "--format", "jsonl", f"{flag}={value}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be finite, got {value}" in out.err
+
+
 def test_rho_bounds_must_straddle_zero(files, capsys):
     rc, out, err = run(capsys, "check", "--formula", files["formula"],
                        "--config", files["config"], "--trace", files["trace"],

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
-from twtl.formula import Not, format_formula, parse
+from twtl.formula import Concat, Not, format_formula, parse
 from twtl.monitor import make_prefix, rho_interval, singleton
-from twtl.oracle import GenConfig, oracle_bool, oracle_rho, random_formula, random_word
-from twtl.semantics import EvalConfig, Evaluator, agm_and, agm_or, bool_sat, eta, rho
+from twtl.oracle import (GenConfig, oracle_bool, oracle_eta, oracle_rho, random_formula,
+                         random_word)
+from twtl.semantics import (EvalConfig, Evaluator, agm_and, agm_or, bool_sat, compile_formula,
+                            eta, rho)
 from twtl.trace import PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
@@ -27,6 +29,9 @@ TIES = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 0.0},
     "B": {"signal": "x", "op": "<=", "sigma": 1.0},
 }})
+
+
+TOL = 1e-9
 
 
 def unit_word(*xs):
@@ -211,9 +216,69 @@ class TestWorkCounts:
         for value in (ev.rho, ev.eta):
             value(f, 0, 50)
             value(f, 0, 50, upper=True)
-        assert sum(ev.stats().values()) <= 1_000
+        assert sum(s["memo"] for s in ev.stats().values()) <= 1_000
         # complete word: a hold or within window is cut to its pinned length,
         # so windows with one start share an entry whatever their end
         ev = Evaluator(word, table)
         ev.rho(f, 0, 50)
-        assert sum(ev.stats().values()) <= 4_000
+        assert sum(s["memo"] for s in ev.stats().values()) <= 4_000
+
+    def test_chain_splits_are_quadratic(self):
+        # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
+        # pins length 0, so a start's splits are folded once across all ends
+        k = 200
+        f = parse(" . ".join(["H^0 P"] * k))
+        rng = random.Random(7)
+        xs = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+        ev = Evaluator(unit_word(*xs), UNIT)
+        # a single split puts each hold on its own sample: rho is min(x)
+        assert ev.rho(f, 0, k - 1) == min(xs)
+        assert ev.bool_sat(f, 0, k - 1) == (min(xs) > 0.0)
+        assert ev.eta(f, 0, k - 1) < 0.0
+        stats = ev.stats()
+        assert set(stats) == {"bool", "rho", "eta"}
+        for name, counts in stats.items():
+            assert 0 < counts["folded"] <= 2 * k * k, name
+
+
+class TestSweep:
+    """A Concat whose rhs pins its length folds the splits that fit once per start."""
+
+    GEN = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,
+                    weights=(2.0, 1.0, 1.0, 1.0, 4.0, 2.5))  # concat and within heavy
+    CFG = EvalConfig(rho_bot=-2.0, rho_top=1.5)  # margins reach -10..10 below
+
+    def instances(self, count, seed):
+        rng = random.Random(seed)
+        pinned = 0  # formulas with a Concat whose rhs pins a length > 0
+        for _ in range(count):
+            f = random_formula(rng, ["A", "B"], self.GEN, max_horizon=9)
+            nodes = []
+            compile_formula(f, 1.0, nodes)
+            pinned += any(kind is Concat and (nodes[rhs][3] or 0) > 0
+                          for kind, _, rhs, *_ in nodes)
+            yield f, random_word(rng, {"x": (-6.0, 14.0)}, n=rng.randint(1, 9)), rng
+        assert pinned >= count // 4
+
+    @staticmethod
+    def values(ev, f, a, b):
+        return (ev.bool_sat(f, a, b), ev.rho(f, a, b), ev.rho(f, a, b, upper=True),
+                ev.eta(f, a, b), ev.eta(f, a, b, upper=True))
+
+    def test_window_order_does_not_change_values(self):
+        for f, w, rng in self.instances(150, seed=4242):
+            windows = [(a, b) for a in range(w.n + 2) for b in range(a, w.n + 3)]
+            fresh = {ab: self.values(Evaluator(w, TABLE, self.CFG), f, *ab) for ab in windows}
+            shuffled = windows[:]
+            rng.shuffle(shuffled)
+            ev = Evaluator(w, TABLE, self.CFG)
+            for order in (sorted(windows, key=lambda ab: -ab[1]), shuffled,
+                          sorted(windows, key=lambda ab: ab[1])):
+                for ab in order:
+                    assert self.values(ev, f, *ab) == fresh[ab], (format_formula(f), ab)
+
+    def test_offline_values_agree_with_oracle(self):
+        for f, w, _ in self.instances(400, seed=4343):
+            assert bool_sat(w, f, TABLE, self.CFG) == oracle_bool(w, f, TABLE, self.CFG)
+            assert rho(w, f, TABLE, self.CFG) == oracle_rho(w, f, TABLE, self.CFG)
+            assert abs(eta(w, f, TABLE, self.CFG) - oracle_eta(w, f, TABLE, self.CFG)) <= TOL
