@@ -300,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsing, validation and evaluation recurse once per nesting level
+        # evaluation recurses once per nesting level (parsing and validation do not)
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
 

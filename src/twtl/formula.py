@@ -14,6 +14,12 @@ Grammar (loosest to tightest binding: `.`, `|`, `&`, unary)::
 `#` starts a line comment. Binary operators are left-associative.
 Hold durations `d` count samples; within bounds `a`, `b` are absolute
 time units (so the horizon of ``[phi]^[a,b]`` is exactly `b`).
+
+Nesting limits: the parser keeps explicit operand and operator stacks, and
+printing, `horizon` and `validate` loop over `postorder`, so none of them
+has a depth limit. Evaluation still recurses once per nesting level, about
+400 levels at Python's default recursion limit; beyond that the `twtl`
+command exits 2 ("formula nested too deeply").
 """
 
 from __future__ import annotations
@@ -101,11 +107,15 @@ class Within(Formula):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)|(?P<INT>\d+)|(?P<IDENT>[A-Za-z_]\w*)|(?P<SYM>[!&|.()\[\],^])"
+_TOKEN_RE = re.compile(  # a comment is white space
+    r"(?P<WS>\s+|#[^\n]*)|(?P<INT>\d+)|(?P<IDENT>[A-Za-z_]\w*)|(?P<SYM>[!&|.()\[\],^])"
 )
 
 _Token = tuple[str, str, int, int]  # kind, text, line, col
+
+# binary operators: precedence (higher binds tighter) and symbol; all left-associative
+_BIN_OPS = {Concat: (1, "."), Or: (2, "|"), And: (3, "&")}
+_BIN_SYMS = {sym: (prec, cls) for cls, (prec, sym) in _BIN_OPS.items()}
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -143,14 +153,11 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str) -> TwtlSyntaxError:
-        _, _, line, col = self.peek()
-        return TwtlSyntaxError(message, line, col)
-
     def expect(self, text: str) -> _Token:
         kind, tok, line, col = self.peek()
         if tok != text:
-            raise self.error(f"expected {text!r}, found {tok!r}" if tok else f"expected {text!r}")
+            found = f", found {tok!r}" if tok else ""
+            raise TwtlSyntaxError(f"expected {text!r}{found}", line, col)
         return self.next()
 
     def expect_int(self, what: str) -> int:
@@ -160,69 +167,66 @@ class _Parser:
         self.next()
         return int(tok)
 
-    # precedence climbing, loosest first
-    def parse_cat(self) -> Formula:
-        node = self.parse_or()
-        while self.peek()[1] == ".":
-            self.next()
-            node = Concat(node, self.parse_or())
-        return node
+    def parse(self) -> Formula:
+        """Operator precedence with explicit stacks, so nesting costs no recursion."""
+        operands: list[Formula] = []
+        ops: list = []  # pending: Not, a binary node class, or an opening "(" or "[" token
+        while True:
+            while self.peek()[1] in ("!", "(", "["):
+                tok = self.next()
+                ops.append(Not if tok[1] == "!" else tok)
+            operands.append(self.hold())
+            while True:  # an operand is finished: close groups until a binary operator
+                while ops and ops[-1] is Not:
+                    operands[-1] = ops.pop()(operands[-1])
+                _, tok, line, col = self.peek()
+                prec, cls = _BIN_SYMS.get(tok, (0, None))
+                # left-associative: reduce the pending binary operators that bind at
+                # least as tight; any other token reduces them all
+                while ops and ops[-1] in _BIN_OPS and _BIN_OPS[ops[-1]][0] >= prec:
+                    rhs = operands.pop()
+                    operands[-1] = ops.pop()(operands[-1], rhs)
+                if cls is not None:
+                    ops.append(cls)
+                    self.next()
+                    break
+                if not ops:
+                    if tok:
+                        raise TwtlSyntaxError(f"trailing input {tok!r}", line, col)
+                    return operands[0]
+                _, opener, line, col = ops.pop()
+                self.expect(")" if opener == "(" else "]")
+                if opener == "[":  # then ^[a,b]; a bad pair is reported at the "["
+                    self.expect("^")
+                    self.expect("[")
+                    a = self.expect_int("window lower bound")
+                    self.expect(",")
+                    b = self.expect_int("window upper bound")
+                    if b < a:
+                        raise TwtlSyntaxError(f"malformed time bound: b={b} < a={a}", line, col)
+                    self.expect("]")
+                    operands[-1] = Within(operands[-1], a, b)
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek()[1] == "|":
-            self.next()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek()[1] == "&":
-            self.next()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Formula:
+    def hold(self) -> HoldAtom:
+        """A hold atom: the only operand once "!", "(" and "[" are pushed."""
         kind, tok, line, col = self.peek()
-        if tok == "!":
-            self.next()
-            return Not(self.parse_unary())
         if kind == "IDENT" and tok == "H" and self.peek(1)[1] == "^":
             self.next()
             self.next()
             d = self.expect_int("hold duration")
-            negated = False
-            if self.peek()[1] == "!":
+            negated = self.peek()[1] == "!"
+            if negated:
                 self.next()
-                negated = True
-            akind, aname, aline, acol = self.peek()
+            akind, aname, aline, acol = self.next()
             if akind != "IDENT":
                 raise TwtlSyntaxError(f"expected atom name, found {aname!r}", aline, acol)
-            self.next()
             return HoldAtom(d, aname, negated)
-        if tok == "[":
-            self.next()
-            sub = self.parse_cat()
-            self.expect("]")
-            self.expect("^")
-            self.expect("[")
-            a = self.expect_int("window lower bound")
-            self.expect(",")
-            b = self.expect_int("window upper bound")
-            if b < a:
-                raise TwtlSyntaxError(f"malformed time bound: b={b} < a={a}", line, col)
-            self.expect("]")
-            return Within(sub, a, b)
-        if tok == "(":
-            self.next()
-            sub = self.parse_cat()
-            self.expect(")")
-            return sub
         if kind == "IDENT":
             raise TwtlSyntaxError(
                 f"unknown operator or bare atom {tok!r} (atoms appear only under H^d)", line, col
             )
-        raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of input")
+        message = f"unexpected {tok!r}" if tok else "unexpected end of input"
+        raise TwtlSyntaxError(message, line, col)
 
 
 def parse(text: str) -> Formula:
@@ -230,13 +234,7 @@ def parse(text: str) -> Formula:
 
     Raises TwtlSyntaxError with line/column on malformed input.
     """
-    stripped = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
-    parser = _Parser(stripped)
-    node = parser.parse_cat()
-    kind, tok, line, col = parser.peek()
-    if kind != "EOF":
-        raise TwtlSyntaxError(f"trailing input {tok!r}", line, col)
-    return node
+    return _Parser(text).parse()
 
 
 def parse_file(path) -> Formula:
@@ -245,54 +243,96 @@ def parse_file(path) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# The walk
+
+_Entry = tuple[Formula, int | None, int | None]  # a node, its lhs's and its rhs's positions
+
+
+def postorder(f: Formula) -> list[_Entry]:
+    """f's subformulas, children before parents and lhs before rhs; f comes last.
+
+    Each entry is (node, lhs, rhs): the positions of the node's children in
+    the list, or None; a Not's or a Within's only child is lhs. This is the
+    only code that knows which fields are a node's children. It keeps its
+    own stack, so a formula of any depth walks.
+    """
+    out: list[_Entry] = []
+    done: list[int] = []  # positions of listed nodes whose parent is not listed yet
+    todo: list = [f]  # nodes to visit; a 1-tuple (g,) once g's children are listed
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is tuple:
+            g, = g
+            rhs = done.pop() if type(g) in _BIN_OPS else None
+            out.append((g, done.pop(), rhs))
+        elif kind is HoldAtom:
+            out.append((g, None, None))
+        elif kind is Not or kind is Within:
+            todo += ((g,), g.sub)
+            continue
+        elif kind in _BIN_OPS:
+            todo += ((g,), g.rhs, g.lhs)
+            continue
+        else:
+            raise TypeError(f"not a Formula: {g!r}")
+        done.append(len(out) - 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Printing
-
-_BIN_OPS = {Concat: (1, "."), Or: (2, "|"), And: (3, "&")}
-
-
-def _prec(f: Formula) -> int:
-    return _BIN_OPS.get(type(f), (4, ""))[0]
-
 
 def format_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; parse(format_formula(f)) == f."""
-    if isinstance(f, HoldAtom):
-        return f"H^{f.d} {'!' if f.negated else ''}{f.atom}"
-    if isinstance(f, Within):
-        return f"[{format_formula(f.sub)}]^[{f.a},{f.b}]"
-    if isinstance(f, Not):
-        inner = format_formula(f.sub)
-        if _prec(f.sub) < 4:
-            inner = f"({inner})"
-        return "!" + inner
-    prec, op = _BIN_OPS[type(f)]
-    lhs = format_formula(f.lhs)
-    if _prec(f.lhs) < prec:
-        lhs = f"({lhs})"
-    rhs = format_formula(f.rhs)
-    if _prec(f.rhs) <= prec:  # left-associative
-        rhs = f"({rhs})"
-    return f"{lhs} {op} {rhs}"
+    nodes = postorder(f)
+    texts: list[str | None] = []
+
+    def child(k: int, prec: int) -> str:
+        """Child k's text, parenthesized if it binds looser than prec (4: unary)."""
+        text, texts[k] = texts[k], None  # each text is read once: keep no copies
+        return f"({text})" if _BIN_OPS.get(type(nodes[k][0]), (4,))[0] < prec else text
+
+    for g, lhs, rhs in nodes:
+        kind = type(g)
+        if kind is HoldAtom:
+            texts.append(f"H^{g.d} {'!' if g.negated else ''}{g.atom}")
+        elif kind is Within:
+            texts.append(f"[{child(lhs, 0)}]^[{g.a},{g.b}]")
+        elif kind is Not:
+            texts.append("!" + child(lhs, 4))
+        else:
+            prec, op = _BIN_OPS[kind]  # left-associative: an rhs of equal precedence is grouped
+            texts.append(f"{child(lhs, prec)} {op} {child(rhs, prec + 1)}")
+    return texts[-1]
 
 
 # ---------------------------------------------------------------------------
 # Horizon and validation
 
+def _horizons(nodes: list[_Entry], dt: float) -> list[float]:
+    """The horizon of each node of a post-order walk."""
+    hs: list[float] = []
+    for g, lhs, rhs in nodes:
+        kind = type(g)
+        if kind is HoldAtom:
+            hs.append(g.d * dt)
+        elif kind is Within:
+            hs.append(float(g.b))
+        elif kind is Not:
+            hs.append(hs[lhs])
+        elif kind is Concat:
+            hs.append(hs[lhs] + hs[rhs] + dt)
+        else:  # And, Or
+            hs.append(max(hs[lhs], hs[rhs]))
+    return hs
+
+
 def horizon(f: Formula, dt: float = 1.0) -> float:
     """Minimal word duration (in time units) needed to fully evaluate f."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if isinstance(f, HoldAtom):
-        return f.d * dt
-    if isinstance(f, Not):
-        return horizon(f.sub, dt)
-    if isinstance(f, (And, Or)):
-        return max(horizon(f.lhs, dt), horizon(f.rhs, dt))
-    if isinstance(f, Concat):
-        return horizon(f.lhs, dt) + horizon(f.rhs, dt) + dt
-    if isinstance(f, Within):
-        return float(f.b)
-    raise TypeError(f"not a Formula: {f!r}")
+    return _horizons(postorder(f), dt)[-1]
 
 
 def steps(duration: float, dt: float) -> int:
@@ -315,40 +355,28 @@ class Diagnostic:
 def validate(f: Formula, table: "PredicateTable", dt: float = 1.0) -> list[Diagnostic]:
     """Static checks: atom resolution, grid alignment, satisfiable windows.
 
-    Returns diagnostics instead of raising; empty list means clean. A within
-    window too short for its inner horizon is legal (it just evaluates to
-    bottom) and yields a warning, not an error.
+    Returns diagnostics instead of raising, in post-order; empty list means
+    clean. A within window too short for its inner horizon is legal (it just
+    evaluates to bottom) and yields a warning, not an error.
     """
+    nodes = postorder(f)
+    hs = _horizons(nodes, dt)
     out: list[Diagnostic] = []
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, HoldAtom):
-            if node.atom not in table:
-                out.append(Diagnostic("error", f"unresolved atom {node.atom}"))
-            return
-        if isinstance(node, Not):
-            walk(node.sub)
-            return
-        if isinstance(node, (And, Or, Concat)):
-            walk(node.lhs)
-            walk(node.rhs)
-            return
-        if isinstance(node, Within):
-            for bound, what in ((node.a, "lower"), (node.b, "upper")):
+    for g, lhs, _ in nodes:
+        if type(g) is HoldAtom:
+            if g.atom not in table:
+                out.append(Diagnostic("error", f"unresolved atom {g.atom}"))
+        elif type(g) is Within:
+            for bound, what in ((g.a, "lower"), (g.b, "upper")):
                 try:
                     steps(bound, dt)
                 except ValueError:
                     out.append(Diagnostic(
                         "error", f"within {what} bound {bound} is off the dt={dt:g} grid"))
-            inner = horizon(node.sub, dt)
-            window = node.b - node.a
+            inner = hs[lhs]
+            window = g.b - g.a
             if inner > window + 1e-9:
                 out.append(Diagnostic(
                     "warning",
                     f"inner horizon {inner:g} exceeds window {window:g}, formula unsatisfiable"))
-            walk(node.sub)
-            return
-        raise TypeError(f"not a Formula: {node!r}")
-
-    walk(f)
     return out

@@ -20,9 +20,9 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping
 
-from .formula import Formula, horizon, steps
-from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator, compile_formula
-from .trace import PredicateTable, Word
+from .formula import Formula, HoldAtom, horizon, postorder, steps
+from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
+from .trace import CLAMP_WARNING, PredicateTable, Word
 
 log = logging.getLogger("twtl")
 
@@ -154,7 +154,8 @@ class MonitorState:
     Emitted intervals equal batch recomputation on the extended prefix, are
     nested over time, and converge to the offline singleton at the horizon.
     `observed` counts the samples stepped so far; sample k is stamped
-    t0 + k*dt.
+    t0 + k*dt. A rejected sample leaves the state as it was. Clamping to an
+    atom's bounds is logged once per atom over the run, not at every step.
     """
 
     def __init__(self, f: Formula, table: PredicateTable,
@@ -166,12 +167,12 @@ class MonitorState:
         self.t0 = t0
         self.conservative_eta = conservative_eta
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
-        nodes = []
-        compile_formula(f, cfg.dt, nodes)
-        self.signal_names = sorted({table[hold.atom].signal for *_, hold in nodes if hold})
-        self._columns: dict[str, list[float]] = {s: [] for s in self.signal_names}
+        self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
+                                    if type(g) is HoldAtom})
+        self._columns: Mapping[str, tuple[float, ...]] = {s: () for s in self.signal_names}
         self.observed = 0
         self.last: StepResult | None = None
+        self._clamped: set[str] = set()  # atoms whose clamping this run has logged
 
     @property
     def finalized(self) -> bool:
@@ -183,11 +184,23 @@ class MonitorState:
         missing = [s for s in self.signal_names if s not in sample]
         if missing:
             raise ValueError(f"sample missing signals: {missing}")
-        for s in self.signal_names:
-            self._columns[s].append(float(sample[s]))
+        # the word checks every value before the state changes
+        word = Word(self.cfg.dt, {s: (*self._columns[s], float(sample[s]))
+                                  for s in self.signal_names}, t0=self.t0)
+        self._columns = word.signals
         self.observed += 1
-        word = Word(self.cfg.dt, {s: tuple(col) for s, col in self._columns.items()},
-                    t0=self.t0)
-        self.last = prefix_result(Prefix(word, self.horizon_steps), self.formula, self.table,
-                                  self.cfg, self.conservative_eta)
+        log.addFilter(self._first_clamp)
+        try:
+            self.last = prefix_result(Prefix(word, self.horizon_steps), self.formula,
+                                      self.table, self.cfg, self.conservative_eta)
+        finally:
+            log.removeFilter(self._first_clamp)
         return self.last
+
+    def _first_clamp(self, record: logging.LogRecord) -> bool:
+        """Log filter: drops the clamp warnings of atoms this run has already logged."""
+        if record.msg != CLAMP_WARNING:
+            return True
+        first = record.args[0] not in self._clamped
+        self._clamped.add(record.args[0])
+        return first

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, horizon, steps
-from .semantics import DEFAULT_CONFIG, EvalConfig, agm_and, agm_or
+from .semantics import DEFAULT_CONFIG, EvalConfig
 from .semantics import rho as offline_rho, eta as offline_eta
 from .trace import PredicateSpec, PredicateTable, Word
 
@@ -27,6 +28,26 @@ Sample = Mapping[str, float]
 def word_to_samples(word: Word) -> list[dict[str, float]]:
     return [{name: vals[k] for name, vals in word.signals.items()}
             for k in range(word.n)]
+
+
+def _samples(word: Word, cfg: EvalConfig) -> list[dict[str, float]]:
+    if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
+        raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
+    return word_to_samples(word)
+
+
+def _agm_and(vals: list[float]) -> float:
+    """AGM conjunction: (prod(1 + v))^(1/n) - 1 if every v > 0, else sum(min(v, 0)) / n."""
+    if all(v > 0 for v in vals):
+        return math.prod(1 + v for v in vals) ** (1 / len(vals)) - 1
+    return sum(min(v, 0) for v in vals) / len(vals)
+
+
+def _agm_or(vals: list[float]) -> float:
+    """AGM disjunction: 1 - (prod(1 - v))^(1/n) if every v < 0, else sum(max(v, 0)) / n."""
+    if all(v < 0 for v in vals):
+        return 1 - math.prod(1 - v for v in vals) ** (1 / len(vals))
+    return sum(max(v, 0) for v in vals) / len(vals)
 
 
 def _margin(sample: Sample, spec: PredicateSpec, negated: bool) -> float:
@@ -92,41 +113,41 @@ def _eta(samples: list, f: Formula, margin: Callable[[Sample, HoldAtom], float],
     if isinstance(f, HoldAtom):
         if len(samples) - 1 < f.d:
             return -1.0
-        return agm_and([margin(s, f) for s in samples[: f.d + 1]])
+        return _agm_and([margin(s, f) for s in samples[: f.d + 1]])
     if isinstance(f, And):
-        return agm_and([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
+        return _agm_and([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
     if isinstance(f, Or):
-        return agm_or([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
+        return _agm_or([_eta(samples, f.lhs, margin, dt), _eta(samples, f.rhs, margin, dt)])
     if isinstance(f, Not):
         return -_eta(samples, f.sub, margin, dt)
     if isinstance(f, Concat):
-        candidates = [agm_and([_eta(samples[: t + 1], f.lhs, margin, dt),
-                               _eta(samples[t + 1:], f.rhs, margin, dt)])
+        candidates = [_agm_and([_eta(samples[: t + 1], f.lhs, margin, dt),
+                                _eta(samples[t + 1:], f.rhs, margin, dt)])
                       for t in range(len(samples) - 1)]
-        return agm_or(candidates) if candidates else -1.0
+        return _agm_or(candidates) if candidates else -1.0
     if isinstance(f, Within):
         bs = steps(f.b, dt)
         if len(samples) - 1 < bs:
             return -1.0
         as_ = steps(f.a, dt)
-        return agm_or([_eta(samples[t: bs + 1], f.sub, margin, dt)
-                       for t in range(as_, bs + 1)])
+        return _agm_or([_eta(samples[t: bs + 1], f.sub, margin, dt)
+                        for t in range(as_, bs + 1)])
     raise TypeError(f"not a Formula: {f!r}")
 
 
 def oracle_bool(word: Word, f: Formula, table: PredicateTable,
                 cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
-    return _bool(word_to_samples(word), f, table, cfg.dt)
+    return _bool(_samples(word, cfg), f, table, cfg.dt)
 
 
 def oracle_rho(word: Word, f: Formula, table: PredicateTable,
                cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    return _rho(word_to_samples(word), f, table, cfg)
+    return _rho(_samples(word, cfg), f, table, cfg)
 
 
 def oracle_eta(word: Word, f: Formula, table: PredicateTable,
                cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    samples = word_to_samples(word)
+    samples = _samples(word, cfg)
     warned: set[str] = set()
 
     def margin(sample: Sample, hold: HoldAtom) -> float:

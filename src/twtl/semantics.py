@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, steps
+from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
 from .trace import PredicateSpec, PredicateTable, Word
 
 
@@ -185,41 +185,26 @@ _ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0,
 def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
     """Append f's subformulas to `nodes` in post-order; return the index of f's node.
 
+    The order and the child indices are those of `formula.postorder`, shifted
+    past the nodes already in the table, so compiling does not recurse.
     A node is a tuple (kind, lhs, rhs, pin, offset, hold): the Formula class;
     the indices of its children, or None (a Not's or a Within's only child is
     lhs); its pinned length, the steps after a window's start that it reads
     (None: to the window's end); a Within's first start, in steps after the
-    window's start (else 0); and a hold's HoldAtom (else None). The walk
-    keeps its own stack, so it does not recurse.
+    window's start (else 0); and a hold's HoldAtom (else None).
     """
-    todo: list = [f]  # subformulas to visit; a 1-tuple (g,) once g's children are compiled
-    done: list[int] = []  # node indices of compiled subformulas not yet claimed by a parent
-    while todo:
-        g = todo.pop()
+    base = len(nodes)
+    for g, lhs, rhs in postorder(f):
         kind = type(g)
-        if kind is tuple:
-            g, = g
-            kind = type(g)
-            if kind is Within:
-                node = (kind, done.pop(), None, steps(g.b, dt), steps(g.a, dt), None)
-            elif kind is Not:
-                node = (kind, done.pop(), None, None, 0, None)
-            else:
-                rhs = done.pop()
-                node = (kind, done.pop(), rhs, None, 0, None)
-        elif kind is HoldAtom:
-            node = (kind, None, None, g.d, 0, g)
-        elif kind is Not or kind is Within:
-            todo += ((g,), g.sub)
-            continue
-        elif kind is And or kind is Or or kind is Concat:
-            todo += ((g,), g.rhs, g.lhs)
-            continue
+        if kind is HoldAtom:
+            nodes.append((kind, None, None, g.d, 0, g))
+        elif kind is Within:
+            nodes.append((kind, base + lhs, None, steps(g.b, dt), steps(g.a, dt), None))
+        elif kind is Not:
+            nodes.append((kind, base + lhs, None, None, 0, None))
         else:
-            raise TypeError(f"not a Formula: {g!r}")
-        done.append(len(nodes))
-        nodes.append(node)
-    return done.pop()
+            nodes.append((kind, base + lhs, base + rhs, None, 0, None))
+    return len(nodes) - 1
 
 
 class Evaluator:
@@ -234,6 +219,8 @@ class Evaluator:
                  conservative_eta: bool = False):
         if word.n < 1:
             raise ValueError("cannot evaluate an empty word")
+        if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
+            raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
         self.word = word
         self.table = table
         self.cfg = cfg

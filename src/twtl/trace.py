@@ -23,6 +23,8 @@ log = logging.getLogger("twtl")
 
 _GRID_RTOL = 1e-9
 
+CLAMP_WARNING = "atom %s: %d of %d samples outside bounds [%g, %g], clamping"
+
 
 @dataclass(frozen=True)
 class NormalizationBounds:
@@ -69,8 +71,7 @@ class PredicateSpec:
         lo, hi, span = b.lo, b.hi, b.hi - b.lo
         outside = [v for v in values if not lo <= v <= hi]
         if outside:
-            log.warning("atom %s: %d of %d samples outside bounds [%g, %g], clamping",
-                        self.name, len(outside), len(values), lo, hi)
+            log.warning(CLAMP_WARNING, self.name, len(outside), len(values), lo, hi)
             values = [min(max(v, lo), hi) for v in values]
         return [self.margin_of(v) / span for v in values]
 

@@ -180,6 +180,46 @@ def test_deep_formula_is_an_error(files, capsys, tmp_path, text):
     assert err == "twtl: error: formula nested too deeply\n"
 
 
+DEEP = {
+    "and-chain": " & ".join(["H^0 A"] * 10_000),
+    "not-prefix": "!" * 10_000 + "H^0 A",
+    "parentheses": "(" * 10_000 + "H^0 A" + ")" * 10_000,
+    "within": "[" * 3_000 + "H^0 A" + "]^[0,1]" * 3_000,
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formula_parses(files, capsys, tmp_path, name):
+    deep = tmp_path / "deep.twtl"
+    deep.write_text(DEEP[name] + "\n")
+    rc, out, err = run(capsys, "parse", "--formula", str(deep), "--config", files["config"])
+    assert rc == 0
+    assert err == ""
+    assert out.splitlines()[-1] == ("horizon: 1" if name == "within" else "horizon: 0")
+
+
+def test_hold_in_deep_parentheses_is_checked(files, capsys, tmp_path):
+    deep = tmp_path / "deep.twtl"
+    deep.write_text(DEEP["parentheses"] + "\n")
+    rc, out, err = run(capsys, "check", "--formula", str(deep),
+                       "--config", files["config"], "--trace", files["trace"])
+    assert (rc, out, err) == (0, "sat rho=1 eta=0.125\n", "")
+
+
+def test_half_step_trace_agrees_with_oracle(capsys, tmp_path):
+    # a window [2, 2] on the 0.5 grid reads sample 4, the only one above sigma
+    (tmp_path / "f.twtl").write_text("[H^0 A]^[2,2]\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    (tmp_path / "t.csv").write_text("time,x\n0,3\n0.5,3\n1,3\n1.5,3\n2,6\n")
+    argv = ["--formula", str(tmp_path / "f.twtl"), "--config", str(tmp_path / "cfg.json"),
+            "--trace", str(tmp_path / "t.csv"), "--dt", "0.5"]
+    outputs = {command: run(capsys, command, *argv) for command in ("check", "oracle", "monitor")}
+    assert outputs["check"] == outputs["oracle"] == (0, "sat rho=2 eta=0.25\n", "")
+    rc, out, err = outputs["monitor"]
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "2,2,2,0.25,0.25,satisfied,satisfied"
+
+
 class TestMonitorCommand:
     HEADER = "t,rho_lo,rho_hi,eta_lo,eta_hi,verdict_rho,verdict_eta"
 
@@ -359,7 +399,7 @@ class TestMonitorCommand:
         (tmp_path / "t.csv").write_text("time,x\n" + "".join(f"{t},9.5\n" for t in range(31)))
         argv = ["--formula", str(tmp_path / "f.twtl"), "--config", str(tmp_path / "cfg.json"),
                 "--trace", str(tmp_path / "t.csv")]
-        for command, warnings in (("check", 1), ("monitor", 31), ("oracle", 1)):
+        for command, warnings in (("check", 1), ("monitor", 1), ("oracle", 1)):
             caplog.clear()
             with caplog.at_level("WARNING", logger="twtl"):
                 run(capsys, command, *argv)

@@ -15,10 +15,12 @@ from twtl.formula import (
     format_formula,
     horizon,
     parse,
+    postorder,
     steps,
     validate,
 )
 from twtl.oracle import GenConfig, random_formula
+from twtl.semantics import compile_formula
 from twtl.trace import PredicateTable
 
 
@@ -78,6 +80,50 @@ class TestParse:
     def test_within_b_less_than_a_message(self):
         with pytest.raises(TwtlSyntaxError, match="malformed time bound"):
             parse("[H^0 A]^[3,1]")
+
+
+class TestPostorder:
+    def test_children_before_parents(self):
+        f = parse("!H^0 A & [H^1 B]^[0,3] . H^2 C")
+        nodes = postorder(f)
+        assert [format_formula(g) for g, *_ in nodes] == [
+            "H^0 A", "!H^0 A", "H^1 B", "[H^1 B]^[0,3]", "!H^0 A & [H^1 B]^[0,3]",
+            "H^2 C", "!H^0 A & [H^1 B]^[0,3] . H^2 C"]
+        assert [kids for _, *kids in nodes] == [[None, None], [0, None], [None, None],
+                                                [2, None], [1, 3], [None, None], [4, 5]]
+        assert nodes[-1][0] is f
+
+    def test_rejects_non_formula(self):
+        with pytest.raises(TypeError, match="not a Formula"):
+            postorder(And(HoldAtom(0, "A"), "H^0 B"))
+
+
+# deep nesting at the default recursion limit: (text, nodes, horizon)
+DEEP = {
+    "and-chain": (" & ".join(["H^0 A"] * 10_000), 19_999, 0.0),
+    "not-prefix": ("!" * 10_000 + "H^0 A", 10_001, 0.0),
+    "parentheses": ("(" * 10_000 + "H^0 A" + ")" * 10_000, 1, 0.0),
+    "within": ("[" * 3_000 + "H^0 A" + "]^[0,1]" * 3_000, 3_001, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formula_walks_without_recursion(name):
+    text, count, h = DEEP[name]
+    f = parse(text)
+    assert validate(f, table_for("A")) == []
+    assert horizon(f) == h
+    nodes = []
+    assert compile_formula(f, 1.0, nodes) == count - 1
+    assert len(postorder(f)) == len(nodes) == count
+    canonical = format_formula(f)
+    assert format_formula(parse(canonical)) == canonical
+
+
+def test_deep_unclosed_parentheses_are_a_syntax_error():
+    with pytest.raises(TwtlSyntaxError, match=r"expected '\)'") as exc:
+        parse("(" * 10_000 + "H^0 A")
+    assert (exc.value.line, exc.value.column) == (1, 10_006)
 
 
 class TestAst:

@@ -205,6 +205,25 @@ class TestMonitorState:
     def test_signal_names(self):
         assert MonitorState(parse("H^1 A"), TABLE).signal_names == ["x"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "five"])
+    def test_rejected_sample_leaves_state_unchanged(self, bad):
+        table = PredicateTable.from_dict({"atoms": {
+            "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
+            "B": {"signal": "y", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
+        }})
+        f = parse("H^3 A & H^3 B")
+        samples = [{"x": 5.0, "y": 6.0}, {"x": 4.5, "y": 5.0}, {"x": 6.0, "y": 7.0},
+                   {"x": 5.5, "y": 4.5}]
+        st_, fresh = MonitorState(f, table), MonitorState(f, table)
+        st_.step(samples[0])
+        fresh.step(samples[0])
+        with pytest.raises(ValueError):
+            st_.step({"x": 5.0, "y": bad})
+        assert st_.observed == 1
+        for sample in samples[1:]:
+            assert st_.step(sample) == fresh.step(sample)
+        assert st_.finalized
+
 
 class TestSoundnessProperties:
     """Every prefix interval must contain the final (complete-word) value,

@@ -140,6 +140,18 @@ class TestBoolAndRho:
         assert rho(w, parse("H^1 A | H^1 B"), TABLE) == pytest.approx(1.0)
 
 
+def test_word_and_config_dt_must_agree():
+    # on the 1.0 grid the window [2, 2] would read sample 2 (x = -1), not sample 4 (x = 5)
+    w = Word(0.5, {"x": (-1.0, -1.0, -1.0, -1.0, 5.0)})
+    f = parse("[H^0 P]^[2,2]")
+    for evaluate in (bool_sat, rho, eta, oracle_bool, oracle_rho, oracle_eta):
+        with pytest.raises(ValueError, match="dt"):
+            evaluate(w, f, UNIT)
+    cfg = EvalConfig(dt=0.5)
+    assert rho(w, f, UNIT, cfg) == oracle_rho(w, f, UNIT, cfg) == 5.0
+    assert bool_sat(w, f, UNIT, cfg) is oracle_bool(w, f, UNIT, cfg) is True
+
+
 class TestEta:
     def test_hold_mixed_margins(self):
         # normalized margins 0.2, -0.4, 0.5 -> mean of negative parts
