@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .formula import Formula, horizon, parse, steps
-from .monitor import StepResult, make_prefix, prefix_result
+from .monitor import MonitorState, StepResult, results_at
 from .semantics import EvalConfig, bool_sat, eta, rho
 from .trace import NormalizationBounds, PredicateSpec, PredicateTable, Word
 
@@ -104,15 +104,24 @@ def tight_trajectory() -> Word:
 
 def monitor_records(word: Word, f: Formula, table: PredicateTable, cfg: EvalConfig,
                     taus=DEFAULT_TAUS, conservative_eta: bool = False) -> list[StepResult]:
-    """Batch interval evaluation of the prefixes ending at each time in taus."""
-    out = []
+    """Interval evaluation of the prefixes ending at each time in taus, which must ascend.
+
+    One monitor is advanced from each prefix to the next, so an evaluation
+    keeps the windows the ones before it finished. A time past the word's
+    end ends the list; one past the horizon gets the horizon's result.
+    """
+    state = MonitorState(f, table, cfg, word.t0, conservative_eta)
+    at: list[int] = []
     for t in taus:
-        length = steps(t - word.t0, cfg.dt) + 1
-        if length > word.n:
+        k = steps(t - word.t0, cfg.dt)
+        if k >= word.n:
             break
-        out.append(prefix_result(make_prefix(word.prefix(length), f, cfg), f, table, cfg,
-                                 conservative_eta))
-    return out
+        if k < 0:
+            raise ValueError(f"tau {t:g} is before the word's first time {word.t0:g}")
+        at.append(k)
+    samples = ({s: vals[k] for s, vals in word.signals.items()}
+               for k in range(max(at, default=-1) + 1))
+    return list(results_at(state, samples, [min(k, state.horizon_steps) for k in at]))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -28,7 +29,7 @@ import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
-from .monitor import MonitorState, StepResult, make_prefix
+from .monitor import MonitorState, StepResult, make_prefix, results_at
 from .semantics import EvalConfig, bool_sat, eta, rho
 from .trace import PredicateTable, load_trace, read_trace
 
@@ -206,27 +207,30 @@ def _cannot_write(exc: OSError, path: str) -> CliError:
 
 def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]],
                taus: list[float] | None) -> Iterator[StepResult]:
-    """Step the monitor once per row up to its horizon; yield the records at the --tau times."""
+    """Feed the monitor one row at a time up to its horizon; yield the records at the --tau times.
+
+    Every row is checked, but the monitor evaluates only where a record is due.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
     dt, h = state.cfg.dt, state.horizon_steps
-    for row in rows:
-        if state.finalized:
-            log.warning("trace continues past the horizon; extra samples ignored")
-            return
-        if state.observed == 0:
-            state.t0 = t0 = row[0]  # records carry the trace's own times
-            emit = set()
-            for tau in taus or ():  # each must now be a sample time
-                try:
-                    k = steps(tau - t0, dt)
-                except ValueError:
-                    k = -1
-                if not 0 <= k <= h:
-                    raise CliError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
-                                   f"k in 0..{h}")
-                emit.add(k)
-        res = state.step(dict(zip(names, row[1:])))
-        if taus is None or state.observed - 1 in emit:
-            yield res
+    state.t0 = t0 = first[0]  # records carry the trace's own times
+    at = None
+    if taus is not None:
+        at = set()
+        for tau in taus:  # each must be a sample time
+            try:
+                k = steps(tau - t0, dt)
+            except ValueError:
+                k = -1
+            if not 0 <= k <= h:
+                raise CliError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
+                               f"k in 0..{h}")
+            at.add(k)
+    samples = (dict(zip(names, row[1:])) for row in itertools.chain((first,), rows))
+    yield from results_at(state, samples, None if at is None else sorted(at))
 
 
 def _cmd_monitor(args) -> int:

@@ -11,6 +11,13 @@ atom's attainable normalized margins for [eta]. The intervals are
 therefore sound for every completion whose margins lie in that range (its
 value lies inside), nested (they only shrink as the prefix grows) and
 converge to the offline singleton at the horizon.
+
+`rho_interval`, `eta_interval` and `prefix_result` evaluate one prefix with
+a fresh evaluator. `MonitorState` keeps one evaluator over a whole trace: a
+window that reads only observed samples is final, and so is one that reads
+none, so each evaluation keeps those and evaluates again only the frontier,
+the windows that read both. `results_at` feeds a trace to a `MonitorState`
+and evaluates only where a result is asked for.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .formula import Formula, HoldAtom, horizon, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
@@ -138,24 +145,34 @@ class StepResult:
     verdict_eta: Verdict
 
 
+def _result(ev: Evaluator, f: Formula, horizon_steps: int) -> StepResult:
+    """Both intervals of f and their verdicts at the evaluator's word, over [0, horizon_steps]."""
+    r = RobustnessInterval(ev.rho(f, 0, horizon_steps), ev.rho(f, 0, horizon_steps, upper=True))
+    e = RobustnessInterval(ev.eta(f, 0, horizon_steps), ev.eta(f, 0, horizon_steps, upper=True))
+    return StepResult(ev.word.time_at(ev.word.n - 1), r, e,
+                      interval_verdict(r), interval_verdict(e))
+
+
 def prefix_result(prefix: Prefix, f: Formula, table: PredicateTable,
                   cfg: EvalConfig = DEFAULT_CONFIG,
                   conservative_eta: bool = False) -> StepResult:
     """Both intervals and their verdicts at a prefix, stamped with its last sample's time."""
-    r = rho_interval(prefix, f, table, cfg)
-    e = eta_interval(prefix, f, table, cfg, conservative_eta)
-    return StepResult(prefix.word.time_at(prefix.word.n - 1), r, e,
-                      interval_verdict(r), interval_verdict(e))
+    return _result(Evaluator(prefix.word, table, cfg, conservative_eta), f, prefix.horizon_steps)
 
 
 class MonitorState:
-    """Single-writer online monitor; each step appends one sample and re-evaluates.
+    """Single-writer online monitor over one trace, sample by sample up to the horizon.
 
-    Emitted intervals equal batch recomputation on the extended prefix, are
-    nested over time, and converge to the offline singleton at the horizon.
-    `observed` counts the samples stepped so far; sample k is stamped
-    t0 + k*dt. A rejected sample leaves the state as it was. Clamping to an
-    atom's bounds is logged once per atom over the run, not at every step.
+    `observe` appends one sample, `result` evaluates the prefix observed so
+    far, and `step` does both. One evaluator serves the whole run: it keeps
+    the final windows and evaluates again only the frontier (see the module
+    notes). It is released once the horizon's result is out.
+
+    Results equal batch recomputation on the same prefix, are nested over
+    time, and converge to the offline singleton at the horizon. `observed`
+    counts the samples so far; sample k is stamped t0 + k*dt. A rejected
+    sample leaves the state as it was. Clamping to an atom's bounds is
+    logged once per atom over the run, not at every evaluation.
     """
 
     def __init__(self, f: Formula, table: PredicateTable,
@@ -170,6 +187,8 @@ class MonitorState:
         self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
                                     if type(g) is HoldAtom})
         self._columns: Mapping[str, tuple[float, ...]] = {s: () for s in self.signal_names}
+        self._ev: Evaluator | None = None
+        self._stats: dict[str, dict[str, int]] = {}  # the counters of the released evaluator
         self.observed = 0
         self.last: StepResult | None = None
         self._clamped: set[str] = set()  # atoms whose clamping this run has logged
@@ -178,7 +197,8 @@ class MonitorState:
     def finalized(self) -> bool:
         return self.observed >= self.horizon_steps + 1
 
-    def step(self, sample: Mapping[str, float]) -> StepResult:
+    def observe(self, sample: Mapping[str, float]) -> None:
+        """Append one sample without evaluating."""
         if self.finalized:
             raise MonitorFinalizedError("monitor finalized: prefix reached the horizon")
         missing = [s for s in self.signal_names if s not in sample]
@@ -187,15 +207,36 @@ class MonitorState:
         # the word checks every value before the state changes
         word = Word(self.cfg.dt, {s: (*self._columns[s], float(sample[s]))
                                   for s in self.signal_names}, t0=self.t0)
+        if self._ev is None:
+            self._ev = Evaluator(word, self.table, self.cfg, self.conservative_eta)
+        else:
+            self._ev.advance(word)
         self._columns = word.signals
         self.observed += 1
+
+    def result(self) -> StepResult:
+        """Both intervals and their verdicts at the prefix observed so far."""
+        if self._ev is None:
+            if self.last is None:
+                raise ValueError("no sample observed yet")
+            return self.last  # the horizon's result, already out
         log.addFilter(self._first_clamp)
         try:
-            self.last = prefix_result(Prefix(word, self.horizon_steps), self.formula,
-                                      self.table, self.cfg, self.conservative_eta)
+            self.last = _result(self._ev, self.formula, self.horizon_steps)
         finally:
             log.removeFilter(self._first_clamp)
+        if self.finalized:
+            self._stats, self._ev = self._ev.stats(), None
         return self.last
+
+    def step(self, sample: Mapping[str, float]) -> StepResult:
+        """Append one sample and evaluate."""
+        self.observe(sample)
+        return self.result()
+
+    def stats(self) -> dict[str, dict[str, int]]:
+        """The evaluator's work counters (see `Evaluator.stats`), kept once it is released."""
+        return self._ev.stats() if self._ev is not None else self._stats
 
     def _first_clamp(self, record: logging.LogRecord) -> bool:
         """Log filter: drops the clamp warnings of atoms this run has already logged."""
@@ -204,3 +245,29 @@ class MonitorState:
         first = record.args[0] not in self._clamped
         self._clamped.add(record.args[0])
         return first
+
+
+def results_at(state: MonitorState, samples: Iterable[Mapping[str, float]],
+               at: Iterable[int] | None = None) -> Iterator[StepResult]:
+    """Feed `samples` to `state` and yield its result after sample k for each k in `at`.
+
+    `at` ascends (default: every sample); an index repeated yields the same
+    result again. Every sample up to the horizon is checked, also where
+    nothing is yielded; a sample past the horizon ends the run with a
+    warning.
+    """
+    marks = None if at is None else iter(at)
+    mark = None if marks is None else next(marks, None)
+    for sample in samples:
+        if state.finalized:
+            log.warning("trace continues past the horizon; extra samples ignored")
+            return
+        state.observe(sample)
+        k = state.observed - 1
+        if marks is None:
+            yield state.result()
+        while mark is not None and mark <= k:
+            if mark < k:  # an evaluator cannot go back to a shorter prefix
+                raise ValueError(f"result index {mark} after sample {k}: indices must ascend")
+            yield state.result()
+            mark = next(marks, None)

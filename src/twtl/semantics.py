@@ -11,22 +11,23 @@ The disjunction is a left-to-right fold, so no list of values is built;
 satisfaction stops a conjunction at -1 and a disjunction at 1.
 
 A `Concat` on [i, j] takes the best of its splits t in [i, j). When its rhs
-has a pinned length p, a split t < j - p reads the rhs window [t+1, t+1+p]
-whatever j is, so the recursion keeps one sweep per (node, start, bound):
-the splits folded so far and their accumulator. A window extends the sweep
-by the splits its end adds, in a loop, and then folds the at most p splits
-whose rhs is too short. Over ascending ends a window so costs O(p + 1)
-splits, not O(j - i); a window below the sweep's end starts it again at i.
-An unpinned rhs has no such splits, and each window folds all of its own.
+reads at most p steps after its start, a split t < j - p reads the rhs
+window [t+1, t+1+p] whatever j is, so the recursion keeps one sweep per
+node, start and bound: the splits folded so far and their accumulator. A
+window extends the sweep by the splits its end adds, in a loop, and then
+folds the at most p splits whose rhs is shorter. Over ascending ends a
+window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
+end starts it again at i. Any other rhs has no such splits, and each
+window folds all of its own.
 
 Each formula is compiled once per evaluator into a post-order table of
-nodes (kind, children, pinned length, `Within` start offset, hold), and the
-recursion runs over node indices, with one memo per node. A window is keyed
-on the samples it reads. `H^d` and `[.]^[a,b]` read no sample after i + d
-and i + b (in steps), their pinned length: a shorter window is bottom, not
-memoized, and a longer one is cut to that length. A window starting at or
-after word.n reads no sample, so its value depends on its length and bound
-only, and it is shifted to start at word.n.
+nodes (kind, children, pinned length, reach, `Within` start offset, hold),
+and the recursion runs over node indices. A window is keyed on the samples
+it reads. `H^d` and `[.]^[a,b]` read no sample after i + d and i + b (in
+steps), their pinned length: a shorter window is bottom, not memoized, and
+a longer one is cut to that length. An `&`, `|` or `!` whose children all
+read a bounded length reads no sample after the longest of them, so a
+longer window is cut there too.
 
 Samples at indices >= word.n are unobserved. Every operator is monotone
 and negation swaps the bound it asks for, so one rule bounds a hold over
@@ -34,10 +35,18 @@ them: each unobserved sample takes its atom's least margin when `upper` is
 false and its greatest when it is true (a negated atom takes the negated
 opposite extreme), and the hold aggregates as usual. So the two runs bound
 from below and from above every completion whose margins lie within those
-extremes: they are the monitor module's intervals [rho] and [eta]. A fully
-observed window (j < word.n) has one value, which both runs share, keyed
-(i, j); a window that reads unobserved samples is keyed (i, j, upper). On
-a complete word the recursion gives the offline value.
+extremes: they are the monitor module's intervals [rho] and [eta]. On a
+complete word the recursion gives the offline value.
+
+Each node has three memos, by the samples a window reads. A fully observed
+window (j < word.n) has one value, which both runs share, keyed (i, j). A
+window that starts at or after word.n reads no sample, so its value depends
+on its length and bound only, keyed (j - i, upper). Both are final: a
+longer prefix of the same word leaves them as they are. The frontier
+windows read observed and unobserved samples, keyed (i, j, upper). An
+evaluator can advance to a longer prefix: it keeps the final memos, and the
+sweeps whose splits read only observed samples, and drops the rest, so the
+online monitor evaluates again only the frontier at each step.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -187,23 +196,32 @@ def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
 
     The order and the child indices are those of `formula.postorder`, shifted
     past the nodes already in the table, so compiling does not recurse.
-    A node is a tuple (kind, lhs, rhs, pin, offset, hold): the Formula class;
-    the indices of its children, or None (a Not's or a Within's only child is
-    lhs); its pinned length, the steps after a window's start that it reads
-    (None: to the window's end); a Within's first start, in steps after the
-    window's start (else 0); and a hold's HoldAtom (else None).
+    A node is a tuple (kind, lhs, rhs, pin, reach, offset, hold): the Formula
+    class; the indices of its children, or None (a Not's or a Within's only
+    child is lhs); its pinned length, the steps after a window's start that
+    a hold or a Within reads, a shorter window being bottom (else None); its
+    reach, the most steps after a window's start that it reads: the pin, or
+    for an And, Or or Not whose children all have a reach the longest of
+    theirs (else None: to the window's end); a Within's first start, in
+    steps after the window's start (else 0); and a hold's HoldAtom (else
+    None).
     """
     base = len(nodes)
     for g, lhs, rhs in postorder(f):
         kind = type(g)
         if kind is HoldAtom:
-            nodes.append((kind, None, None, g.d, 0, g))
+            nodes.append((kind, None, None, g.d, g.d, 0, g))
         elif kind is Within:
-            nodes.append((kind, base + lhs, None, steps(g.b, dt), steps(g.a, dt), None))
+            b = steps(g.b, dt)
+            nodes.append((kind, base + lhs, None, b, b, steps(g.a, dt), None))
         elif kind is Not:
-            nodes.append((kind, base + lhs, None, None, 0, None))
+            nodes.append((kind, base + lhs, None, None, nodes[base + lhs][4], 0, None))
         else:
-            nodes.append((kind, base + lhs, base + rhs, None, 0, None))
+            reach = None
+            if kind is not Concat:
+                a, b = nodes[base + lhs][4], nodes[base + rhs][4]
+                reach = None if a is None or b is None else max(a, b)
+            nodes.append((kind, base + lhs, base + rhs, None, reach, 0, None))
     return len(nodes) - 1
 
 
@@ -211,6 +229,8 @@ class Evaluator:
     """The recursions over one word, or one prefix of the windows asked for; memoized.
 
     Each formula asked for is compiled once into the evaluator's node table.
+    `advance` moves the evaluator to a longer prefix of its word, keeping the
+    windows that are final and dropping the frontier (see the module notes).
     `conservative_eta` takes -1 and 1 instead of each atom's attainable
     normalized margins for the unobserved samples of an `eta` hold.
     """
@@ -236,8 +256,24 @@ class Evaluator:
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
-        run.slots.extend((node[3], {}) for node in self._nodes[len(run.slots):])
+        run.slots.extend((node[3] or 0, node[4], {}, {}, {})
+                         for node in self._nodes[len(run.slots):])
         return run.value(k, i, j, upper)
+
+    def advance(self, word: Word) -> None:
+        """Move to `word`, a longer prefix of this evaluator's word.
+
+        The windows that read only samples observed before are final, and so
+        are those that read none: both are kept. Only the frontier, the
+        windows that read both observed and open samples, is evaluated anew.
+        """
+        old = self.word
+        if (word.n < old.n or word.dt != old.dt or word.t0 != old.t0
+                or any(word.signals.get(s, ())[:old.n] != v for s, v in old.signals.items())):
+            raise ValueError("can only advance to a longer prefix of the same word")
+        self.word = word
+        for run in self._runs.values():
+            run.advance(word)
 
     def bool_sat(self, f: Formula, i: int, j: int) -> bool:
         return self._evaluate(_BOOL, f, i, j, False) > 0.0
@@ -249,10 +285,14 @@ class Evaluator:
         return self._evaluate(_ETA, f, i, j, upper)
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per semantics run so far: memo entries, and split and start values folded."""
-        return {sem.name: {"memo": sum(len(memo) for _, memo in run.slots),
-                           "folded": run.folded}
-                for sem, run in self._runs.items()}
+        """Per semantics run so far: memo entries held, memo entries inserted
+        (those held and the frontier entries dropped by `advance`), and split
+        and start values folded."""
+        out = {}
+        for sem, run in self._runs.items():
+            memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
+            out[sem.name] = {"memo": memo, "inserted": memo + run.dropped, "folded": run.folded}
+        return out
 
 
 class _Recursion:
@@ -272,10 +312,31 @@ class _Recursion:
         self.bottom = sem.bottom(ev.cfg)
         self._columns: dict[str, list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
-        self.slots: list[tuple] = []  # (pin, memo) per node; memo keyed as in value()
-        # (Concat node, start, upper) -> (t, acc): its splits before t folded into acc
+        # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
+        # length and reach (see compile_formula), and its memos, keyed as in value()
+        self.slots: list[tuple] = []
+        # Concat sweeps, (t, acc): the splits before t folded into acc; keyed
+        # (node, start) when every split folded reads only observed samples,
+        # else (node, start, upper)
         self.sweeps: dict[tuple, tuple] = {}
+        self.open_sweeps: dict[tuple, tuple] = {}
         self.folded = 0  # split and start values folded
+        self.dropped = 0  # frontier entries dropped by advance()
+
+    def advance(self, word: Word) -> None:
+        """Move to a longer prefix of the word: drop the frontier memos and open sweeps.
+
+        They are replaced by fresh dicts, not emptied key by key: a dict
+        keeps its table's size after its keys are deleted. The margin columns
+        are computed again, over the longer prefix, when a hold next reads
+        them, so a clamp warning counts the samples of the whole prefix.
+        """
+        self.word, self.n = word, word.n
+        self._columns = {}
+        self.dropped += sum(len(slot[3]) for slot in self.slots)
+        self.slots = [(pin, reach, final, {}, unobserved)
+                      for pin, reach, final, _, unobserved in self.slots]
+        self.open_sweeps = {}
 
     def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
         """f's signed margins at the observed samples in [start, stop)."""
@@ -289,19 +350,23 @@ class _Recursion:
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
-        pin, memo = self.slots[k]
-        if pin is not None:
+        pin, reach, memo, frontier, unobserved = self.slots[k]
+        if reach is not None:
             # too short for every completion; tested before a hold's padding,
             # which would otherwise lift eta's lower bound above -1
             if j - i < pin:
                 return self.bottom
-            j = i + pin
+            if j - i > reach:
+                j = i + reach
         n = self.n
-        if i > n:  # reads no sample: its value depends on its length and bound only
+        if j < n:  # fully observed: final, one value shared by both bounds
+            key = (i, j)
+        elif i < n:  # the frontier: observed and open samples
+            memo, key = frontier, (i, j, upper)
+        else:  # reads no sample: its value depends on its length and bound only
+            memo, key = unobserved, (j - i, upper)
             j -= i - n
             i = n
-        # a fully observed window (j < n) has one value, shared by both bounds
-        key = (i, j) if j < n else (i, j, upper)
         got = memo.get(key)
         if got is None:
             got = memo[key] = self._value(k, i, j, upper)
@@ -320,7 +385,7 @@ class _Recursion:
     def _value(self, k: int, i: int, j: int, upper: bool) -> float:
         # plain loops, not comprehensions: a comprehension would turn these
         # locals into closure cells, paid for on every call
-        kind, lhs, rhs, _, offset, hold = self.nodes[k]
+        kind, lhs, rhs, _, _, offset, hold = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
             return self._hold(hold, i, j, upper)
@@ -338,17 +403,19 @@ class _Recursion:
         if kind is Concat:
             if i == j:
                 return self.bottom
-            # When rhs pins p steps, every split t < j - p reads rhs on
+            # When rhs reaches p steps, every split t < j - p reads rhs on
             # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
             # of [i, j-1] and t = j-1-p. One sweep per start folds them across
             # ends; the at most p short splits after them, and every split
-            # of an unpinned rhs, are folded per window.
-            pin = self.slots[rhs][0]
-            fit = i if pin is None or j - pin < i else j - pin
+            # of an rhs without a reach, are folded per window.
+            p = self.slots[rhs][1]
+            fit = i if p is None or j - p < i else j - p
             t, acc = i, self.start
             keep = fit > i
             if keep:
-                state = self.sweeps.get((k, i, upper))
+                state = self.open_sweeps.get((k, i, upper)) if j >= self.n else None
+                if state is None or state[0] > fit:
+                    state = self.sweeps.get((k, i))
                 if state is not None and state[0] <= fit:  # else j is below the sweep: restart
                     t, acc = state
             first = t
@@ -362,7 +429,11 @@ class _Recursion:
                     acc = fold(acc, v)
                     t += 1
                 if keep:
-                    self.sweeps[k, i, upper] = t, acc
+                    # the last split folded, fit - 1, reads its rhs up to j
+                    if j < self.n:
+                        self.sweeps[k, i] = t, acc
+                    else:
+                        self.open_sweeps[k, i, upper] = t, acc
                     keep = False
             self.folded += t - first
             return self.finish(acc)

@@ -56,6 +56,15 @@ def test_monitor_records_shrink_to_satisfied():
     assert recs[-1].rho.is_singleton()
 
 
+def test_monitor_records_require_ascending_taus():
+    # one monitor advances through the prefixes and cannot go back
+    f, table = build_formula(), build_table()
+    with pytest.raises(ValueError, match="ascend"):
+        monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG, (10, 2))
+    with pytest.raises(ValueError, match="before the word's first time"):
+        monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG, (-1,))
+
+
 def test_run_case_study_artifacts_roundtrip(tmp_path):
     result = run_case_study(tmp_path / "cs")
     assert result.horizon == 50.0

@@ -241,6 +241,28 @@ class TestMonitorCommand:
         assert rc == 0
         assert [row.split(",")[0] for row in lines[1:]] == ["2", "5"]
 
+    def test_tau_evaluates_only_at_tau(self, files, capsys, monkeypatch, tmp_path):
+        states = []
+
+        class Recorded(twtl.MonitorState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr("twtl.cli.MonitorState", Recorded)
+        (tmp_path / "h.twtl").write_text("H^5 A\n")
+        argv = ["monitor", "--formula", str(tmp_path / "h.twtl"), "--config", files["config"],
+                "--trace", files["trace"]]
+        rc, every, _ = run(capsys, *argv)
+        assert rc == 0
+        rc, out, _ = run(capsys, *argv, "--tau", "1,3,5")
+        assert rc == 0
+        lines = every.splitlines()
+        assert out.splitlines() == [lines[0], lines[2], lines[4], lines[6]]
+        # H^5 A has one window, [0, 5]: an evaluation before the horizon
+        # memoizes it once per bound, and the one at the horizon once
+        assert [state.stats()["rho"]["inserted"] for state in states] == [2 * 5 + 1, 2 * 2 + 1]
+
     def test_jsonl_and_out_file(self, files, capsys, tmp_path):
         out_path = tmp_path / "mon.jsonl"
         rc, out, _ = run(capsys, "monitor", "--formula", files["formula"],

@@ -7,10 +7,11 @@ from twtl.casestudy import (
     build_formula,
     build_table,
     inside_obstacle_margin,
+    monitor_records,
     nominal_trajectory,
     tight_trajectory,
 )
-from twtl.formula import Not, parse
+from twtl.formula import Not, format_formula, parse
 from twtl.monitor import (
     MonitorFinalizedError,
     MonitorState,
@@ -223,6 +224,40 @@ class TestMonitorState:
         for sample in samples[1:]:
             assert st_.step(sample) == fresh.step(sample)
         assert st_.finalized
+
+
+class TestIncrementalEqualsBatch:
+    """A monitor keeps one evaluator over a run and evaluates again only the
+    frontier windows; each result equals a fresh evaluation of its prefix."""
+
+    TABLE = PredicateTable.from_dict({"atoms": {
+        "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
+        "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0},
+    }})
+    GEN = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,
+                    weights=(2.0, 1.0, 1.0, 1.0, 4.0, 2.5))  # concat and within heavy
+    CFG = EvalConfig(rho_bot=-2.0, rho_top=1.5)  # margins reach -10..10 below
+
+    def test_steps_and_records_equal_batch(self):
+        rng = random.Random(2024)
+        for case in range(300):
+            f = random_formula(rng, ["A", "B"], self.GEN, max_horizon=9)
+            conservative = case % 2 == 1
+            state = MonitorState(f, self.TABLE, self.CFG, conservative_eta=conservative)
+            h = state.horizon_steps
+            w = random_word(rng, {"x": (-6.0, 14.0)}, n=h + 1)
+            rejected = rng.randrange(h + 1)  # a nan arrives before this sample
+            batch = []
+            for k in range(w.n):
+                if k == rejected:
+                    with pytest.raises(ValueError):
+                        state.step({"x": float("nan")})
+                batch.append(prefix_result(Prefix(w.prefix(k + 1), h), f, self.TABLE, self.CFG,
+                                           conservative))
+                assert state.step({"x": w.value("x", k)}) == batch[k], (format_formula(f), k)
+            taus = sorted(rng.choices(range(h + 1), k=3))
+            assert monitor_records(w, f, self.TABLE, self.CFG, taus, conservative) == \
+                [batch[t] for t in taus], (format_formula(f), taus)
 
 
 class TestSoundnessProperties:

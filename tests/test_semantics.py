@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
 from twtl.formula import Concat, Not, format_formula, parse
-from twtl.monitor import make_prefix, rho_interval, singleton
+from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
 from twtl.oracle import (GenConfig, oracle_bool, oracle_eta, oracle_rho, random_formula,
                          random_word)
 from twtl.semantics import (EvalConfig, Evaluator, agm_and, agm_or, bool_sat, compile_formula,
@@ -234,6 +234,30 @@ class TestWorkCounts:
         ev = Evaluator(word, table)
         ev.rho(f, 0, 50)
         assert sum(s["memo"] for s in ev.stats().values()) <= 4_000
+
+    def test_monitor_step_keeps_final_windows(self):
+        # a fresh evaluator per prefix creates every window it reads again; the
+        # monitor's one evaluator creates only the frontier windows again
+        f, table, word = build_formula(), build_table(), nominal_trajectory()
+        state = MonitorState(f, table)
+        fresh = 0
+        for k in range(word.n):
+            state.step({s: word.value(s, k) for s in word.signals})
+            ev = Evaluator(word.prefix(k + 1), table)
+            for value in (ev.rho, ev.eta):
+                value(f, 0, 50)
+                value(f, 0, 50, upper=True)
+            fresh += sum(s["memo"] for s in ev.stats().values())
+        assert state.finalized
+        assert sum(s["inserted"] for s in state.stats().values()) <= fresh // 2
+
+    def test_advance_needs_a_longer_prefix_of_the_word(self):
+        ev = Evaluator(unit_word(0.5, 0.2), UNIT)
+        for other in (unit_word(0.5), unit_word(0.5, 0.3, 0.1), Word(1.0, {"y": (0.5, 0.2)})):
+            with pytest.raises(ValueError, match="longer prefix"):
+                ev.advance(other)
+        ev.advance(unit_word(0.5, 0.2, -0.4))
+        assert ev.rho(parse("H^2 P"), 0, 2) == -0.4
 
     def test_chain_splits_are_quadratic(self):
         # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
