@@ -7,8 +7,11 @@ margins for robustness `rho`, arithmetic-geometric means of normalized
 margins in [-1, 1] for AGM robustness `eta`, and min/max over 1 and -1 for
 satisfaction, where a hold is 1 when all its margins are positive. A window
 too short for its subformula yields the bottom value (`rho_bot`, or -1).
-The disjunction is a left-to-right fold, so no list of values is built;
-satisfaction stops a conjunction at -1 and a disjunction at 1.
+`&` and `|` call a conjunction and a disjunction of two values; for `eta`
+they return the same bits as `agm_and` and `agm_or` over a list of the two,
+without building one. The splits of a `Concat` and the starts of a `Within`
+are folded left to right into the disjunction, so no list of values is
+built either. Satisfaction stops a conjunction at -1 and a disjunction at 1.
 
 A `Concat` on [i, j] takes the best of its splits t in [i, j). When its rhs
 reads at most p steps after its start, a split t < j - p reads the rhs
@@ -20,9 +23,11 @@ window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
 end starts it again at i. Any other rhs has no such splits, and each
 window folds all of its own.
 
-Each formula is compiled once per evaluator into a post-order table of
-nodes (kind, children, pinned length, reach, `Within` start offset, hold),
-and the recursion runs over node indices. A window is keyed on the samples
+Each formula object is compiled once per evaluator into a post-order table
+of nodes (kind, children, pinned length, reach, `Within` start offset,
+hold), and the recursion runs over node indices. The evaluator knows a
+formula by its identity: a formula's dataclass hash recurses through the
+whole tree, so it is never hashed. A window is keyed on the samples
 it reads. `H^d` and `[.]^[a,b]` read no sample after i + d and i + b (in
 steps), their pinned length: a shorter window is bottom, not memoized, and
 a longer one is cut to that length. An `&`, `|` or `!` whose children all
@@ -93,6 +98,12 @@ def _clamp_unit(v: float) -> float:
     return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
 
 
+def _agm_range_error(name: str, *values: float) -> ValueError:
+    """The error for the first of `values` outside [-1, 1]."""
+    v = next(v for v in values if not _AGM_LO <= v <= _AGM_HI)
+    return ValueError(f"{name}: value {v} outside [-1, 1]")
+
+
 # An AGM disjunction folds its values left to right into (count, sum of the
 # positive parts, product of 1 - v, whether every value is negative). The sum
 # runs in that order from 0.0, as CPython's sum() of floats did before 3.12.
@@ -101,7 +112,7 @@ _AGM_OR_START = (0, 0.0, 1.0, True)
 
 def _agm_or_fold(acc: tuple, v: float) -> tuple:
     if not _AGM_LO <= v <= _AGM_HI:
-        raise ValueError(f"agm_or: value {v} outside [-1, 1]")
+        raise _agm_range_error("agm_or", v)
     n, pos, prod, neg = acc
     return n + 1, (pos + v if v > 0.0 else pos), prod * (1.0 - v), neg and v < 0.0
 
@@ -122,16 +133,43 @@ def agm_or(values: Iterable[float]) -> float:
 
 def agm_and(values: Sequence[float]) -> float:
     """AGM conjunction: geometric blend when all positive, mean of negative parts otherwise."""
-    vals = list(values)
-    if not vals:
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    n = len(values)
+    if not n:
         raise ValueError("agm_and of an empty sequence")
-    for v in vals:
+    # one pass checks the range, tests the signs and multiplies in math.prod's
+    # order; the mean keeps sum(), whose rounding changed in CPython 3.12
+    prod, positive = 1.0, True
+    for v in values:
         if not _AGM_LO <= v <= _AGM_HI:
-            raise ValueError(f"agm_and: value {v} outside [-1, 1]")
-    n = len(vals)
-    if all(v > 0.0 for v in vals):
-        return _clamp_unit(math.prod(1.0 + v for v in vals) ** (1.0 / n) - 1.0)
-    return _clamp_unit(sum(v for v in vals if v < 0.0) / n)
+            raise _agm_range_error("agm_and", v)
+        if v > 0.0:
+            prod *= 1.0 + v
+        else:
+            positive = False
+    if positive:
+        return _clamp_unit(prod ** (1.0 / n) - 1.0)
+    return _clamp_unit(sum(v for v in values if v < 0.0) / n)
+
+
+# agm_and and agm_or of two values, with the same checks and the same bits.
+# Two terms summed once round their exact sum once, as sum() does on every
+# CPython; a 0.0 for a missing part changes no sum.
+def _agm_and2(a: float, b: float) -> float:
+    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
+        raise _agm_range_error("agm_and", a, b)
+    if a > 0.0 and b > 0.0:
+        return _clamp_unit(((1.0 + a) * (1.0 + b)) ** 0.5 - 1.0)
+    return _clamp_unit(((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2)
+
+
+def _agm_or2(a: float, b: float) -> float:
+    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
+        raise _agm_range_error("agm_or", a, b)
+    if a < 0.0 and b < 0.0:
+        return _clamp_unit(1.0 - ((1.0 - a) * (1.0 - b)) ** 0.5)
+    return _clamp_unit(((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +179,12 @@ class _Semantics:
     name: str
     margins: Callable[[PredicateSpec, Sequence[float]], list[float]]  # an atom's margin column
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
+    # conjunction and disjunction of two values, for `&` and `|`
     conj: Callable[[float, float], float]
-    # disjunction as a left-to-right fold: an empty accumulator, a step that
-    # adds one value, and the value of a nonempty accumulator
+    disj: Callable[[float, float], float]
+    # the disjunction over a Concat's splits or a Within's starts, as a
+    # left-to-right fold: an empty accumulator, a step that adds one value,
+    # and the value of a nonempty accumulator; folding two values gives disj's value
     start: Any
     fold: Callable[[Any, float], Any]
     finish: Callable[[Any], float]
@@ -178,16 +219,16 @@ def _same(v: float) -> float:
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
-_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, _min2, -math.inf, _max2, _same,
+_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
-_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, _min2, -math.inf, _max2, _same,
-                  min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
+_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
+                  _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
                   -math.inf, math.inf)
-_ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0,
-                  lambda a, b: agm_and((a, b)), _AGM_OR_START, _agm_or_fold, _agm_or_finish,
-                  agm_and, lambda spec, cfg, conservative:
+_ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0, _agm_and2, _agm_or2,
+                  _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
+                  lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
 
 
@@ -246,19 +287,22 @@ class Evaluator:
         self.cfg = cfg
         self.conservative_eta = conservative_eta
         self._nodes: list[tuple] = []
-        self._roots: dict[Formula, int] = {}  # formula -> its node's index
+        # id(formula) -> (formula, its node's index): keyed on identity, so no
+        # formula is hashed (a dataclass hash recurses through the whole tree),
+        # and holding the formula keeps its id from being reused
+        self._roots: dict[int, tuple[Formula, int]] = {}
         self._runs: dict[_Semantics, _Recursion] = {}
 
     def _evaluate(self, sem: _Semantics, f: Formula, i: int, j: int, upper: bool) -> float:
-        k = self._roots.get(f)
-        if k is None:
-            k = self._roots[f] = compile_formula(f, self.cfg.dt, self._nodes)
+        root = self._roots.get(id(f))
+        if root is None:
+            root = self._roots[id(f)] = f, compile_formula(f, self.cfg.dt, self._nodes)
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
         run.slots.extend((node[3] or 0, node[4], {}, {}, {})
                          for node in self._nodes[len(run.slots):])
-        return run.value(k, i, j, upper)
+        return run.value(root[1], i, j, upper)
 
     def advance(self, word: Word) -> None:
         """Move to `word`, a longer prefix of this evaluator's word.
@@ -305,12 +349,14 @@ class _Recursion:
     def __init__(self, sem: _Semantics, ev: Evaluator):
         self.word, self.n, self.nodes = ev.word, ev.word.n, ev._nodes
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
-        self.column, self.conj, self.hold = sem.margins, sem.conj, sem.hold
+        self.column, self.conj, self.disj, self.hold = sem.margins, sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
-        self._columns: dict[str, list[float]] = {}
+        # (atom, negated) -> the atom's margins, or their negations, at the
+        # observed samples
+        self._columns: dict[tuple[str, bool], list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
         # length and reach (see compile_formula), and its memos, keyed as in value()
@@ -338,15 +384,20 @@ class _Recursion:
                       for pin, reach, final, _, unobserved in self.slots]
         self.open_sweeps = {}
 
-    def margins(self, f: HoldAtom, start: int, stop: int) -> list[float]:
-        """f's signed margins at the observed samples in [start, stop)."""
-        col = self._columns.get(f.atom)
+    def margins(self, f: HoldAtom) -> list[float]:
+        """f's signed margins at the observed samples."""
+        key = f.atom, f.negated
+        col = self._columns.get(key)
         if col is None:
-            spec = self.table[f.atom]
-            col = self.column(spec, self.word.signals[spec.signal])
-            self._columns[f.atom] = col
-            self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
-        return [-m for m in col[start:stop]] if f.negated else col[start:stop]
+            col = self._columns.get((f.atom, False))
+            if col is None:
+                spec = self.table[f.atom]
+                col = self._columns[f.atom, False] = self.column(
+                    spec, self.word.signals[spec.signal])
+                self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
+            if f.negated:
+                col = self._columns[key] = [-m for m in col]
+        return col
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
@@ -374,7 +425,7 @@ class _Recursion:
 
     def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
         stop = j + 1
-        ms = self.margins(f, i, stop)
+        ms = self.margins(f)[i:stop]
         if stop <= self.n:
             return self.hold(ms)
         # an unobserved sample takes the extreme margin of the bound asked for
@@ -396,10 +447,7 @@ class _Recursion:
             return v if v == self.conj_absorbing else self.conj(v, value(rhs, i, j, upper))
         if kind is Or:
             v = value(lhs, i, j, upper)
-            if v == self.disj_absorbing:
-                return v
-            fold = self.fold
-            return self.finish(fold(fold(self.start, v), value(rhs, i, j, upper)))
+            return v if v == self.disj_absorbing else self.disj(v, value(rhs, i, j, upper))
         if kind is Concat:
             if i == j:
                 return self.bottom

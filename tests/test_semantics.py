@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
-from twtl.formula import Concat, Not, format_formula, parse
+from twtl.formula import And, Concat, Not, format_formula, parse
 from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
-from twtl.oracle import (GenConfig, oracle_bool, oracle_eta, oracle_rho, random_formula,
-                         random_word)
-from twtl.semantics import (EvalConfig, Evaluator, agm_and, agm_or, bool_sat, compile_formula,
-                            eta, rho)
+from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
+                         random_formula, random_word)
+from twtl.semantics import (EvalConfig, Evaluator, _agm_and2, _agm_or2, agm_and, agm_or, bool_sat,
+                            compile_formula, eta, rho)
 from twtl.trace import PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
@@ -72,6 +72,43 @@ class TestAgm:
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6))
     def test_de_morgan_duality(self, values):
         assert agm_or(values) == pytest.approx(-agm_and([-v for v in values]), abs=1e-12)
+
+    # the ends of the accepted range, signed zeros, values that vanish next
+    # to 1.0, and a value whose pair products are exact
+    EDGES = (0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 1e-300, -1e-300, 0.5, -0.5)
+
+    def draw(self, rng):
+        return rng.choice(self.EDGES) if rng.random() < 0.25 else rng.uniform(-1.0, 1.0)
+
+    def test_two_value_kernels_equal_the_list_functions(self):
+        # repr, not ==: the kernels must give the very same bits, -0.0 included
+        rng = random.Random(1010)
+        pairs = [(a, b) for a in self.EDGES for b in self.EDGES]
+        pairs += [(self.draw(rng), self.draw(rng)) for _ in range(20_000)]
+        for a, b in pairs:
+            assert repr(_agm_and2(a, b)) == repr(agm_and([a, b])), (a, b)
+            assert repr(_agm_or2(a, b)) == repr(agm_or([a, b])), (a, b)
+
+    def test_two_value_kernels_reject_what_the_list_functions_reject(self):
+        for x in (1.5, -1.0001, 1.0 + 1e-11, math.inf, -math.inf, math.nan):
+            for a, b in ((x, 0.5), (-0.5, x), (x, -x)):
+                for kernel, listed in ((_agm_and2, agm_and), (_agm_or2, agm_or)):
+                    with pytest.raises(ValueError) as want:
+                        listed([a, b])
+                    with pytest.raises(ValueError) as got:
+                        kernel(a, b)
+                    assert str(got.value) == str(want.value), (kernel, a, b)
+
+    def test_one_pass_conjunction_equals_the_oracle(self):
+        # the oracle's formula, written out apart from production, clamped
+        # to [-1, 1] as production clamps
+        rng = random.Random(1111)
+        for case in range(20_000):
+            values = [self.draw(rng) for _ in range(rng.randint(1, 6))]
+            if case % 3 == 1:  # all positive: the geometric branch
+                values = [abs(v) or 0.25 for v in values]
+            want = min(max(_agm_and(values), -1.0), 1.0)
+            assert repr(agm_and(values)) == repr(want), values
 
 
 class TestBoolAndRho:
@@ -259,6 +296,28 @@ class TestWorkCounts:
         ev.advance(unit_word(0.5, 0.2, -0.4))
         assert ev.rho(parse("H^2 P"), 0, 2) == -0.4
 
+    def test_counts_are_pinned(self):
+        # the exact work of the recursion on two fixed inputs: a change that
+        # only makes each step cheaper leaves every count as it is
+        f, table, word = build_formula(), build_table(), nominal_trajectory()
+        state = MonitorState(f, table)
+        for k in range(word.n):
+            state.step({s: word.value(s, k) for s in word.signals})
+        counts = {"memo": 1_754, "inserted": 13_074, "folded": 52_016}
+        assert state.stats() == {"rho": counts, "eta": counts}
+        k = 200
+        f = parse(" . ".join(["H^0 P"] * k))
+        rng = random.Random(7)
+        ev = Evaluator(unit_word(*(rng.uniform(-1.0, 1.0) for _ in range(k))), UNIT)
+        ev.rho(f, 0, k - 1)
+        ev.bool_sat(f, 0, k - 1)
+        ev.eta(f, 0, k - 1)
+        assert ev.stats() == {
+            "rho": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
+            "bool": {"memo": 19_901, "inserted": 19_901, "folded": 19_900},
+            "eta": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
+        }
+
     def test_chain_splits_are_quadratic(self):
         # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
         # pins length 0, so a start's splits are folded once across all ends
@@ -275,6 +334,35 @@ class TestWorkCounts:
         assert set(stats) == {"bool", "rho", "eta"}
         for name, counts in stats.items():
             assert 0 < counts["folded"] <= 2 * k * k, name
+
+
+class TestFormulaIdentity:
+    """An evaluator knows the formulas it compiled by identity, not by hash."""
+
+    def test_evaluation_hashes_no_formula(self, monkeypatch):
+        def unhashable(self):
+            raise RuntimeError("formula hashed")
+
+        f, table, word = build_formula(), build_table(), nominal_trajectory()
+        for cls in (And, Concat):
+            monkeypatch.setattr(cls, "__hash__", unhashable)
+        with pytest.raises(RuntimeError):
+            hash(f)
+        assert rho(word, f, table) > 0.0
+        assert eta(word, f, table) > 0.0
+        state = MonitorState(f, table)
+        for k in range(word.n):
+            state.step({s: word.value(s, k) for s in word.signals})
+        assert state.finalized
+
+    def test_second_evaluation_compiles_nothing(self):
+        f, table, word = build_formula(), build_table(), nominal_trajectory()
+        ev = Evaluator(word, table)
+        ev.rho(f, 0, word.n - 1)
+        nodes = len(ev._nodes)
+        ev.eta(f, 0, word.n - 1)
+        ev.rho(f, 0, 10, upper=True)
+        assert len(ev._nodes) == nodes
 
 
 class TestSweep:
