@@ -16,10 +16,11 @@ Hold durations `d` count samples; within bounds `a`, `b` are absolute
 time units (so the horizon of ``[phi]^[a,b]`` is exactly `b`).
 
 Nesting limits: the parser keeps explicit operand and operator stacks, and
-printing, `horizon` and `validate` loop over `postorder`, so none of them
-has a depth limit. Evaluation still recurses once per nesting level, about
-400 levels at Python's default recursion limit; beyond that the `twtl`
-command exits 2 ("formula nested too deeply").
+printing, `horizon`, `validate` and a formula's `==`, `hash()` and
+`repr()` loop over `postorder`, so none of them has a depth limit.
+Evaluation still recurses once per nesting level, about 400 levels at
+Python's default recursion limit; beyond that the `twtl` command exits 2
+("formula nested too deeply").
 """
 
 from __future__ import annotations
@@ -43,15 +44,32 @@ class TwtlSyntaxError(ValueError):
 
 
 class Formula:
-    """Base class for formula nodes. Instances are immutable and hashable."""
+    """Base class for formula nodes. Instances are immutable and hashable.
+
+    Two formulas are equal when their trees are; the repr is the call to
+    `parse` that rebuilds the formula.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __repr__(self) -> str:
+        return f"parse({format_formula(self)!r})"
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class HoldAtom(Formula):
     """``H^d pi`` or ``H^d !pi``: hold a (negated) atom for d+1 samples."""
 
@@ -66,30 +84,30 @@ class HoldAtom(Formula):
             raise ValueError("atom name must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Concat(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Within(Formula):
     """``[phi]^[a,b]``: phi must start at some time in [a, b] of the window ending at b."""
 
@@ -278,6 +296,20 @@ def postorder(f: Formula) -> list[_Entry]:
             raise TypeError(f"not a Formula: {g!r}")
         done.append(len(out) - 1)
     return out
+
+
+def _key(f: Formula) -> tuple:
+    """f's tree as one flat tuple: each node's kind, parameters and children, in post-order."""
+    key = []
+    for g, lhs, rhs in postorder(f):
+        kind = type(g)
+        if kind is HoldAtom:
+            key.append((kind, g.d, g.atom, g.negated))
+        elif kind is Within:
+            key.append((kind, lhs, g.a, g.b))
+        else:
+            key.append((kind, lhs, rhs))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ value lies inside), nested (they only shrink as the prefix grows) and
 converge to the offline singleton at the horizon.
 
 `rho_interval`, `eta_interval` and `prefix_result` evaluate one prefix with
-a fresh evaluator. `MonitorState` keeps one evaluator over a whole trace: a
-window that reads only observed samples is final, and so is one that reads
-none, so each evaluation keeps those and evaluates again only the frontier,
-the windows that read both. `results_at` feeds a trace to a `MonitorState`
-and evaluates only where a result is asked for.
+a fresh evaluator. `MonitorState` keeps one evaluator over a whole trace and
+appends each sample to it: a window that reads only observed samples is
+final, and so is one that reads none, so each evaluation keeps those and
+evaluates again only the frontier, the windows that read both. A sample
+costs its own check and its margins once, whatever the prefix's length.
+`results_at` feeds a trace to a `MonitorState` and evaluates only where a
+result is asked for.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from typing import Iterable, Iterator, Mapping
 
 from .formula import Formula, HoldAtom, horizon, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
-from .trace import CLAMP_WARNING, PredicateTable, Word
+from .trace import PredicateTable, Word
 
 log = logging.getLogger("twtl")
 
+# an interval's bounds come from monotone kernels, but the C library's pow
+# need not round monotonically: a lower bound this little above is absorbed
 _FP_SLACK = 1e-12
 
 
@@ -66,10 +70,6 @@ class RobustnessInterval:
 
     def contains_interval(self, other: "RobustnessInterval", tol: float = 0.0) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
-    @property
-    def verdict(self) -> Verdict:
-        return interval_verdict(self)
 
 
 def singleton(value: float) -> RobustnessInterval:
@@ -145,28 +145,29 @@ class StepResult:
     verdict_eta: Verdict
 
 
-def _result(ev: Evaluator, f: Formula, horizon_steps: int) -> StepResult:
+def _result(ev: Evaluator, f: Formula, horizon_steps: int, t: float) -> StepResult:
     """Both intervals of f and their verdicts at the evaluator's word, over [0, horizon_steps]."""
     r = RobustnessInterval(ev.rho(f, 0, horizon_steps), ev.rho(f, 0, horizon_steps, upper=True))
     e = RobustnessInterval(ev.eta(f, 0, horizon_steps), ev.eta(f, 0, horizon_steps, upper=True))
-    return StepResult(ev.word.time_at(ev.word.n - 1), r, e,
-                      interval_verdict(r), interval_verdict(e))
+    return StepResult(t, r, e, interval_verdict(r), interval_verdict(e))
 
 
 def prefix_result(prefix: Prefix, f: Formula, table: PredicateTable,
                   cfg: EvalConfig = DEFAULT_CONFIG,
                   conservative_eta: bool = False) -> StepResult:
     """Both intervals and their verdicts at a prefix, stamped with its last sample's time."""
-    return _result(Evaluator(prefix.word, table, cfg, conservative_eta), f, prefix.horizon_steps)
+    word = prefix.word
+    return _result(Evaluator(word, table, cfg, conservative_eta), f, prefix.horizon_steps,
+                   word.time_at(word.n - 1))
 
 
 class MonitorState:
     """Single-writer online monitor over one trace, sample by sample up to the horizon.
 
-    `observe` appends one sample, `result` evaluates the prefix observed so
-    far, and `step` does both. One evaluator serves the whole run: it keeps
-    the final windows and evaluates again only the frontier (see the module
-    notes). It is released once the horizon's result is out.
+    `observe` appends one sample to the run's evaluator (`Evaluator.append`),
+    `result` evaluates the prefix observed so far, and `step` does both. The
+    evaluator keeps the final windows and evaluates again only the frontier
+    (see the module notes). It is released once the horizon's result is out.
 
     Results equal batch recomputation on the same prefix, are nested over
     time, and converge to the offline singleton at the horizon. `observed`
@@ -186,12 +187,11 @@ class MonitorState:
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
         self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
                                     if type(g) is HoldAtom})
-        self._columns: Mapping[str, tuple[float, ...]] = {s: () for s in self.signal_names}
-        self._ev: Evaluator | None = None
+        empty = Word(cfg.dt, {s: () for s in self.signal_names})
+        self._ev: Evaluator | None = Evaluator(empty, table, cfg, conservative_eta)
         self._stats: dict[str, dict[str, int]] = {}  # the counters of the released evaluator
         self.observed = 0
         self.last: StepResult | None = None
-        self._clamped: set[str] = set()  # atoms whose clamping this run has logged
 
     @property
     def finalized(self) -> bool:
@@ -201,30 +201,17 @@ class MonitorState:
         """Append one sample without evaluating."""
         if self.finalized:
             raise MonitorFinalizedError("monitor finalized: prefix reached the horizon")
-        missing = [s for s in self.signal_names if s not in sample]
-        if missing:
-            raise ValueError(f"sample missing signals: {missing}")
-        # the word checks every value before the state changes
-        word = Word(self.cfg.dt, {s: (*self._columns[s], float(sample[s]))
-                                  for s in self.signal_names}, t0=self.t0)
-        if self._ev is None:
-            self._ev = Evaluator(word, self.table, self.cfg, self.conservative_eta)
-        else:
-            self._ev.advance(word)
-        self._columns = word.signals
+        self._ev.append(sample)
         self.observed += 1
 
     def result(self) -> StepResult:
         """Both intervals and their verdicts at the prefix observed so far."""
+        if not self.observed:
+            raise ValueError("no sample observed yet")
         if self._ev is None:
-            if self.last is None:
-                raise ValueError("no sample observed yet")
             return self.last  # the horizon's result, already out
-        log.addFilter(self._first_clamp)
-        try:
-            self.last = _result(self._ev, self.formula, self.horizon_steps)
-        finally:
-            log.removeFilter(self._first_clamp)
+        self.last = _result(self._ev, self.formula, self.horizon_steps,
+                            self.t0 + (self.observed - 1) * self.cfg.dt)
         if self.finalized:
             self._stats, self._ev = self._ev.stats(), None
         return self.last
@@ -237,14 +224,6 @@ class MonitorState:
     def stats(self) -> dict[str, dict[str, int]]:
         """The evaluator's work counters (see `Evaluator.stats`), kept once it is released."""
         return self._ev.stats() if self._ev is not None else self._stats
-
-    def _first_clamp(self, record: logging.LogRecord) -> bool:
-        """Log filter: drops the clamp warnings of atoms this run has already logged."""
-        if record.msg != CLAMP_WARNING:
-            return True
-        first = record.args[0] not in self._clamped
-        self._clamped.add(record.args[0])
-        return first
 
 
 def results_at(state: MonitorState, samples: Iterable[Mapping[str, float]],

@@ -26,15 +26,16 @@ window folds all of its own.
 Each formula object is compiled once per evaluator into a post-order table
 of nodes (kind, children, pinned length, reach, `Within` start offset,
 hold), and the recursion runs over node indices. The evaluator knows a
-formula by its identity: a formula's dataclass hash recurses through the
-whole tree, so it is never hashed. A window is keyed on the samples
+formula by its identity: a formula's hash walks the whole tree, so it is
+never hashed. A window is keyed on the samples
 it reads. `H^d` and `[.]^[a,b]` read no sample after i + d and i + b (in
 steps), their pinned length: a shorter window is bottom, not memoized, and
 a longer one is cut to that length. An `&`, `|` or `!` whose children all
 read a bounded length reads no sample after the longest of them, so a
 longer window is cut there too.
 
-Samples at indices >= word.n are unobserved. Every operator is monotone
+An evaluator's word grows by `append`, one sample at a time; samples at
+indices >= n, the number observed, are open. Every operator is monotone
 and negation swaps the bound it asks for, so one rule bounds a hold over
 them: each unobserved sample takes its atom's least margin when `upper` is
 false and its greatest when it is true (a negated atom takes the negated
@@ -44,14 +45,14 @@ extremes: they are the monitor module's intervals [rho] and [eta]. On a
 complete word the recursion gives the offline value.
 
 Each node has three memos, by the samples a window reads. A fully observed
-window (j < word.n) has one value, which both runs share, keyed (i, j). A
-window that starts at or after word.n reads no sample, so its value depends
-on its length and bound only, keyed (j - i, upper). Both are final: a
-longer prefix of the same word leaves them as they are. The frontier
-windows read observed and unobserved samples, keyed (i, j, upper). An
-evaluator can advance to a longer prefix: it keeps the final memos, and the
-sweeps whose splits read only observed samples, and drops the rest, so the
-online monitor evaluates again only the frontier at each step.
+window (j < n) has one value, which both runs share, keyed (i, j). A
+window that starts at or after n reads no sample, so its value depends on
+its length and bound only, keyed (j - i, upper). Both are final: a sample
+appended leaves them as they are. The frontier windows read observed and
+open samples, keyed (i, j, upper); `append` drops them and the sweeps whose
+splits read an open sample, so the online monitor evaluates again only the
+frontier at each step. Holds read margin columns that grow with the word,
+shared by the evaluator's runs: a sample's margin is computed once per column.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -62,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
 from .trace import PredicateSpec, PredicateTable, Word
@@ -177,7 +178,7 @@ class _Semantics:
     """The operations one semantics plugs into the window recursion."""
 
     name: str
-    margins: Callable[[PredicateSpec, Sequence[float]], list[float]]  # an atom's margin column
+    margin: str  # the PredicateSpec method that gives an atom's margin at one sample value
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
     # conjunction and disjunction of two values, for `&` and `|`
     conj: Callable[[float, float], float]
@@ -198,10 +199,6 @@ class _Semantics:
     disj_absorbing: float | None = None
 
 
-def _rho_margins(spec: PredicateSpec, values: Sequence[float]) -> list[float]:
-    return list(map(spec.margin_of, values))
-
-
 # min and max of two values; like min() and max(), each keeps the first of
 # equal values, and a call costs a fraction of theirs
 def _min2(a: float, b: float) -> float:
@@ -219,14 +216,14 @@ def _same(v: float) -> float:
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
-_BOOL = _Semantics("bool", _rho_margins, lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
+_BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
-_RHO = _Semantics("rho", _rho_margins, lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
+_RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
                   _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
                   -math.inf, math.inf)
-_ETA = _Semantics("eta", PredicateSpec.eta_margins, lambda cfg: -1.0, _agm_and2, _agm_or2,
+_ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
                   _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes())
@@ -267,33 +264,35 @@ def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
 
 
 class Evaluator:
-    """The recursions over one word, or one prefix of the windows asked for; memoized.
+    """The memoized recursions over one word, which `append` grows sample by sample.
 
     Each formula asked for is compiled once into the evaluator's node table.
-    `advance` moves the evaluator to a longer prefix of its word, keeping the
-    windows that are final and dropping the frontier (see the module notes).
+    A sample appended keeps the windows that are final and drops the
+    frontier (see the module notes). The runs of the three semantics share
+    one store of margin columns, which grow with the word.
     `conservative_eta` takes -1 and 1 instead of each atom's attainable
     normalized margins for the unobserved samples of an `eta` hold.
     """
 
     def __init__(self, word: Word, table: PredicateTable, cfg: EvalConfig = DEFAULT_CONFIG,
                  conservative_eta: bool = False):
-        if word.n < 1:
-            raise ValueError("cannot evaluate an empty word")
         if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
             raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
-        self.word = word
+        self.n = word.n  # samples observed
         self.table = table
         self.cfg = cfg
         self.conservative_eta = conservative_eta
+        self._signals = {s: list(vals) for s, vals in word.signals.items()}
+        self._columns = _Columns(self._signals, table)
         self._nodes: list[tuple] = []
         # id(formula) -> (formula, its node's index): keyed on identity, so no
-        # formula is hashed (a dataclass hash recurses through the whole tree),
-        # and holding the formula keeps its id from being reused
+        # formula is hashed, and holding the formula keeps its id from being reused
         self._roots: dict[int, tuple[Formula, int]] = {}
         self._runs: dict[_Semantics, _Recursion] = {}
 
     def _evaluate(self, sem: _Semantics, f: Formula, i: int, j: int, upper: bool) -> float:
+        if not self.n:
+            raise ValueError("cannot evaluate an empty word")
         root = self._roots.get(id(f))
         if root is None:
             root = self._roots[id(f)] = f, compile_formula(f, self.cfg.dt, self._nodes)
@@ -304,20 +303,21 @@ class Evaluator:
                          for node in self._nodes[len(run.slots):])
         return run.value(root[1], i, j, upper)
 
-    def advance(self, word: Word) -> None:
-        """Move to `word`, a longer prefix of this evaluator's word.
+    def append(self, sample: Mapping[str, float]) -> None:
+        """Add one sample, a value of each of the word's signals, checked as a Word checks it.
 
-        The windows that read only samples observed before are final, and so
-        are those that read none: both are kept. Only the frontier, the
-        windows that read both observed and open samples, is evaluated anew.
+        A rejected sample changes nothing. The final windows are kept, and
+        the frontier is dropped, to be evaluated anew (see the module notes).
         """
-        old = self.word
-        if (word.n < old.n or word.dt != old.dt or word.t0 != old.t0
-                or any(word.signals.get(s, ())[:old.n] != v for s, v in old.signals.items())):
-            raise ValueError("can only advance to a longer prefix of the same word")
-        self.word = word
+        missing = [s for s in self._signals if s not in sample]
+        if missing:
+            raise ValueError(f"sample missing signals: {missing}")
+        word = Word(self.cfg.dt, {s: (float(sample[s]),) for s in self._signals})
+        for s, (v,) in word.signals.items():
+            self._signals[s].append(v)
+        self.n += 1
         for run in self._runs.values():
-            run.advance(word)
+            run.advance(self.n)
 
     def bool_sat(self, f: Formula, i: int, j: int) -> bool:
         return self._evaluate(_BOOL, f, i, j, False) > 0.0
@@ -330,7 +330,7 @@ class Evaluator:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per semantics run so far: memo entries held, memo entries inserted
-        (those held and the frontier entries dropped by `advance`), and split
+        (those held and the frontier entries dropped by `append`), and split
         and start values folded."""
         out = {}
         for sem, run in self._runs.items():
@@ -339,24 +339,53 @@ class Evaluator:
         return out
 
 
+class _Columns(dict):
+    """One evaluator's margin columns, shared by its runs: (margin, atom, negated) -> column.
+
+    The key names a semantics' margin method, an atom, and whether the
+    margins are negated; bool and rho share theirs. A column holds the
+    margins of the samples observed when it last grew. Growing an `eta`
+    column logs the atom's clamp warning the first time a sample lies
+    outside its bounds, counting the samples observed by then.
+    """
+
+    def __init__(self, signals: dict[str, list[float]], table: PredicateTable):
+        super().__init__()
+        self.signals, self.table = signals, table
+        self.warned: set[str] = set()  # atoms whose clamping has been logged
+
+    def grow(self, margin: str, atom: str, negated: bool) -> list[float]:
+        """The column of (margin, atom, negated), extended to every sample observed."""
+        col = self.setdefault((margin, atom, negated), [])
+        spec = self.table[atom]
+        values = self.signals[spec.signal]
+        if len(col) < len(values):
+            if negated:
+                col += [-m for m in self.grow(margin, atom, False)[len(col):]]
+            else:
+                new = values[len(col):]
+                if (margin == "eta_margin_of" and atom not in self.warned
+                        and spec.warn_clamped(new, len(values))):
+                    self.warned.add(atom)
+                col += map(getattr(spec, margin), new)
+        return col
+
+
 class _Recursion:
-    """The memoized window recursion of one semantics over one word.
+    """The memoized window recursion of one semantics over one growing word.
 
     It holds no reference to its evaluator: a cycle would keep every memo
     alive until the cyclic garbage collector ran.
     """
 
     def __init__(self, sem: _Semantics, ev: Evaluator):
-        self.word, self.n, self.nodes = ev.word, ev.word.n, ev._nodes
+        self.n, self.nodes, self.columns = ev.n, ev._nodes, ev._columns
         self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
-        self.column, self.conj, self.disj, self.hold = sem.margins, sem.conj, sem.disj, sem.hold
+        self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.extremes = sem.extremes
         self.bottom = sem.bottom(ev.cfg)
-        # (atom, negated) -> the atom's margins, or their negations, at the
-        # observed samples
-        self._columns: dict[tuple[str, bool], list[float]] = {}
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
         # length and reach (see compile_formula), and its memos, keyed as in value()
@@ -369,35 +398,17 @@ class _Recursion:
         self.folded = 0  # split and start values folded
         self.dropped = 0  # frontier entries dropped by advance()
 
-    def advance(self, word: Word) -> None:
-        """Move to a longer prefix of the word: drop the frontier memos and open sweeps.
+    def advance(self, n: int) -> None:
+        """Move to n observed samples: drop the frontier memos and open sweeps.
 
         They are replaced by fresh dicts, not emptied key by key: a dict
-        keeps its table's size after its keys are deleted. The margin columns
-        are computed again, over the longer prefix, when a hold next reads
-        them, so a clamp warning counts the samples of the whole prefix.
+        keeps its table's size after its keys are deleted.
         """
-        self.word, self.n = word, word.n
-        self._columns = {}
+        self.n = n
         self.dropped += sum(len(slot[3]) for slot in self.slots)
         self.slots = [(pin, reach, final, {}, unobserved)
                       for pin, reach, final, _, unobserved in self.slots]
         self.open_sweeps = {}
-
-    def margins(self, f: HoldAtom) -> list[float]:
-        """f's signed margins at the observed samples."""
-        key = f.atom, f.negated
-        col = self._columns.get(key)
-        if col is None:
-            col = self._columns.get((f.atom, False))
-            if col is None:
-                spec = self.table[f.atom]
-                col = self._columns[f.atom, False] = self.column(
-                    spec, self.word.signals[spec.signal])
-                self._extremes[f.atom] = self.extremes(spec, self.cfg, self.conservative_eta)
-            if f.negated:
-                col = self._columns[key] = [-m for m in col]
-        return col
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
@@ -425,11 +436,19 @@ class _Recursion:
 
     def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
         stop = j + 1
-        ms = self.margins(f)[i:stop]
+        key = self.margin, f.atom, f.negated
+        col = self.columns.get(key)
+        if col is None or len(col) < self.n:
+            col = self.columns.grow(*key)
+        ms = col[i:stop]
         if stop <= self.n:
             return self.hold(ms)
         # an unobserved sample takes the extreme margin of the bound asked for
-        lo, hi = self._extremes[f.atom]
+        ext = self._extremes.get(f.atom)
+        if ext is None:
+            ext = self._extremes[f.atom] = self.extremes(self.table[f.atom], self.cfg,
+                                                         self.conservative_eta)
+        lo, hi = ext
         pad = (-lo if upper else -hi) if f.negated else (hi if upper else lo)
         return pad if i >= self.n else self.hold(ms + [pad] * (stop - self.n))
 

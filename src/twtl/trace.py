@@ -65,18 +65,25 @@ class PredicateSpec:
     def margin_of(self, value: float) -> float:
         return value - self.sigma if self.op == ">=" else self.sigma - value
 
-    def eta_margins(self, values: Sequence[float]) -> list[float]:
-        """Normalized margins, values clamped to [L, U]; one warning counts those clamped."""
+    def eta_margin_of(self, value: float) -> float:
+        """The normalized margin of `value` clamped to [L, U]."""
         b = self._require_bounds()
-        lo, hi, span = b.lo, b.hi, b.hi - b.lo
-        outside = [v for v in values if not lo <= v <= hi]
+        return self.margin_of(min(max(value, b.lo), b.hi)) / (b.hi - b.lo)
+
+    def warn_clamped(self, values: Sequence[float], n: int) -> bool:
+        """Log one warning if any of `values` lies outside [L, U]; return whether one did.
+
+        `values` are the last of n samples, and the warning counts those
+        outside among the n: the samples before them must lie inside.
+        """
+        b = self._require_bounds()
+        outside = sum(1 for v in values if not b.lo <= v <= b.hi)
         if outside:
-            log.warning(CLAMP_WARNING, self.name, len(outside), len(values), lo, hi)
-            values = [min(max(v, lo), hi) for v in values]
-        return [self.margin_of(v) / span for v in values]
+            log.warning(CLAMP_WARNING, self.name, outside, n, b.lo, b.hi)
+        return outside > 0
 
     def eta_extremes(self) -> tuple[float, float]:
-        """(eta_min, eta_max): the attainable range of eta_margins."""
+        """(eta_min, eta_max): the attainable range of eta_margin_of."""
         b = self._require_bounds()
         span = b.hi - b.lo
         if self.op == ">=":

@@ -120,6 +120,15 @@ def test_deep_formula_walks_without_recursion(name):
     assert format_formula(parse(canonical)) == canonical
 
 
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formula_compares_hashes_and_prints_without_recursion(name):
+    text = DEEP[name][0]
+    f, g = parse(text), parse(text)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != parse(text.replace("H^0 A", "H^1 A"))
+    assert repr(f) == f"parse({format_formula(f)!r})"
+
+
 def test_deep_unclosed_parentheses_are_a_syntax_error():
     with pytest.raises(TwtlSyntaxError, match=r"expected '\)'") as exc:
         parse("(" * 10_000 + "H^0 A")
@@ -132,6 +141,16 @@ class TestAst:
         assert hash(f) == hash(And(HoldAtom(1, "A"), HoldAtom(1, "B")))
         with pytest.raises(AttributeError):
             f.lhs = HoldAtom(0, "Z")
+
+    def test_equality_compares_kinds_parameters_and_shape(self):
+        texts = ["H^1 A", "H^2 A", "H^1 B", "H^1 !A", "!H^1 A", "H^1 A & H^1 B",
+                 "H^1 A | H^1 B", "H^1 B & H^1 A", "[H^1 A]^[0,3]", "[H^1 A]^[1,3]",
+                 "[H^1 A]^[0,4]", "(H^0 A . H^0 B) . H^0 A", "H^0 A . (H^0 B . H^0 A)"]
+        for k, a in enumerate(texts):
+            for m, b in enumerate(texts):
+                assert (parse(a) == parse(b)) == (k == m), (a, b)
+        assert HoldAtom(1, "A") == HoldAtom(1, "A", False)
+        assert parse("H^1 A") != "H^1 A"
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,12 @@ class TestInterval:
         assert iv(-1.0, 2.0).contains_interval(iv(0.0, 1.0))
         assert not iv(0.0, 1.0).contains_interval(iv(-0.5, 0.5))
 
+    def test_lower_bound_rounded_above_the_upper_is_absorbed(self):
+        lo = 0.1 + 0.2  # 0.30000000000000004, an ulp above 0.3
+        assert iv(lo, 0.3) == singleton(lo)
+        with pytest.raises(ValueError, match="lower bound"):
+            iv(0.3 + 2e-12, 0.3)
+
     def test_verdicts(self):
         assert interval_verdict(iv(0.1, 5.0)) is Verdict.SATISFIED
         assert interval_verdict(iv(-5.0, -0.1)) is Verdict.VIOLATED

@@ -11,7 +11,7 @@ from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rh
                          random_formula, random_word)
 from twtl.semantics import (EvalConfig, Evaluator, _agm_and2, _agm_or2, agm_and, agm_or, bool_sat,
                             compile_formula, eta, rho)
-from twtl.trace import PredicateTable, Word
+from twtl.trace import PredicateSpec, PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
@@ -288,13 +288,56 @@ class TestWorkCounts:
         assert state.finalized
         assert sum(s["inserted"] for s in state.stats().values()) <= fresh // 2
 
-    def test_advance_needs_a_longer_prefix_of_the_word(self):
+    def test_append_checks_the_sample_and_equals_a_fresh_evaluator(self):
+        f = parse("[H^1 P . H^0 !P]^[0,3] | !H^2 P")
+        windows = [(i, j) for i in range(4) for j in range(i, 6)]
+
+        def values(ev):
+            return [(ev.bool_sat(f, i, j), ev.rho(f, i, j), ev.rho(f, i, j, upper=True),
+                     ev.eta(f, i, j), ev.eta(f, i, j, upper=True)) for i, j in windows]
+
         ev = Evaluator(unit_word(0.5, 0.2), UNIT)
-        for other in (unit_word(0.5), unit_word(0.5, 0.3, 0.1), Word(1.0, {"y": (0.5, 0.2)})):
-            with pytest.raises(ValueError, match="longer prefix"):
-                ev.advance(other)
-        ev.advance(unit_word(0.5, 0.2, -0.4))
+        before = values(ev)
+        stats = ev.stats()
+        for bad in ({"x": math.nan}, {"x": -math.inf}, {"x": "0.1x"}, {"x": None}, {"y": 0.1}):
+            with pytest.raises((TypeError, ValueError)):
+                ev.append(bad)
+            assert values(ev) == before and ev.stats() == stats, bad
+        xs = [0.5, 0.2]
+        for x in (-0.4, 0.7, 1.5):  # 1.5 lies outside P's bounds: eta clamps it
+            ev.append({"x": x, "y": 3.0})  # a signal the word lacks is ignored
+            xs.append(x)
+            assert values(ev) == values(Evaluator(unit_word(*xs), UNIT)), xs
         assert ev.rho(parse("H^2 P"), 0, 2) == -0.4
+
+    def test_clamping_warns_once_per_atom_and_evaluator(self, caplog):
+        f = parse("H^4 P | H^1 !P")
+        ev = Evaluator(unit_word(0.5), UNIT)
+        with caplog.at_level("WARNING", logger="twtl"):
+            for x in (0.2, 2.0, -3.0, 0.1):
+                ev.append({"x": x})
+                ev.rho(f, 0, 4)
+                ev.eta(f, 0, 4)
+                ev.eta(f, 0, 4, upper=True)
+        # logged at the first evaluation after 2.0, counting the samples so far
+        assert caplog.messages == ["atom P: 1 of 3 samples outside bounds [-1, 1], clamping"]
+
+    def test_monitor_computes_each_margin_once_per_column(self, monkeypatch):
+        calls = 0
+        margin_of = PredicateSpec.margin_of
+
+        def counted(spec, value):
+            nonlocal calls
+            calls += 1
+            return margin_of(spec, value)
+
+        monkeypatch.setattr(PredicateSpec, "margin_of", counted)
+        state = MonitorState(parse("H^200 A"), TABLE)
+        for k in range(201):
+            state.step({"x": 4.0 + k / 100})
+        assert state.finalized
+        # one rho column, shared with bool, and one eta column
+        assert calls <= 2 * 201
 
     def test_counts_are_pinned(self):
         # the exact work of the recursion on two fixed inputs: a change that

@@ -23,13 +23,16 @@ class TestPredicateSpec:
         assert ATOM_LE.margin_of(7.5) == -1.5
 
     def test_eta_margin_normalizes(self):
-        assert ATOM_GE.eta_margins([8.0, 0.0, 4.0]) == pytest.approx([0.5, -0.5, 0.0])
-        assert ATOM_LE.eta_margins([0.0]) == pytest.approx([0.75])
+        assert [ATOM_GE.eta_margin_of(v) for v in (8.0, 0.0, 4.0)] == \
+            pytest.approx([0.5, -0.5, 0.0])
+        assert ATOM_LE.eta_margin_of(0.0) == pytest.approx(0.75)
 
     def test_eta_margin_clamps_out_of_bounds(self, caplog):
+        values = [9.5, 8.0, -1.0]
         with caplog.at_level("WARNING", logger="twtl"):
-            ms = ATOM_GE.eta_margins([9.5, 8.0, -1.0])
-        assert ms == pytest.approx([0.5, 0.5, -0.5])
+            assert ATOM_GE.warn_clamped(values, 3)
+            assert not ATOM_GE.warn_clamped([8.0, 0.0], 5)
+        assert [ATOM_GE.eta_margin_of(v) for v in values] == pytest.approx([0.5, 0.5, -0.5])
         assert caplog.messages == ["atom A: 2 of 3 samples outside bounds [0, 8], clamping"]
 
     def test_extremes(self):
@@ -41,7 +44,7 @@ class TestPredicateSpec:
     @given(st.floats(min_value=0.0, max_value=8.0))
     def test_eta_margin_stays_in_extremes(self, v):
         lo, hi = ATOM_GE.eta_extremes()
-        m, = ATOM_GE.eta_margins([v])
+        m = ATOM_GE.eta_margin_of(v)
         assert lo - 1e-12 <= m <= hi + 1e-12
 
     def test_rejects_bad_specs(self):
@@ -55,7 +58,9 @@ class TestPredicateSpec:
     def test_bounds_required_for_eta(self):
         spec = PredicateSpec("A", "x", ">=", 1.0)
         with pytest.raises(ValueError, match="bounds"):
-            spec.eta_margins([3.0])
+            spec.eta_margin_of(3.0)
+        with pytest.raises(ValueError, match="bounds"):
+            spec.warn_clamped([3.0], 1)
 
 
 class TestPredicateTable:
