@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .formula import Formula, horizon, parse, steps
 from .monitor import MonitorState, StepResult, results_at
-from .semantics import EvalConfig, bool_sat, eta, rho
+from .semantics import EvalConfig, Evaluator
 from .trace import NormalizationBounds, PredicateSpec, PredicateTable, Word
 
 FORMULA_TEXT = (
@@ -167,9 +167,7 @@ def run_case_study(out_dir, fmt: str = "csv", cfg: EvalConfig = EvalConfig(),
             write_records(fh, fmt, records)
         files.append(str(path))
 
-        results[label] = {
-            "rho": rho(word, f, table, cfg),
-            "eta": eta(word, f, table, cfg),
-            "sat": bool_sat(word, f, table, cfg),
-        }
+        ev, h = Evaluator(word, table, cfg), word.n - 1  # one evaluator for the three values
+        results[label] = {"rho": ev.rho(f, 0, h), "eta": ev.eta(f, 0, h),
+                          "sat": ev.bool_sat(f, 0, h)}
     return CaseStudyResult(horizon(f, cfg.dt), results, files)

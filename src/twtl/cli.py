@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
 from .monitor import MonitorState, StepResult, make_prefix, results_at
-from .semantics import EvalConfig, bool_sat, eta, rho
+from .semantics import EvalConfig, Evaluator, eta, rho
 from .trace import PredicateTable, load_trace, read_trace
 
 log = logging.getLogger("twtl")
@@ -189,8 +189,14 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _check(word, f, table, cfg) -> tuple[bool, float, float]:
+    """Satisfaction, rho and eta from one evaluator: f compiled once, bool and rho sharing columns."""
+    ev, h = Evaluator(word, table, cfg), word.n - 1
+    return ev.bool_sat(f, 0, h), ev.rho(f, 0, h), ev.eta(f, 0, h)
+
+
 def _cmd_check(args) -> int:
-    sat, r, e = _evaluate(args, bool_sat, rho, eta)
+    (sat, r, e), = _evaluate(args, _check)
     print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={_fmt(e)}")
     return 0 if sat else 1
 

@@ -180,10 +180,8 @@ class MonitorState:
                  cfg: EvalConfig = DEFAULT_CONFIG, t0: float = 0.0,
                  conservative_eta: bool = False):
         self.formula = f
-        self.table = table
         self.cfg = cfg
         self.t0 = t0
-        self.conservative_eta = conservative_eta
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
         self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
                                     if type(g) is HoldAtom})

@@ -21,7 +21,10 @@ window extends the sweep by the splits its end adds, in a loop, and then
 folds the at most p splits whose rhs is shorter. Over ascending ends a
 window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
 end starts it again at i. Any other rhs has no such splits, and each
-window folds all of its own.
+window folds all of its own. When rhs pins a length, its last splits leave
+it too short: they fold conj(lhs, bottom) without evaluating rhs, and the
+max folds of bool and rho skip them once the accumulator is at least
+bottom, which conj(x, bottom) <= bottom cannot raise.
 
 Each formula object is compiled once per evaluator into a post-order table
 of nodes (kind, children, pinned length, reach, `Within` start offset,
@@ -53,6 +56,19 @@ open samples, keyed (i, j, upper); `append` drops them and the sweeps whose
 splits read an open sample, so the online monitor evaluates again only the
 frontier at each step. Holds read margin columns that grow with the word,
 shared by the evaluator's runs: a sample's margin is computed once per column.
+
+A frontier window still folds what is final in it only once. A `Concat`
+whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
+are observed, in the final sweep of its start. A `Within` window [s, s+b]
+whose lhs reaches r steps keeps one final sweep of its starts t < n-r,
+which read lhs on [t, t+r]. A step folds only the splits and starts that
+became final. Its starts t >= n read no sample: under the max folds of bool
+and rho, their best depends on the node, the length of the longest of
+their windows and the bound only, is memoized on those once, and joins the
+other starts by one disjunction, which keeps the bits of a left-to-right
+fold (a max keeps the first of equal values either way). The AGM
+disjunction of `eta` is a mean, whose rounding depends on the order of its
+terms: it folds them left to right in each window, at O(b) per window.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -197,6 +213,10 @@ class _Semantics:
     # accumulator) whatever else they meet, or None
     conj_absorbing: float | None = None
     disj_absorbing: float | None = None
+    # the fold is disj from an accumulator that is the value so far (start
+    # -inf, finish the identity), so folding a run of values apart and taking
+    # disj of the two results gives the same bits as one left-to-right fold
+    maxfold: bool = False
 
 
 # min and max of two values; like min() and max(), each keeps the first of
@@ -218,11 +238,11 @@ def _same(v: float) -> float:
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
 _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
-                   lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0)
+                   lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
                   _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
-                  -math.inf, math.inf)
+                  -math.inf, math.inf, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
                   _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
                   lambda spec, cfg, conservative:
@@ -329,12 +349,15 @@ class Evaluator:
         return self._evaluate(_ETA, f, i, j, upper)
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per semantics run so far: memo entries held, memo entries inserted
-        (those held and the frontier entries dropped by `append`), and split
-        and start values folded."""
+        """Per semantics run so far: memo entries held (windows, and the
+        best-start memos of a max fold), memo entries inserted (those held and
+        the frontier entries dropped by `append`), and split and start values
+        folded. A split or start that a sweep or a memo already holds, or that
+        cannot change the value, is not folded again."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
+            memo += sum(len(tails) for tails in run.tails.values())
             out[sem.name] = {"memo": memo, "inserted": memo + run.dropped, "folded": run.folded}
         return out
 
@@ -384,17 +407,20 @@ class _Recursion:
         self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
-        self.extremes = sem.extremes
+        self.extremes, self.maxfold = sem.extremes, sem.maxfold
         self.bottom = sem.bottom(ev.cfg)
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
         # length and reach (see compile_formula), and its memos, keyed as in value()
         self.slots: list[tuple] = []
-        # Concat sweeps, (t, acc): the splits before t folded into acc; keyed
-        # (node, start) when every split folded reads only observed samples,
-        # else (node, start, upper)
+        # sweeps, (t, acc): a Concat's splits or a Within's starts before t
+        # folded into acc. Final, keyed (node, start), when every value folded
+        # reads only observed samples; else open, keyed (node, start, upper)
         self.sweeps: dict[tuple, tuple] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
+        # (Within node, upper) -> the best of its starts that read no sample,
+        # by the length of the longest of their windows; max-fold only
+        self.tails: dict[tuple, list[float]] = {}
         self.folded = 0  # split and start values folded
         self.dropped = 0  # frontier entries dropped by advance()
 
@@ -473,14 +499,18 @@ class _Recursion:
             # When rhs reaches p steps, every split t < j - p reads rhs on
             # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
             # of [i, j-1] and t = j-1-p. One sweep per start folds them across
-            # ends; the at most p short splits after them, and every split
-            # of an rhs without a reach, are folded per window.
-            p = self.slots[rhs][1]
+            # ends, and the splits t < n-1-p, which read only observed
+            # samples, across steps. The at most p splits after them, and
+            # every split of an rhs without a reach, are folded per window.
+            # The last pin splits leave rhs too short: it is bottom.
+            slot = self.slots[rhs]
+            pin, p, n = slot[0], slot[1], self.n
             fit = i if p is None or j - p < i else j - p
+            short = i if j - pin < i else j - pin
             t, acc = i, self.start
             keep = fit > i
             if keep:
-                state = self.open_sweeps.get((k, i, upper)) if j >= self.n else None
+                state = self.open_sweeps.get((k, i, upper)) if j >= n else None
                 if state is None or state[0] > fit:
                     state = self.sweeps.get((k, i))
                 if state is not None and state[0] <= fit:  # else j is below the sweep: restart
@@ -488,7 +518,8 @@ class _Recursion:
             first = t
             conj, fold = self.conj, self.fold
             conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
-            for end in (fit, j):
+            ends = (n - 1 - p, fit, short) if keep and j >= n and t < n - 1 - p else (fit, short)
+            for end in ends:
                 while t < end and acc != stop:
                     v = value(lhs, i, t, upper)
                     if v != conj_absorbing:
@@ -496,22 +527,64 @@ class _Recursion:
                     acc = fold(acc, v)
                     t += 1
                 if keep:
-                    # the last split folded, fit - 1, reads its rhs up to j
-                    if j < self.n:
+                    if j < n or end < fit:  # every split folded reads only observed samples
                         self.sweeps[k, i] = t, acc
                     else:
                         self.open_sweeps[k, i, upper] = t, acc
-                    keep = False
+                    keep = end < fit
+            # conj(v, bottom) <= bottom: it cannot raise a max fold at bottom or above
+            if t < j and not (self.maxfold and acc >= self.bottom):
+                bottom = self.bottom
+                while t < j and acc != stop:
+                    v = value(lhs, i, t, upper)
+                    if v != conj_absorbing:
+                        v = conj(v, bottom)
+                    acc = fold(acc, v)
+                    t += 1
             self.folded += t - first
             return self.finish(acc)
-        fold, stop = self.fold, self.disj_absorbing  # a Within: the best start
-        acc = self.start
-        t = first = i + offset
-        while t <= j and acc != stop:
+        # a Within: the best start. The starts t < n - r, where lhs reaches r
+        # steps, read lhs on [t, t+r], observed: one sweep per window folds
+        # them across steps. Under a max fold, the starts t >= n read no
+        # sample and share one memo per length.
+        fold, stop, n = self.fold, self.disj_absorbing, self.n
+        t, acc = i + offset, self.start
+        r = self.slots[lhs][1]
+        resume = r is not None and t < n - r
+        if resume:  # a final window needs its sweep no more
+            state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
+            if state is not None:
+                t, acc = state
+        first = t
+        if resume and j >= n:
+            end = n - r
+            while t < end and acc != stop:
+                acc = fold(acc, value(lhs, t, j, upper))
+                t += 1
+            self.sweeps[k, i] = t, acc
+        end = n if j >= n and self.maxfold else j + 1
+        while t < end and acc != stop:
             acc = fold(acc, value(lhs, t, j, upper))
             t += 1
         self.folded += t - first
+        if t <= j and acc != stop:
+            return self.disj(acc, self._tail(k, lhs, j - t, upper))
         return self.finish(acc)
+
+    def _tail(self, k: int, lhs: int, length: int, upper: bool) -> float:
+        """The best start of Within node k over starts that read no sample,
+        the longest of their lhs windows having `length` steps."""
+        tails = self.tails.get((k, upper))
+        if tails is None:
+            tails = self.tails[k, upper] = []
+        n = self.n
+        # the starts run from the longest window to the shortest, so the
+        # first of equal values is kept as a left-to-right fold keeps it
+        while len(tails) <= length:
+            v = self.value(lhs, n, n + len(tails), upper)
+            tails.append(self.disj(v, tails[-1]) if tails else v)
+            self.folded += 1
+        return tails[length]
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

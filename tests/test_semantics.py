@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
-from twtl.formula import And, Concat, Not, format_formula, parse
+from twtl.formula import And, Concat, Not, Within, format_formula, horizon, parse, steps
 from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
 from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
                          random_formula, random_word)
@@ -346,8 +347,11 @@ class TestWorkCounts:
         state = MonitorState(f, table)
         for k in range(word.n):
             state.step({s: word.value(s, k) for s in word.signals})
-        counts = {"memo": 1_754, "inserted": 13_074, "folded": 52_016}
-        assert state.stats() == {"rho": counts, "eta": counts}
+        # rho resumes the final Within starts and Concat splits, memoizes the
+        # starts that read no sample and skips the splits whose rhs is too
+        # short; eta resumes only, and folds its unobserved starts per window
+        assert state.stats() == {"rho": {"memo": 1_585, "inserted": 10_705, "folded": 9_825},
+                                 "eta": {"memo": 1_754, "inserted": 13_074, "folded": 46_068}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -377,6 +381,25 @@ class TestWorkCounts:
         assert set(stats) == {"bool", "rho", "eta"}
         for name, counts in stats.items():
             assert 0 < counts["folded"] <= 2 * k * k, name
+
+
+    def test_monitor_folds_grow_quadratically_in_the_horizon(self):
+        # [H^2 A]^[0,M] . [H^2 B]^[0,M], stepped through its 2M + 2 samples with
+        # both rho bounds at every step: a step folds O(M) values, so doubling
+        # M multiplies a trace's folds by about 4 (refolding every frontier
+        # Within start and observed split at each step multiplies it by 7.5)
+        folded = []
+        for m in (25, 50, 100):
+            f = parse(f"[H^2 A]^[0,{m}] . [H^2 B]^[0,{m}]")
+            h = 2 * m + 1
+            rng = random.Random(m)
+            ev = Evaluator(Word(1.0, {"x": ()}), TABLE)
+            for _ in range(h + 1):
+                ev.append({"x": rng.uniform(0.0, 8.0)})
+                ev.rho(f, 0, h)
+                ev.rho(f, 0, h, upper=True)
+            folded.append(ev.stats()["rho"]["folded"])
+        assert folded[1] <= 4.5 * folded[0] and folded[2] <= 4.5 * folded[1], folded
 
 
 class TestFormulaIdentity:
@@ -449,3 +472,49 @@ class TestSweep:
             assert bool_sat(w, f, TABLE, self.CFG) == oracle_bool(w, f, TABLE, self.CFG)
             assert rho(w, f, TABLE, self.CFG) == oracle_rho(w, f, TABLE, self.CFG)
             assert abs(eta(w, f, TABLE, self.CFG) - oracle_eta(w, f, TABLE, self.CFG)) <= TOL
+
+
+class TestResumedFolds:
+    """At every prefix, a Concat or a Within equals the fold of its splits or
+    starts over its children's values: a sweep resumed across steps, a split
+    skipped and the memo of the starts that read no sample change nothing."""
+
+    # lhs windows that are not bottom at most splits, so a split or start
+    # folded with an open sample's extreme shows in the value
+    FORMULAS = ("[H^2 P]^[0,5]", "[H^0 P | H^2 !P]^[0,5]", "[H^1 P . H^0 P]^[2,5]",
+                "(H^0 P | H^3 !P) . [H^0 !P]^[0,3]", "(H^0 P . [H^0 !P]^[0,3]) . H^1 P",
+                "[H^0 !P . H^0 P]^[0,4] . H^3 !P")
+
+    @staticmethod
+    def fold(value, f, i, j, conj, disj, bottom):
+        if type(f) is Concat:
+            if i == j:
+                return bottom
+            return disj([conj(value(f.lhs, i, t), value(f.rhs, t + 1, j)) for t in range(i, j)])
+        if j - i < f.b:
+            return bottom
+        return disj([value(f.sub, t, i + f.b) for t in range(i + f.a, i + f.b + 1)])
+
+    def test_folds_equal_their_definitions_at_every_prefix(self):
+        rng = random.Random(11)
+        semantics = (("rho", min, max, -10.0),
+                     ("eta", lambda a, b: agm_and([a, b]), agm_or, -1.0))
+        for text in self.FORMULAS:
+            f = parse(text)
+            assert type(f) in (Concat, Within)
+            h = steps(horizon(f, 1.0), 1.0)
+            ev = Evaluator(unit_word(), UNIT)
+            for n in range(1, h + 2):
+                ev.append({"x": rng.uniform(-1.0, 1.0)})
+                for (name, conj, disj, bottom), upper in itertools.product(semantics, (False, True)):
+                    run = getattr(ev, name)
+
+                    def value(g, a, b):
+                        return run(g, a, b, upper)
+
+                    # longest first, as a monitor asks for [0, h]: a frontier
+                    # window then starts its sweep from the final one
+                    for i in range(h + 1):
+                        for j in range(h, i - 1, -1):
+                            want = self.fold(value, f, i, j, conj, disj, bottom)
+                            assert value(f, i, j) == want, (text, name, n, i, j, upper)
