@@ -190,7 +190,7 @@ def _cmd_parse(args) -> int:
 
 
 def _check(word, f, table, cfg) -> tuple[bool, float, float]:
-    """Satisfaction, rho and eta from one evaluator: f compiled once, bool and rho sharing columns."""
+    """Satisfaction, rho and eta from one evaluator: f compiled once, one column per margin."""
     ev, h = Evaluator(word, table, cfg), word.n - 1
     return ev.bool_sat(f, 0, h), ev.rho(f, 0, h), ev.eta(f, 0, h)
 

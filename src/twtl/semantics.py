@@ -61,14 +61,16 @@ A frontier window still folds what is final in it only once. A `Concat`
 whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
 are observed, in the final sweep of its start. A `Within` window [s, s+b]
 whose lhs reaches r steps keeps one final sweep of its starts t < n-r,
-which read lhs on [t, t+r]. A step folds only the splits and starts that
-became final. Its starts t >= n read no sample: under the max folds of bool
-and rho, their best depends on the node, the length of the longest of
-their windows and the bound only, is memoized on those once, and joins the
+which read lhs on [t, t+r]. A step extends these sweeps by the splits and
+starts that became final, and folds the rest per window. The starts
+t >= n of a `Within` read no sample: under the max folds of bool and rho,
+their best depends on the node, the length of the longest of their
+windows and the bound only, is memoized on those once, and joins the
 other starts by one disjunction, which keeps the bits of a left-to-right
 fold (a max keeps the first of equal values either way). The AGM
-disjunction of `eta` is a mean, whose rounding depends on the order of its
-terms: it folds them left to right in each window, at O(b) per window.
+disjunction of `eta` is a mean of its terms, which two partial results
+cannot give: it folds them left to right in each window, at O(b) per
+window.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.

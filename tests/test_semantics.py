@@ -382,7 +382,6 @@ class TestWorkCounts:
         for name, counts in stats.items():
             assert 0 < counts["folded"] <= 2 * k * k, name
 
-
     def test_monitor_folds_grow_quadratically_in_the_horizon(self):
         # [H^2 A]^[0,M] . [H^2 B]^[0,M], stepped through its 2M + 2 samples with
         # both rho bounds at every step: a step folds O(M) values, so doubling
@@ -506,7 +505,8 @@ class TestResumedFolds:
             ev = Evaluator(unit_word(), UNIT)
             for n in range(1, h + 2):
                 ev.append({"x": rng.uniform(-1.0, 1.0)})
-                for (name, conj, disj, bottom), upper in itertools.product(semantics, (False, True)):
+                for (name, conj, disj, bottom), upper in itertools.product(semantics,
+                                                                           (False, True)):
                     run = getattr(ev, name)
 
                     def value(g, a, b):
