@@ -13,7 +13,9 @@ Subcommands::
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
 I/O, parse, or validation failure; 141, silently, when a closed pipe ends
-stdout. Set TWTL_LOG=DEBUG|INFO|... for logging.
+stdout. When an atom of the formula has no min/max bounds, check and
+monitor print one notice and leave eta empty, and eta exits 2. Set
+TWTL_LOG=DEBUG|INFO|... for logging.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
-from .monitor import MonitorState, StepResult, make_prefix, results_at
+from .monitor import MonitorState, StepResult, make_prefix, results_at, unbounded_atoms
 from .semantics import EvalConfig, Evaluator, eta, rho
 from .trace import PredicateTable, load_trace, read_trace
 
@@ -47,21 +49,24 @@ def write_records(out: TextIO, fmt: str, records: Iterable[StepResult]) -> None:
 
     The CSV header goes out with the first record, or at the end if there is
     none, so a failure to produce the first record leaves the output empty.
+    A record without [eta] leaves its eta fields empty (null in JSON).
     """
     header = ",".join(RECORD_FIELDS) + "\n" if fmt == "csv" else ""
     for rec in records:
         out.write(header)
         header = ""
+        e = rec.eta
         if fmt == "csv":
-            out.write(f"{_fmt(rec.t)},{_fmt(rec.rho.lo)},{_fmt(rec.rho.hi)},"
-                      f"{_fmt(rec.eta.lo)},{_fmt(rec.eta.hi)},"
-                      f"{rec.verdict_rho},{rec.verdict_eta}\n")
+            eta = ",," if e is None else f"{_fmt(e.lo)},{_fmt(e.hi)},"
+            out.write(f"{_fmt(rec.t)},{_fmt(rec.rho.lo)},{_fmt(rec.rho.hi)},{eta}"
+                      f"{rec.verdict_rho},{rec.verdict_eta or ''}\n")
         else:
             out.write(json.dumps({
                 "t": rec.t,
                 "rho_lo": rec.rho.lo, "rho_hi": rec.rho.hi,
-                "eta_lo": rec.eta.lo, "eta_hi": rec.eta.hi,
-                "verdict_rho": str(rec.verdict_rho), "verdict_eta": str(rec.verdict_eta),
+                "eta_lo": None if e is None else e.lo, "eta_hi": None if e is None else e.hi,
+                "verdict_rho": str(rec.verdict_rho),
+                "verdict_eta": None if e is None else str(rec.verdict_eta),
             }) + "\n")
         out.flush()
     out.write(header)
@@ -69,6 +74,14 @@ def write_records(out: TextIO, fmt: str, records: Iterable[StepResult]) -> None:
 
 class CliError(Exception):
     """User-facing failure; maps to exit code 2."""
+
+
+def _eta_left_out(atoms: list[str]) -> bool:
+    """Print the one notice that eta is left out for `atoms`, if any; return whether it is."""
+    if atoms:
+        print(f"twtl: notice: eta left out: no min/max normalization bounds for "
+              f"{', '.join(atoms)}", file=sys.stderr)
+    return bool(atoms)
 
 
 def _finite(text: str) -> float:
@@ -189,15 +202,16 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _check(word, f, table, cfg) -> tuple[bool, float, float]:
-    """Satisfaction, rho and eta from one evaluator: f compiled once, one column per margin."""
+def _check(word, f, table, cfg) -> tuple[bool, float, float | None]:
+    """Satisfaction, rho and eta (None if left out) from one evaluator: f compiled once."""
     ev, h = Evaluator(word, table, cfg), word.n - 1
-    return ev.bool_sat(f, 0, h), ev.rho(f, 0, h), ev.eta(f, 0, h)
+    sat, r = ev.bool_sat(f, 0, h), ev.rho(f, 0, h)
+    return sat, r, None if _eta_left_out(unbounded_atoms(f, table)) else ev.eta(f, 0, h)
 
 
 def _cmd_check(args) -> int:
     (sat, r, e), = _evaluate(args, _check)
-    print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={_fmt(e)}")
+    print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={'' if e is None else _fmt(e)}")
     return 0 if sat else 1
 
 
@@ -242,6 +256,7 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
 def _cmd_monitor(args) -> int:
     f, table, cfg = _load_inputs(args)
     state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
+    _eta_left_out(state.unbounded)
     source = "stream" if args.stream else args.trace
     try:
         opened = (contextlib.nullcontext(sys.stdin) if args.stream

@@ -19,7 +19,8 @@ final, and so is one that reads none, so each evaluation keeps those and
 evaluates again only the frontier, the windows that read both. A sample
 costs its own check and its margins once, whatever the prefix's length.
 `results_at` feeds a trace to a `MonitorState` and evaluates only where a
-result is asked for.
+result is asked for. A `MonitorState` over a formula with an atom that has
+no normalization bounds leaves [eta] out.
 """
 
 from __future__ import annotations
@@ -138,16 +139,27 @@ class MonitorFinalizedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepResult:
+    """Both intervals and their verdicts at one prefix; [eta] is None when left out."""
+
     t: float
     rho: RobustnessInterval
-    eta: RobustnessInterval
+    eta: RobustnessInterval | None
     verdict_rho: Verdict
-    verdict_eta: Verdict
+    verdict_eta: Verdict | None
 
 
-def _result(ev: Evaluator, f: Formula, horizon_steps: int, t: float) -> StepResult:
-    """Both intervals of f and their verdicts at the evaluator's word, over [0, horizon_steps]."""
+def unbounded_atoms(f: Formula, table: PredicateTable) -> list[str]:
+    """The atoms of f without normalization bounds, sorted: eta needs every atom's."""
+    return sorted({g.atom for g, *_ in postorder(f)
+                   if type(g) is HoldAtom and table[g.atom].bounds is None})
+
+
+def _result(ev: Evaluator, f: Formula, horizon_steps: int, t: float,
+            with_eta: bool = True) -> StepResult:
+    """The intervals of f and their verdicts at the evaluator's word, over [0, horizon_steps]."""
     r = RobustnessInterval(ev.rho(f, 0, horizon_steps), ev.rho(f, 0, horizon_steps, upper=True))
+    if not with_eta:
+        return StepResult(t, r, None, interval_verdict(r), None)
     e = RobustnessInterval(ev.eta(f, 0, horizon_steps), ev.eta(f, 0, horizon_steps, upper=True))
     return StepResult(t, r, e, interval_verdict(r), interval_verdict(e))
 
@@ -173,7 +185,9 @@ class MonitorState:
     time, and converge to the offline singleton at the horizon. `observed`
     counts the samples so far; sample k is stamped t0 + k*dt. A rejected
     sample leaves the state as it was. Clamping to an atom's bounds is
-    logged once per atom over the run, not at every evaluation.
+    logged once per atom over the run, not at every evaluation. When some
+    atom of f has no normalization bounds (`unbounded`), [eta] is left out:
+    each result's `eta` and `verdict_eta` are None.
     """
 
     def __init__(self, f: Formula, table: PredicateTable,
@@ -185,6 +199,7 @@ class MonitorState:
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
         self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
                                     if type(g) is HoldAtom})
+        self.unbounded = unbounded_atoms(f, table)
         empty = Word(cfg.dt, {s: () for s in self.signal_names})
         self._ev: Evaluator | None = Evaluator(empty, table, cfg, conservative_eta)
         self._stats: dict[str, dict[str, int]] = {}  # the counters of the released evaluator
@@ -209,7 +224,7 @@ class MonitorState:
         if self._ev is None:
             return self.last  # the horizon's result, already out
         self.last = _result(self._ev, self.formula, self.horizon_steps,
-                            self.t0 + (self.observed - 1) * self.cfg.dt)
+                            self.t0 + (self.observed - 1) * self.cfg.dt, not self.unbounded)
         if self.finalized:
             self._stats, self._ev = self._ev.stats(), None
         return self.last

@@ -22,9 +22,12 @@ folds the at most p splits whose rhs is shorter. Over ascending ends a
 window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
 end starts it again at i. Any other rhs has no such splits, and each
 window folds all of its own. When rhs pins a length, its last splits leave
-it too short: they fold conj(lhs, bottom) without evaluating rhs, and the
-max folds of bool and rho skip them once the accumulator is at least
-bottom, which conj(x, bottom) <= bottom cannot raise.
+it too short: they fold conj(lhs, bottom) without evaluating rhs. A
+semantics' `skip` adds them without evaluating lhs either when they can
+change no more than the fold's count: for the max folds of bool and rho
+once the accumulator is at least bottom, which conj(x, bottom) <= bottom
+cannot raise; for eta's AGM disjunction once it has folded a value >= 0,
+as conj(x, -1) <= -0.5 (see below).
 
 Each formula object is compiled once per evaluator into a post-order table
 of nodes (kind, children, pinned length, reach, `Within` start offset,
@@ -63,14 +66,19 @@ are observed, in the final sweep of its start. A `Within` window [s, s+b]
 whose lhs reaches r steps keeps one final sweep of its starts t < n-r,
 which read lhs on [t, t+r]. A step extends these sweeps by the splits and
 starts that became final, and folds the rest per window. The starts
-t >= n of a `Within` read no sample: under the max folds of bool and rho,
-their best depends on the node, the length of the longest of their
-windows and the bound only, is memoized on those once, and joins the
-other starts by one disjunction, which keeps the bits of a left-to-right
-fold (a max keeps the first of equal values either way). The AGM
-disjunction of `eta` is a mean of its terms, which two partial results
-cannot give: it folds them left to right in each window, at O(b) per
-window.
+t >= n of a `Within` read no sample: the greatest of their values depends
+on the node, the length of the longest of their windows and the bound
+only, and is memoized on those once. Under the max folds of bool and rho
+it is their best, and joins the other starts by one disjunction, which
+keeps the bits of a left-to-right fold (a max keeps the first of equal
+values either way). The AGM disjunction of `eta` is a mean of its terms,
+which two partial results cannot give in general. But an accumulator that
+has folded a value >= 0 finishes as the sum of its positive values over
+their count, so values <= 0 change only the count: when the greatest is
+<= 0, `skip` adds the starts t >= n by their number in O(1); otherwise
+they are folded left to right, at O(b) per window. On a prefix, eta's
+lower run reads each open sample as its atom's least margin, so the skip
+mostly applies there, and the upper run mostly folds.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -134,6 +142,13 @@ def _agm_or_fold(acc: tuple, v: float) -> tuple:
         raise _agm_range_error("agm_or", v)
     n, pos, prod, neg = acc
     return n + 1, (pos + v if v > 0.0 else pos), prod * (1.0 - v), neg and v < 0.0
+
+
+def _agm_or_skip(acc: tuple, hi: float, m: int) -> tuple | None:
+    # an accumulator that has folded a value >= 0 finishes as pos / count,
+    # which m values <= 0 change only by their count
+    n, pos, prod, neg = acc
+    return None if neg or hi > 0.0 else (n + m, pos, prod, False)
 
 
 def _agm_or_finish(acc: tuple) -> float:
@@ -211,6 +226,9 @@ class _Semantics:
     # (least, greatest) margin an unobserved sample of the atom can take,
     # given the config and the conservative_eta flag
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
+    # the accumulator after folding m values, none of them above hi, when
+    # it is known without folding them one by one; else None
+    skip: Callable[[Any, float, int], Any]
     # values that decide a conjunction and a disjunction (and a disjunction's
     # accumulator) whatever else they meet, or None
     conj_absorbing: float | None = None
@@ -235,20 +253,25 @@ def _same(v: float) -> float:
     return v
 
 
+def _max_skip(acc: float, hi: float, m: int) -> float | None:
+    # values at or below a max fold's accumulator leave it as it is
+    return acc if acc >= hi else None
+
+
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
 _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
-                   lambda spec, cfg, conservative: (-1.0, 1.0), -1.0, 1.0, True)
+                   lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
                   _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
-                  -math.inf, math.inf, True)
+                  _max_skip, -math.inf, math.inf, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
                   _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
                   lambda spec, cfg, conservative:
-                  (-1.0, 1.0) if conservative else spec.eta_extremes())
+                  (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip)
 
 
 def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
@@ -321,8 +344,8 @@ class Evaluator:
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
-        run.slots.extend((node[3] or 0, node[4], {}, {}, {})
-                         for node in self._nodes[len(run.slots):])
+        if len(run.slots) < len(self._nodes):
+            run.compile(self._nodes[len(run.slots):])
         return run.value(root[1], i, j, upper)
 
     def append(self, sample: Mapping[str, float]) -> None:
@@ -352,10 +375,12 @@ class Evaluator:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per semantics run so far: memo entries held (windows, and the
-        best-start memos of a max fold), memo entries inserted (those held and
-        the frontier entries dropped by `append`), and split and start values
-        folded. A split or start that a sweep or a memo already holds, or that
-        cannot change the value, is not folded again."""
+        greatest value of a `Within`'s starts that read no sample, per
+        length), memo entries inserted (those held and the frontier entries
+        dropped by `append`), and split and start values folded. A split or
+        start that a sweep or a memo already holds is not folded again, and
+        one that a fold skips (it can change no more than the fold's count)
+        is not counted."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
@@ -409,8 +434,11 @@ class _Recursion:
         self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
-        self.extremes, self.maxfold = sem.extremes, sem.maxfold
+        self.extremes, self.skip, self.maxfold = sem.extremes, sem.skip, sem.maxfold
         self.bottom = sem.bottom(ev.cfg)
+        # no split whose rhs is too short is above conj(-bottom, bottom): for
+        # bool and rho conj is a min, and eta's values lie in [bottom, -bottom]
+        self.short = sem.conj(-self.bottom, self.bottom)
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
         # length and reach (see compile_formula), and its memos, keyed as in value()
@@ -420,11 +448,24 @@ class _Recursion:
         # reads only observed samples; else open, keyed (node, start, upper)
         self.sweeps: dict[tuple, tuple] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
-        # (Within node, upper) -> the best of its starts that read no sample,
-        # by the length of the longest of their windows; max-fold only
+        # (Within node, upper) -> the greatest lhs value of its starts that
+        # read no sample, by the length of the longest of their windows
         self.tails: dict[tuple, list[float]] = {}
         self.folded = 0  # split and start values folded
         self.dropped = 0  # frontier entries dropped by advance()
+
+    def compile(self, nodes: list[tuple]) -> None:
+        """Add the slots of newly compiled nodes, checking each hold's atom.
+
+        The atom must be in the table and have the extremes of its own margins
+        (for eta, its bounds), whatever the conservative_eta flag: so an
+        evaluation raises also when its folds add every hold that reads the
+        atom without evaluating them.
+        """
+        for _, _, _, pin, reach, _, hold in nodes:
+            if hold is not None:
+                self.extremes(self.table[hold.atom], self.cfg, False)
+            self.slots.append((pin or 0, reach, {}, {}, {}))
 
     def advance(self, n: int) -> None:
         """Move to n observed samples: drop the frontier memos and open sweeps.
@@ -534,8 +575,12 @@ class _Recursion:
                     else:
                         self.open_sweeps[k, i, upper] = t, acc
                     keep = end < fit
-            # conj(v, bottom) <= bottom: it cannot raise a max fold at bottom or above
-            if t < j and not (self.maxfold and acc >= self.bottom):
+            # each is conj(lhs, bottom) <= self.short: the fold may add them
+            # without evaluating lhs
+            skipped = self.skip(acc, self.short, j - t) if t < j else None
+            if skipped is not None:
+                acc = skipped
+            else:
                 bottom = self.bottom
                 while t < j and acc != stop:
                     v = value(lhs, i, t, upper)
@@ -547,8 +592,8 @@ class _Recursion:
             return self.finish(acc)
         # a Within: the best start. The starts t < n - r, where lhs reaches r
         # steps, read lhs on [t, t+r], observed: one sweep per window folds
-        # them across steps. Under a max fold, the starts t >= n read no
-        # sample and share one memo per length.
+        # them across steps. The starts t >= n read no sample, and one memo
+        # per length holds the greatest of their values.
         fold, stop, n = self.fold, self.disj_absorbing, self.n
         t, acc = i + offset, self.start
         r = self.slots[lhs][1]
@@ -564,18 +609,29 @@ class _Recursion:
                 acc = fold(acc, value(lhs, t, j, upper))
                 t += 1
             self.sweeps[k, i] = t, acc
-        end = n if j >= n and self.maxfold else j + 1
+        end = n if j >= n else j + 1
         while t < end and acc != stop:
             acc = fold(acc, value(lhs, t, j, upper))
             t += 1
+        if t <= j and acc != stop:  # the starts t >= n
+            hi = self._tail(k, lhs, j - t, upper)
+            if self.maxfold:
+                self.folded += t - first
+                return self.disj(acc, hi)
+            skipped = self.skip(acc, hi, j + 1 - t)
+            if skipped is not None:
+                acc = skipped
+            else:
+                while t <= j and acc != stop:
+                    acc = fold(acc, value(lhs, t, j, upper))
+                    t += 1
         self.folded += t - first
-        if t <= j and acc != stop:
-            return self.disj(acc, self._tail(k, lhs, j - t, upper))
         return self.finish(acc)
 
     def _tail(self, k: int, lhs: int, length: int, upper: bool) -> float:
-        """The best start of Within node k over starts that read no sample,
-        the longest of their lhs windows having `length` steps."""
+        """The greatest lhs value of Within node k over starts that read no
+        sample, the longest of their lhs windows having `length` steps: under
+        a max fold, the best of those starts."""
         tails = self.tails.get((k, upper))
         if tails is None:
             tails = self.tails[k, upper] = []
@@ -584,7 +640,7 @@ class _Recursion:
         # first of equal values is kept as a left-to-right fold keeps it
         while len(tails) <= length:
             v = self.value(lhs, n, n + len(tails), upper)
-            tails.append(self.disj(v, tails[-1]) if tails else v)
+            tails.append(_max2(v, tails[-1]) if tails else v)
             self.folded += 1
         return tails[length]
 

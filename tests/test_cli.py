@@ -7,11 +7,16 @@ import sys
 import pytest
 
 import twtl
+from twtl import monitor
 from twtl.cli import main
+from twtl.monitor import unbounded_atoms
 
 FORMULA = "[H^2 A]^[1,5]\n"
 CONFIG = {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0,
                           "min": 0.0, "max": 8.0}}}
+NOBOUNDS = {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0},
+                      "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0}}}
+NOTICE = "twtl: notice: eta left out: no min/max normalization bounds for A\n"
 TRACE = "time,x\n0,5.0\n1,4.5\n2,4.2\n3,4.8\n4,5.0\n5,6.0\n"
 
 
@@ -107,6 +112,20 @@ class TestCheckCommand:
                          "--trace", str(tmp_path / "trace.csv"))
         assert rc == 1
         assert out.startswith("unsat rho=-50 ")
+
+    @pytest.mark.parametrize("xs, rc, verdict", [("5.0,4.5,4.2,4.8,5.0,6.0", 0, "sat rho=0.8"),
+                                                  ("1,1,1,1,1,1", 1, "unsat rho=-3")],
+                             ids=["sat", "unsat"])
+    def test_config_without_bounds_leaves_eta_empty(self, files, capsys, tmp_path,
+                                                    xs, rc, verdict):
+        cfg, trace = tmp_path / "nobounds.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps(NOBOUNDS))
+        trace.write_text("time,x\n" + "".join(f"{t},{x}\n" for t, x in enumerate(xs.split(","))))
+        (tmp_path / "g.twtl").write_text("[H^2 A]^[1,5] | H^9 B\n")
+        for formula in (files["formula"], str(tmp_path / "g.twtl")):
+            got = run(capsys, "check", "--formula", formula, "--config", str(cfg),
+                      "--trace", str(trace))
+            assert got == (rc, f"{verdict} eta=\n", NOTICE)
 
     def test_eta_needs_bounds(self, files, capsys, tmp_path):
         cfg = tmp_path / "nobounds.json"
@@ -460,15 +479,35 @@ class TestMonitorCommand:
         assert out == ""
         assert err == f"twtl: error: cannot write {out_path}: No such file or directory\n"
 
-    def test_config_without_bounds(self, files, capsys, tmp_path):
+    def test_config_without_bounds_leaves_eta_empty(self, files, capsys, tmp_path,
+                                                    monkeypatch):
         cfg = tmp_path / "nobounds.json"
-        cfg.write_text(json.dumps(
-            {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0}}}))
-        rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
-                           "--config", str(cfg), "--trace", files["trace"])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("twtl: error: ") and "bounds" in err
+        cfg.write_text(json.dumps(NOBOUNDS))
+        calls = []
+        monkeypatch.setattr(monitor, "unbounded_atoms",
+                            lambda *a: calls.append(a) or unbounded_atoms(*a))
+        argv = ["--formula", files["formula"], "--trace", files["trace"]]
+        rc, out, err = run(capsys, "monitor", "--config", str(cfg), *argv)
+        assert (rc, err, len(calls)) == (0, NOTICE, 1)  # checked once, not per step
+        _, bounded, _ = run(capsys, "monitor", "--config", files["config"], *argv)
+        lines, want = out.splitlines(), bounded.splitlines()
+        assert lines[0] == want[0] == self.HEADER and len(lines) == len(want) == 7
+        for line, full in zip(lines[1:], want[1:]):
+            t, rho_lo, rho_hi, *_, verdict_rho, _ = full.split(",")
+            assert line == f"{t},{rho_lo},{rho_hi},,,{verdict_rho},"
+        rc, out, err = run(capsys, "monitor", "--config", str(cfg), *argv,
+                           "--format", "jsonl", "--tau", "5")
+        assert (rc, err) == (0, NOTICE)
+        rec = json.loads(out)
+        assert rec["rho_lo"] == rec["rho_hi"] == pytest.approx(0.8)
+        assert {k: v for k, v in rec.items() if not k.startswith("rho")} == {
+            "t": 5.0, "eta_lo": None, "eta_hi": None, "verdict_rho": "satisfied",
+            "verdict_eta": None}
+        short = tmp_path / "short.csv"
+        short.write_text(TRACE.splitlines(keepends=True)[0] + "0,5.0\n")
+        rc, out, err = run(capsys, "monitor", "--config", str(cfg), "--formula",
+                           files["formula"], "--trace", str(short))
+        assert rc == 3 and err.startswith(NOTICE)
 
     def test_observed_margin_below_rho_bot(self, capsys, tmp_path):
         # x = -50 gives the margin -50, under the default rho_bot of -10

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ from twtl.formula import And, Concat, Not, Within, format_formula, horizon, pars
 from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
 from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
                          random_formula, random_word)
-from twtl.semantics import (EvalConfig, Evaluator, _agm_and2, _agm_or2, agm_and, agm_or, bool_sat,
+from twtl.semantics import (_AGM_OR_START, _ETA, EvalConfig, Evaluator, _agm_and2, _agm_or2,
+                            _agm_or_finish, _agm_or_fold, agm_and, agm_or, bool_sat,
                             compile_formula, eta, rho)
 from twtl.trace import PredicateSpec, PredicateTable, Word
 
@@ -99,6 +101,18 @@ class TestAgm:
                     with pytest.raises(ValueError) as got:
                         kernel(a, b)
                     assert str(got.value) == str(want.value), (kernel, a, b)
+
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4),
+           st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1.0)),
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                              st.floats(min_value=-1.0, max_value=0.0)), min_size=1, max_size=8))
+    def test_disjunction_adds_values_at_most_zero_by_count(self, before, first, run):
+        # once a value >= 0 is folded, values <= 0 change only the count
+        acc = functools.reduce(_agm_or_fold, before + [first], _AGM_OR_START)
+        want = _agm_or_finish(functools.reduce(_agm_or_fold, run, acc))
+        assert repr(_agm_or_finish(_ETA.skip(acc, max(run), len(run)))) == repr(want)
+        assert _ETA.skip(acc, 1e-300, len(run)) is None
+        assert _ETA.skip(_agm_or_fold(_AGM_OR_START, -0.5), -0.5, 1) is None
 
     def test_one_pass_conjunction_equals_the_oracle(self):
         # the oracle's formula, written out apart from production, clamped
@@ -217,6 +231,17 @@ class TestEta:
             "P": {"signal": "x", "op": ">=", "sigma": 0.0}}})
         with pytest.raises(ValueError, match="bounds"):
             eta(unit_word(0.1, 0.2), parse("H^1 P"), table)
+
+    def test_requires_bounds_where_no_hold_is_evaluated(self):
+        # Q's hold is too long for the word: bottom, its column never read
+        table = PredicateTable.from_dict({"atoms": {
+            "P": {"signal": "x", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0},
+            "Q": {"signal": "x", "op": ">=", "sigma": 0.0}}})
+        f, w = parse("H^0 P | H^3 Q"), unit_word(0.5)
+        assert rho(w, f, table) == 0.5
+        for conservative in (False, True):
+            with pytest.raises(ValueError, match="atom Q: normalization bounds required"):
+                Evaluator(w, table, conservative_eta=conservative).eta(f, 0, 0)
 
     def test_too_short_window_is_minus_one(self):
         assert eta(unit_word(0.5), parse("H^3 P"), UNIT) == -1.0
@@ -347,11 +372,13 @@ class TestWorkCounts:
         state = MonitorState(f, table)
         for k in range(word.n):
             state.step({s: word.value(s, k) for s in word.signals})
-        # rho resumes the final Within starts and Concat splits, memoizes the
-        # starts that read no sample and skips the splits whose rhs is too
-        # short; eta resumes only, and folds its unobserved starts per window
+        # both resume the final Within starts and Concat splits and memoize
+        # the starts that read no sample; rho skips the splits whose rhs is
+        # too short once its fold is at bottom, and joins the unobserved
+        # starts by one max; eta adds both by count once its fold has met a
+        # value >= 0 and they are <= 0, and else folds them one by one
         assert state.stats() == {"rho": {"memo": 1_585, "inserted": 10_705, "folded": 9_825},
-                                 "eta": {"memo": 1_754, "inserted": 13_074, "folded": 46_068}}
+                                 "eta": {"memo": 1_585, "inserted": 10_980, "folded": 23_993}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -399,6 +426,28 @@ class TestWorkCounts:
                 ev.rho(f, 0, h, upper=True)
             folded.append(ev.stats()["rho"]["folded"])
         assert folded[1] <= 4.5 * folded[0] and folded[2] <= 4.5 * folded[1], folded
+
+    def test_eta_lower_bound_folds_grow_quadratically_in_the_horizon(self):
+        # the shape above with eta's two bounds, each in its own evaluator. The
+        # lower run's open samples take A's and B's least margins, so the
+        # starts that read no sample are <= 0 and a fold that has met a value
+        # >= 0 adds them by count: O(M) per step. The upper run's are > 0 and
+        # are folded one by one, O(M) per window (folding every start one by
+        # one, either run folds 13,153 / 83,178 / 581,353 values)
+        folded = {False: [], True: []}
+        for m in (25, 50, 100):
+            f = parse(f"[H^2 A]^[0,{m}] . [H^2 B]^[0,{m}]")
+            h = 2 * m + 1
+            for upper in (False, True):
+                rng = random.Random(m)
+                ev = Evaluator(Word(1.0, {"x": ()}), TABLE)
+                for _ in range(h + 1):
+                    ev.append({"x": rng.uniform(0.0, 8.0)})
+                    ev.eta(f, 0, h, upper)
+                folded[upper].append(ev.stats()["eta"]["folded"])
+        assert folded == {False: [6_683, 26_665, 103_873], True: [11_823, 78_023, 561_048]}
+        lower = folded[False]
+        assert lower[1] <= 4.5 * lower[0] and lower[2] <= 4.5 * lower[1], lower
 
 
 class TestFormulaIdentity:
