@@ -131,15 +131,15 @@ class CaseStudyResult:
     files: list[str]
 
 
-def run_case_study(out_dir, fmt: str = "csv", cfg: EvalConfig = EvalConfig(),
-                   taus=DEFAULT_TAUS) -> CaseStudyResult:
-    """Write the scenario files and monitor streams into out_dir."""
+def run_case_study(out_dir, fmt: str = "csv") -> CaseStudyResult:
+    """Write the scenario files, and the monitor streams at DEFAULT_TAUS, into out_dir."""
     from .cli import write_records  # shared record formatting
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     f = build_formula()
     table = build_table()
+    cfg = EvalConfig()
     files: list[str] = []
 
     def emit(name: str, text: str) -> None:
@@ -160,7 +160,7 @@ def run_case_study(out_dir, fmt: str = "csv", cfg: EvalConfig = EvalConfig(),
                         f"{word.value('y', k):.12g},{word.value('inO', k):.12g}")
         emit(f"trace_{label}.csv", "\n".join(rows) + "\n")
 
-        records = monitor_records(word, f, table, cfg, taus=taus)
+        records = monitor_records(word, f, table, cfg)
         ext = "csv" if fmt == "csv" else "jsonl"
         path = out / f"monitor_{label}.{ext}"
         with open(path, "w", encoding="utf-8") as fh:

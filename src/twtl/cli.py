@@ -13,8 +13,8 @@ Subcommands::
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
 I/O, parse, or validation failure; 141, silently, when a closed pipe ends
-stdout. When an atom of the formula has no min/max bounds, check and
-monitor print one notice and leave eta empty, and eta exits 2. Set
+stdout. When an atom of the formula has no min/max bounds, check, oracle
+and monitor print one notice and leave eta empty, and eta exits 2. Set
 TWTL_LOG=DEBUG|INFO|... for logging.
 """
 
@@ -28,10 +28,11 @@ import logging
 import math
 import os
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Container, Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
-from .monitor import MonitorState, StepResult, make_prefix, results_at, unbounded_atoms
+from .monitor import (MonitorState, StepResult, formula_signals, make_prefix, results_at,
+                      unbounded_atoms)
 from .semantics import EvalConfig, Evaluator, eta, rho
 from .trace import PredicateTable, load_trace, read_trace
 
@@ -112,8 +113,6 @@ def _add_common(p: argparse.ArgumentParser, source=None) -> None:
     p.add_argument("--dt", type=_positive, default=1.0, help="sampling step (default 1)")
     p.add_argument("--rho-bot", type=_finite, default=-10.0)
     p.add_argument("--rho-top", type=_finite, default=10.0)
-    p.add_argument("--conservative-eta", action="store_true",
-                   help="use +-1 instead of per-atom eta extremes in [eta]")
     (source or p).add_argument("--trace", required=source is None, help="path to the trace CSV")
 
 
@@ -134,6 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     _add_common(p, source)
     source.add_argument("--stream", action="store_true", help="read samples from stdin")
+    p.add_argument("--conservative-eta", action="store_true",
+                   help="use +-1 instead of per-atom eta extremes in [eta]")
     p.add_argument("--tau", type=_times, help="comma-separated emission times (default: all)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
@@ -160,7 +161,7 @@ def _load_table(path: str, f, dt: float) -> PredicateTable:
     """The config's predicate table, validated against f: errors raise, warnings log."""
     try:
         table = PredicateTable.from_json(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
         raise CliError(f"cannot load config {path}: {exc}") from exc
     problems = []
     for d in validate(f, table, dt):
@@ -183,13 +184,21 @@ def _load_inputs(args) -> tuple:
     return f, table, cfg
 
 
-def _evaluate(args, *evaluators) -> list:
-    """Each evaluator's value on the --trace word cut to f's horizon; failures are CLI errors."""
+def _check_header(source: str, names: Container[str], signals: list[str]) -> None:
+    """Raise unless the trace's column `names` hold every signal the formula reads."""
+    missing = [s for s in signals if s not in names]
+    if missing:
+        raise CliError(f"{source}: header lacks signals {missing}")
+
+
+def _evaluate(args, evaluate):
+    """evaluate's value on the --trace word cut to f's horizon; failures are CLI errors."""
     f, table, cfg = _load_inputs(args)
     try:
-        word = make_prefix(load_trace(args.trace, dt_expected=cfg.dt), f, cfg).word
-        return [ev(word, f, table, cfg) for ev in evaluators]
-    except (OSError, ValueError, KeyError) as exc:
+        word = load_trace(args.trace, dt_expected=cfg.dt)
+        _check_header(args.trace, word.signals, formula_signals(f, table))
+        return evaluate(make_prefix(word, f, cfg).word, f, table, cfg)
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -209,14 +218,25 @@ def _check(word, f, table, cfg) -> tuple[bool, float, float | None]:
     return sat, r, None if _eta_left_out(unbounded_atoms(f, table)) else ev.eta(f, 0, h)
 
 
+def _oracle(word, f, table, cfg) -> tuple[bool, float, float | None]:
+    """`_check`'s three values from the oracle's reference evaluators."""
+    from . import oracle
+
+    sat, r = oracle.oracle_bool(word, f, table, cfg), oracle.oracle_rho(word, f, table, cfg)
+    if _eta_left_out(unbounded_atoms(f, table)):
+        return sat, r, None
+    return sat, r, oracle.oracle_eta(word, f, table, cfg)
+
+
 def _cmd_check(args) -> int:
-    (sat, r, e), = _evaluate(args, _check)
+    """check, and oracle, which prints the same line and exits 0 when it is unsat."""
+    sat, r, e = _evaluate(args, _check if args.command == "check" else _oracle)
     print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={'' if e is None else _fmt(e)}")
-    return 0 if sat else 1
+    return 1 if args.command == "check" and not sat else 0
 
 
 def _cmd_value(args) -> int:
-    value, = _evaluate(args, rho if args.command == "rho" else eta)
+    value = _evaluate(args, rho if args.command == "rho" else eta)
     print(_fmt(value))
     return 0
 
@@ -266,9 +286,7 @@ def _cmd_monitor(args) -> int:
     with opened as lines:
         try:
             names, rows = read_trace(lines, source, cfg.dt)
-            missing = [s for s in state.signal_names if s not in names]
-            if missing:
-                raise CliError(f"{source}: header lacks signals {missing}")
+            _check_header(source, names, state.signal_names)
             try:
                 out = (open(args.out, "w", encoding="utf-8") if args.out
                        else contextlib.nullcontext(sys.stdout))
@@ -301,21 +319,13 @@ def _cmd_casestudy(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    from . import oracle
-
-    sat, r, e = _evaluate(args, oracle.oracle_bool, oracle.oracle_rho, oracle.oracle_eta)
-    print(f"{'sat' if sat else 'unsat'} rho={_fmt(r)} eta={_fmt(e)}")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("TWTL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="twtl: %(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
     commands = {"parse": _cmd_parse, "check": _cmd_check, "rho": _cmd_value, "eta": _cmd_value,
-                "monitor": _cmd_monitor, "casestudy": _cmd_casestudy, "oracle": _cmd_oracle}
+                "monitor": _cmd_monitor, "casestudy": _cmd_casestudy, "oracle": _cmd_check}
     try:
         return commands[args.command](args)
     except BrokenPipeError:  # stdout goes to devnull, so the final flush cannot fail

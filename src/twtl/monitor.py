@@ -148,6 +148,11 @@ class StepResult:
     verdict_eta: Verdict | None
 
 
+def formula_signals(f: Formula, table: PredicateTable) -> list[str]:
+    """The signals that f's atoms read, sorted: a trace of f needs a column for each."""
+    return sorted({table[g.atom].signal for g, *_ in postorder(f) if type(g) is HoldAtom})
+
+
 def unbounded_atoms(f: Formula, table: PredicateTable) -> list[str]:
     """The atoms of f without normalization bounds, sorted: eta needs every atom's."""
     return sorted({g.atom for g, *_ in postorder(f)
@@ -197,8 +202,7 @@ class MonitorState:
         self.cfg = cfg
         self.t0 = t0
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
-        self.signal_names = sorted({table[g.atom].signal for g, *_ in postorder(f)
-                                    if type(g) is HoldAtom})
+        self.signal_names = formula_signals(f, table)
         self.unbounded = unbounded_atoms(f, table)
         empty = Word(cfg.dt, {s: () for s in self.signal_names})
         self._ev: Evaluator | None = Evaluator(empty, table, cfg, conservative_eta)

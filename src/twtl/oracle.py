@@ -8,6 +8,7 @@ They are exponential-time; keep instances small (n <= 12, depth <= 5).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -36,18 +37,20 @@ def _samples(word: Word, cfg: EvalConfig) -> list[dict[str, float]]:
     return word_to_samples(word)
 
 
+# The sums fold left to right from 0.0: CPython's sum() of floats rounds
+# another way since 3.12.
 def _agm_and(vals: list[float]) -> float:
     """AGM conjunction: (prod(1 + v))^(1/n) - 1 if every v > 0, else sum(min(v, 0)) / n."""
     if all(v > 0 for v in vals):
         return math.prod(1 + v for v in vals) ** (1 / len(vals)) - 1
-    return sum(min(v, 0) for v in vals) / len(vals)
+    return functools.reduce(lambda s, v: s + min(v, 0), vals, 0.0) / len(vals)
 
 
 def _agm_or(vals: list[float]) -> float:
     """AGM disjunction: 1 - (prod(1 - v))^(1/n) if every v < 0, else sum(max(v, 0)) / n."""
     if all(v < 0 for v in vals):
         return 1 - math.prod(1 - v for v in vals) ** (1 / len(vals))
-    return sum(max(v, 0) for v in vals) / len(vals)
+    return functools.reduce(lambda s, v: s + max(v, 0), vals, 0.0) / len(vals)
 
 
 def _margin(sample: Sample, spec: PredicateSpec, negated: bool) -> float:

@@ -133,7 +133,7 @@ def _agm_range_error(name: str, *values: float) -> ValueError:
 
 # An AGM disjunction folds its values left to right into (count, sum of the
 # positive parts, product of 1 - v, whether every value is negative). The sum
-# runs in that order from 0.0, as CPython's sum() of floats did before 3.12.
+# runs in that order from 0.0, the one summation order of every AGM mean.
 _AGM_OR_START = (0, 0.0, 1.0, True)
 
 
@@ -172,24 +172,26 @@ def agm_and(values: Sequence[float]) -> float:
     n = len(values)
     if not n:
         raise ValueError("agm_and of an empty sequence")
-    # one pass checks the range, tests the signs and multiplies in math.prod's
-    # order; the mean keeps sum(), whose rounding changed in CPython 3.12
-    prod, positive = 1.0, True
+    # one pass checks the range, multiplies the positive parts in math.prod's
+    # order and adds the others left to right from 0.0, as _agm_or_fold adds;
+    # a 0.0 or -0.0 added changes no sum that starts at 0.0
+    prod, neg, positive = 1.0, 0.0, True
     for v in values:
         if not _AGM_LO <= v <= _AGM_HI:
             raise _agm_range_error("agm_and", v)
         if v > 0.0:
             prod *= 1.0 + v
         else:
+            neg += v
             positive = False
     if positive:
         return _clamp_unit(prod ** (1.0 / n) - 1.0)
-    return _clamp_unit(sum(v for v in values if v < 0.0) / n)
+    return _clamp_unit(neg / n)
 
 
-# agm_and and agm_or of two values, with the same checks and the same bits.
-# Two terms summed once round their exact sum once, as sum() does on every
-# CPython; a 0.0 for a missing part changes no sum.
+# agm_and and agm_or of two values, with the same checks and the same bits:
+# 0.0 plus the first part is exact, so the two parts summed once round as the
+# left-to-right sum from 0.0 does; a 0.0 for a missing part changes no sum.
 def _agm_and2(a: float, b: float) -> float:
     if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
         raise _agm_range_error("agm_and", a, b)

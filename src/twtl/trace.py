@@ -1,13 +1,15 @@
 """Uniformly sampled output words, predicate margins, and normalization.
 
-Trace CSV format: header ``time,<sig1>,...``, decimal-point reals, rows
-sorted by time with a uniform step. Predicate config is a JSON object::
+Trace CSV format: header ``time,<sig1>,...`` naming each column once,
+decimal-point reals, rows sorted by time with a uniform step. Predicate
+config is a JSON object::
 
     {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0,
                      "min": 0.0, "max": 8.0}}}
 
-``min``/``max`` are the per-signal normalization range [L, U]; they are
-optional but required for AGM robustness.
+``sigma``, ``min`` and ``max`` are finite JSON numbers. ``min``/``max`` are
+the per-signal normalization range [L, U]; they are optional, but given
+together, and required for AGM robustness.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ class NormalizationBounds:
     hi: float
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"normalization bounds require lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"normalization bounds require finite lo < hi, "
+                             f"got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,9 @@ class PredicateSpec:
         if not self.name:
             raise ValueError("atom name must be non-empty")
         if self.op not in (">=", "<="):
-            raise ValueError(f"unsupported predicate op {self.op!r}")
+            raise ValueError(f"atom {self.name}: unsupported predicate op {self.op!r}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"atom {self.name}: sigma must be finite, got {self.sigma}")
         if self.bounds is not None and not (self.bounds.lo <= self.sigma <= self.bounds.hi):
             raise ValueError(
                 f"atom {self.name}: sigma={self.sigma} outside bounds "
@@ -130,21 +135,29 @@ class PredicateTable:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PredicateTable":
-        atoms = data.get("atoms")
+        """The table of a parsed config; a malformed one raises ValueError naming the atom."""
+        atoms = data.get("atoms") if isinstance(data, Mapping) else None
         if not isinstance(atoms, Mapping):
-            raise ValueError('predicate config must contain an "atoms" object')
+            raise ValueError('predicate config must be an object with an "atoms" object')
         table = cls()
         for name, entry in atoms.items():
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"atom {name}: entry must be an object, got {entry!r}")
+            for key in ("signal", "op", "sigma"):
+                if key not in entry:
+                    raise ValueError(f"atom {name}: missing field {key}")
+            signal = entry["signal"]
+            if not (isinstance(signal, str) and signal):
+                raise ValueError(f"atom {name}: signal must be a non-empty string, got {signal!r}")
             bounds = None
             if "min" in entry or "max" in entry:
-                bounds = NormalizationBounds(float(entry["min"]), float(entry["max"]))
-            table.add(PredicateSpec(
-                name=name,
-                signal=str(entry["signal"]),
-                op=str(entry["op"]),
-                sigma=float(entry["sigma"]),
-                bounds=bounds,
-            ))
+                for key, other in (("min", "max"), ("max", "min")):
+                    if other not in entry:
+                        raise ValueError(f"atom {name}: {key} given without {other}")
+                bounds = NormalizationBounds(_number(name, entry, "min"),
+                                             _number(name, entry, "max"))
+            table.add(PredicateSpec(name, signal, entry["op"], _number(name, entry, "sigma"),
+                                    bounds))
         return table
 
     @classmethod
@@ -161,6 +174,18 @@ class PredicateTable:
                 entry["max"] = spec.bounds.hi
             atoms[spec.name] = entry
         return {"atoms": atoms}
+
+
+def _number(name: str, entry: Mapping, key: str) -> float:
+    """entry[key], which must be a finite JSON number (not a bool or a string), as a float."""
+    v = entry[key]
+    try:
+        finite = type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"atom {name}: {key} must be a finite number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -209,7 +234,7 @@ class Word:
 
 def read_trace(lines: Iterable[str], source: str, dt: float | None = None
                ) -> tuple[list[str], Iterator[list[float]]]:
-    """A trace CSV's signal names, its header checked now, and its rows.
+    """A trace CSV's signal names, its header checked now (no column named twice), and its rows.
 
     Each row ``[t, v1, ...]`` is read and checked when it is asked for: one
     finite number per column, and row k's time on the first row's grid,
@@ -225,6 +250,9 @@ def read_trace(lines: Iterable[str], source: str, dt: float | None = None
     header = [h.strip() for h in header]
     if header[:1] != ["time"] or len(header) < 2:
         raise ValueError(f"{source}: header must be 'time,<sig1>,...', got {header}")
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise ValueError(f"{source}: duplicate column {name}")
     return header[1:], _rows(reader, source, len(header), dt)
 
 

@@ -2,10 +2,10 @@
 
 A change that only makes evaluation cheaper must leave every bool, `rho` and
 `eta` value as it was. Two SHA-256 digests over the `repr` of values pin
-them: one over bool and `rho`, whose kernels are min, max and negation and
-so round alike on every CPython, and one over `eta`, whose AGM means round
-like `sum()` and `pow`. `sum()` became compensated in CPython 3.12, so
-`eta` has one digest per family. The population:
+them: one over bool and `rho`, whose kernels are min, max and negation, and
+one over `eta`, whose AGM means add their parts left to right from 0.0 and
+take `pow`. No kernel calls `sum()`, whose rounding of floats changed in
+CPython 3.12, so both digests hold on every CPython. The population:
 
 - the case-study monitor's steps, both traces, both `conservative_eta` modes;
 - offline values on the whole word and on a grid of windows, for three
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory, tight_trajectory
 from twtl.formula import parse
@@ -37,10 +36,7 @@ TABLE = PredicateTable.from_dict({"atoms": {
 }})
 
 RHO_BOOL = "c6f53fb64a74da933aa2046e769e992ca9f6e73aaab68f6f0d53381fc1849682"
-ETA = {  # by CPython family
-    (3, 10): "4d98ba349a99a572fc36f4ce563d1c7cdbaf8d0a901b15a18bd35eb35cb85d59",
-    (3, 12): "c55785e245fc4bf0a520eb64f05117c66a12301796f011b33be94aab7fd356f8",
-}
+ETA = "4d98ba349a99a572fc36f4ce563d1c7cdbaf8d0a901b15a18bd35eb35cb85d59"
 
 
 def _word(seed: int, n: int) -> Word:
@@ -86,8 +82,7 @@ def digests() -> tuple[str, str]:
 
 
 def test_values_match_pinned_digests():
-    family = (3, 10) if sys.version_info < (3, 12) else (3, 12)
-    assert digests() == (RHO_BOOL, ETA[family])
+    assert digests() == (RHO_BOOL, ETA)
 
 
 if __name__ == "__main__":

@@ -137,6 +137,51 @@ class TestCheckCommand:
         assert "bounds" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[1]", '{"atoms": {"A": 5}}', '{"atoms": {"A": {"signal": "x", "op": ">=", "sigma": null}}}',
+    '{"atoms": {"A": {"signal": "x", "op": ">=", "sigma": NaN}}}',
+    '{"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4, "min": -Infinity, "max": Infinity}}}',
+    '{"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4, "min": 0}}}',
+    '{"atoms": {"A": {"signal": 3, "op": ">=", "sigma": 4}}}', "[" * 100_000 + "]" * 100_000,
+], ids=["top_level_list", "entry_number", "sigma_null", "sigma_nan", "infinite_bounds",
+        "min_alone", "signal_number", "deeply_nested"])
+def test_malformed_config_exits_2(files, capsys, tmp_path, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, "check", "--formula", files["formula"], "--config", str(cfg),
+                       "--trace", files["trace"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"twtl: error: cannot load config {cfg}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "rho", "eta", "oracle"])
+class TestOfflineInputs:
+    """The offline commands check the trace as check and monitor do."""
+
+    def test_header_lacks_signal(self, files, capsys, tmp_path, command):
+        trace = tmp_path / "t.csv"
+        trace.write_text("time,y\n0,5.0\n")
+        got = run(capsys, command, "--formula", files["formula"], "--config", files["config"],
+                  "--trace", str(trace))
+        assert got == (2, "", f"twtl: error: {trace}: header lacks signals ['x']\n")
+
+    def test_duplicate_column(self, files, capsys, tmp_path, command):
+        trace = tmp_path / "t.csv"
+        trace.write_text("time,x,x\n0,5.0,1.0\n")
+        got = run(capsys, command, "--formula", files["formula"], "--config", files["config"],
+                  "--trace", str(trace))
+        assert got == (2, "", f"twtl: error: {trace}: duplicate column x\n")
+
+    def test_only_monitor_takes_conservative_eta(self, files, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--formula", files["formula"], "--config", files["config"],
+                  "--trace", files["trace"], "--conservative-eta"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("twtl: error: unrecognized arguments: --conservative-eta\n")
+
+
 @pytest.mark.parametrize("argv", [["parse"], ["check", "--trace", "t.csv"]],
                          ids=["parse", "check"])
 def test_dt_must_be_positive(files, capsys, argv):
@@ -177,14 +222,16 @@ class TestOracleCommand:
         assert out == run(capsys, "check", *argv)[1]
 
     def test_config_without_bounds(self, files, capsys, tmp_path):
-        cfg = tmp_path / "nobounds.json"
-        cfg.write_text(json.dumps(
-            {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0}}}))
-        rc, out, err = run(capsys, "oracle", "--formula", files["formula"],
-                           "--config", str(cfg), "--trace", files["trace"])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("twtl: error: ") and "bounds" in err
+        # as check does: one notice, eta left empty, bool and rho cross-checked
+        cfg, trace = tmp_path / "nobounds.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps(NOBOUNDS))
+        for xs, verdict in (("5.0,4.5,4.2,4.8,5.0,6.0", "sat rho=0.8"),
+                            ("1,1,1,1,1,1", "unsat rho=-3")):
+            trace.write_text("time,x\n" + "".join(f"{t},{x}\n"
+                                                  for t, x in enumerate(xs.split(","))))
+            argv = ["--formula", files["formula"], "--config", str(cfg), "--trace", str(trace)]
+            assert run(capsys, "oracle", *argv) == (0, f"{verdict} eta=\n", NOTICE)
+            assert run(capsys, "check", *argv)[1:] == (f"{verdict} eta=\n", NOTICE)
 
 
 @pytest.mark.parametrize("text", [" & ".join(["H^0 A"] * 1000), "!" * 1000 + "H^0 A"],
@@ -366,7 +413,9 @@ class TestMonitorCommand:
         ("time,x\n0,5.0\n1,inf\n", ":3: non-finite value"),
         ("time,y\n0,5.0\n", ": header lacks signals ['x']"),
         ("time,x\n0,5.0\n1,4.5\n2.5,4.2\n", ":4: time 2.5 is off the sampling grid"),
-    ], ids=["bad_header", "off_grid", "nan", "inf", "lacks_signal", "after_two_records"])
+        ("time,x,x\n0,5.0,1.0\n", ": duplicate column x"),
+    ], ids=["bad_header", "off_grid", "nan", "inf", "lacks_signal", "after_two_records",
+            "duplicate_column"])
     def test_trace_file_fails_as_the_stream_does(self, files, capsys, monkeypatch, tmp_path,
                                                  text, want):
         trace = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,13 @@ from twtl.trace import (
 
 ATOM_GE = PredicateSpec("A", "x", ">=", 4.0, NormalizationBounds(0.0, 8.0))
 ATOM_LE = PredicateSpec("B", "x", "<=", 6.0, NormalizationBounds(0.0, 8.0))
+DROP = object()
+
+
+def one_atom(**changes) -> dict:
+    """A config of one good atom A with `changes`; a field set to DROP is left out."""
+    entry = {"signal": "x", "op": ">=", "sigma": 4.0, **changes}
+    return {"atoms": {"A": {k: v for k, v in entry.items() if v is not DROP}}}
 
 
 class TestPredicateSpec:
@@ -54,6 +62,12 @@ class TestPredicateSpec:
             PredicateSpec("A", "x", ">=", 9.0, NormalizationBounds(0.0, 8.0))
         with pytest.raises(ValueError):
             NormalizationBounds(2.0, 2.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="atom A: sigma must be finite"):
+                PredicateSpec("A", "x", ">=", value)
+            for lo, hi in ((value, 8.0), (0.0, value)):
+                with pytest.raises(ValueError, match="require finite lo < hi"):
+                    NormalizationBounds(lo, hi)
 
     def test_bounds_required_for_eta(self):
         spec = PredicateSpec("A", "x", ">=", 1.0)
@@ -85,6 +99,34 @@ class TestPredicateTable:
     def test_requires_atoms_key(self):
         with pytest.raises(ValueError):
             PredicateTable.from_dict({"A": {}})
+
+    @pytest.mark.parametrize("data, message", [
+        ([1], 'predicate config must be an object with an "atoms" object'),
+        ({"atoms": [1]}, 'predicate config must be an object with an "atoms" object'),
+        ({"atoms": {"A": 5}}, "atom A: entry must be an object, got 5"),
+        (one_atom(signal=DROP), "atom A: missing field signal"),
+        (one_atom(op=DROP), "atom A: missing field op"),
+        (one_atom(sigma=DROP), "atom A: missing field sigma"),
+        (one_atom(signal=3), "atom A: signal must be a non-empty string, got 3"),
+        (one_atom(signal=""), "atom A: signal must be a non-empty string, got ''"),
+        (one_atom(sigma=None), "atom A: sigma must be a finite number, got None"),
+        (one_atom(sigma=True), "atom A: sigma must be a finite number, got True"),
+        (one_atom(sigma="4"), "atom A: sigma must be a finite number, got '4'"),
+        (one_atom(sigma=math.nan), "atom A: sigma must be a finite number, got nan"),
+        (one_atom(sigma=10 ** 400), "atom A: sigma must be a finite number, got 1000"),
+        (one_atom(min=None, max=8.0), "atom A: min must be a finite number, got None"),
+        (one_atom(min=0.0, max="8"), "atom A: max must be a finite number, got '8'"),
+        (one_atom(min=-math.inf, max=math.inf), "atom A: min must be a finite number, got -inf"),
+        (one_atom(min=0.0), "atom A: min given without max"),
+        (one_atom(max=8.0), "atom A: max given without min"),
+        (one_atom(op="=="), "atom A: unsupported predicate op '=='"),
+    ], ids=["top_level_list", "atoms_list", "entry_number", "no_signal", "no_op", "no_sigma",
+            "signal_number", "signal_empty", "sigma_null", "sigma_bool", "sigma_string",
+            "sigma_nan", "sigma_huge_int", "min_null", "max_string", "infinite_bounds",
+            "min_alone", "max_alone", "bad_op"])
+    def test_malformed_config_names_the_atom(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PredicateTable.from_dict(data)
 
 
 class TestWord:
@@ -138,6 +180,10 @@ class TestLoadTrace:
             load_trace(self.write(tmp_path, "time,x\n"))
         with pytest.raises(ValueError, match="header"):
             load_trace(self.write(tmp_path, "t,x\n0,1\n"))
+        for header, name in (("time,x,x", "x"), ("time,x,y,x", "x"), ("time,x,time", "time")):
+            p = self.write(tmp_path, f"{header}\n{'0,' * header.count(',')}0\n")
+            with pytest.raises(ValueError, match=rf"trace\.csv: duplicate column {name}$"):
+                load_trace(p)
 
     def test_gap_rejected_with_its_line(self, tmp_path):
         p = self.write(tmp_path, "time,x\n0,1\n1,2\n3,3\n")
