@@ -31,10 +31,9 @@ import sys
 from typing import Container, Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
-from .monitor import (MonitorState, StepResult, formula_signals, make_prefix, results_at,
-                      unbounded_atoms)
+from .monitor import MonitorState, StepResult, formula_signals, results_at, unbounded_atoms
 from .semantics import EvalConfig, Evaluator, eta, rho
-from .trace import PredicateTable, load_trace, read_trace
+from .trace import PredicateTable, read_prefix, word_of
 
 log = logging.getLogger("twtl")
 
@@ -192,12 +191,14 @@ def _check_header(source: str, names: Container[str], signals: list[str]) -> Non
 
 
 def _evaluate(args, evaluate):
-    """evaluate's value on the --trace word cut to f's horizon; failures are CLI errors."""
+    """evaluate's value on the --trace word up to f's horizon; failures are CLI errors."""
     f, table, cfg = _load_inputs(args)
     try:
-        word = load_trace(args.trace, dt_expected=cfg.dt)
+        hsteps = steps(horizon(f, cfg.dt), cfg.dt)
+        with open(args.trace, encoding="utf-8", newline="") as fh:
+            word = word_of(*read_prefix(fh, args.trace, cfg.dt, hsteps), cfg.dt)
         _check_header(args.trace, word.signals, formula_signals(f, table))
-        return evaluate(make_prefix(word, f, cfg).word, f, table, cfg)
+        return evaluate(word, f, table, cfg)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -285,7 +286,7 @@ def _cmd_monitor(args) -> int:
         raise CliError(str(exc)) from exc
     with opened as lines:
         try:
-            names, rows = read_trace(lines, source, cfg.dt)
+            names, rows = read_prefix(lines, source, cfg.dt, state.horizon_steps)
             _check_header(source, names, state.signal_names)
             try:
                 out = (open(args.out, "w", encoding="utf-8") if args.out

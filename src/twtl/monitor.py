@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .formula import Formula, HoldAtom, horizon, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
-from .trace import PredicateTable, Word
+from .trace import PAST_HORIZON_WARNING, PredicateTable, Word
 
 log = logging.getLogger("twtl")
 
@@ -256,7 +256,7 @@ def results_at(state: MonitorState, samples: Iterable[Mapping[str, float]],
     mark = None if marks is None else next(marks, None)
     for sample in samples:
         if state.finalized:
-            log.warning("trace continues past the horizon; extra samples ignored")
+            log.warning(PAST_HORIZON_WARNING)
             return
         state.observe(sample)
         k = state.observed - 1

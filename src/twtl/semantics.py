@@ -21,7 +21,8 @@ window extends the sweep by the splits its end adds, in a loop, and then
 folds the at most p splits whose rhs is shorter. Over ascending ends a
 window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
 end starts it again at i. Any other rhs has no such splits, and each
-window folds all of its own. When rhs pins a length, its last splits leave
+window folds all of its own. When rhs pins a length (a hold, a `Within`,
+or an `&` or `|` of two pinned children, see below), its last splits leave
 it too short: they fold conj(lhs, bottom) without evaluating rhs. A
 semantics' `skip` adds them without evaluating lhs either when they can
 change no more than the fold's count: for the max folds of bool and rho
@@ -36,9 +37,15 @@ formula by its identity: a formula's hash walks the whole tree, so it is
 never hashed. A window is keyed on the samples
 it reads. `H^d` and `[.]^[a,b]` read no sample after i + d and i + b (in
 steps), their pinned length: a shorter window is bottom, not memoized, and
-a longer one is cut to that length. An `&`, `|` or `!` whose children all
-read a bounded length reads no sample after the longest of them, so a
-longer window is cut there too.
+a longer one is cut to that length. An `&` or `|` of two pinned children
+pins the shorter of their lengths: a shorter window leaves both children
+bottom, and conj(bottom, bottom) and disj(bottom, bottom) are bottom, bit
+for bit, in every semantics (a min or a max of equal values; eta's
+(-1 + -1) / 2 and 1 - (2 * 2) ** 0.5). A `!` pins nothing, as -bottom is
+not bottom, and neither does a `Concat`, whose split with one short side is
+conj(bottom, x). An `&`, `|` or `!` whose children all read a bounded
+length reads no sample after the longest of them, so a longer window is
+cut there too.
 
 An evaluator's word grows by `append`, one sample at a time; samples at
 indices >= n, the number observed, are open. Every operator is monotone
@@ -283,13 +290,14 @@ def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
     past the nodes already in the table, so compiling does not recurse.
     A node is a tuple (kind, lhs, rhs, pin, reach, offset, hold): the Formula
     class; the indices of its children, or None (a Not's or a Within's only
-    child is lhs); its pinned length, the steps after a window's start that
-    a hold or a Within reads, a shorter window being bottom (else None); its
-    reach, the most steps after a window's start that it reads: the pin, or
-    for an And, Or or Not whose children all have a reach the longest of
-    theirs (else None: to the window's end); a Within's first start, in
-    steps after the window's start (else 0); and a hold's HoldAtom (else
-    None).
+    child is lhs); its pinned length, a shorter window being bottom: the
+    steps after a window's start that a hold or a Within reads, or for an
+    And or Or of two pinned children the shorter of their pins (else None);
+    its reach, the most steps after a window's start that it reads: a hold's
+    or a Within's pin, or for an And, Or or Not whose children all have a
+    reach the longest of theirs (else None: to the window's end); a Within's
+    first start, in steps after the window's start (else 0); and a hold's
+    HoldAtom (else None).
     """
     base = len(nodes)
     for g, lhs, rhs in postorder(f):
@@ -302,11 +310,13 @@ def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
         elif kind is Not:
             nodes.append((kind, base + lhs, None, None, nodes[base + lhs][4], 0, None))
         else:
-            reach = None
+            pin = reach = None
             if kind is not Concat:
-                a, b = nodes[base + lhs][4], nodes[base + rhs][4]
+                _, _, _, pa, a, *_ = nodes[base + lhs]
+                _, _, _, pb, b, *_ = nodes[base + rhs]
                 reach = None if a is None or b is None else max(a, b)
-            nodes.append((kind, base + lhs, base + rhs, None, reach, 0, None))
+                pin = None if pa is None or pb is None else min(pa, pb)
+            nodes.append((kind, base + lhs, base + rhs, pin, reach, 0, None))
     return len(nodes) - 1
 
 

@@ -26,6 +26,7 @@ log = logging.getLogger("twtl")
 _GRID_RTOL = 1e-9
 
 CLAMP_WARNING = "atom %s: %d of %d samples outside bounds [%g, %g], clamping"
+PAST_HORIZON_WARNING = "trace continues past the horizon; extra samples ignored"
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,21 @@ def read_trace(lines: Iterable[str], source: str, dt: float | None = None
     |(t - t0)/dt - k| <= 1e-9; without a known dt the first two rows fix it.
     Blank lines are skipped. Errors are ValueErrors naming ``<source>:<line>``.
     """
+    return _read(lines, source, dt, None)
+
+
+def read_prefix(lines: Iterable[str], source: str, dt: float, horizon_steps: int
+                ) -> tuple[list[str], Iterator[list[float]]]:
+    """`read_trace`'s names and its rows 0..horizon_steps, read and checked as it reads them.
+
+    A further non-blank line is not parsed: it logs the one warning that the
+    trace continues past the horizon, and the rows end.
+    """
+    return _read(lines, source, dt, horizon_steps + 1)
+
+
+def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
+          ) -> tuple[list[str], Iterator[list[float]]]:
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     reader = csv.reader(lines)
@@ -253,10 +269,12 @@ def read_trace(lines: Iterable[str], source: str, dt: float | None = None
     for k, name in enumerate(header):
         if name in header[:k]:
             raise ValueError(f"{source}: duplicate column {name}")
-    return header[1:], _rows(reader, source, len(header), dt)
+    return header[1:], _rows(reader, source, len(header), dt, count)
 
 
-def _rows(reader, source: str, width: int, dt: float | None) -> Iterator[list[float]]:
+def _rows(reader, source: str, width: int, dt: float | None, count: int | None
+          ) -> Iterator[list[float]]:
+    """The checked rows, at most `count` of them (None: all)."""
     basis = "expected" if dt is not None else "non-uniform timestamps; the first two rows give"
     t0, k = 0.0, 0
     for lineno, row in enumerate(reader, start=2):
@@ -282,14 +300,30 @@ def _rows(reader, source: str, width: int, dt: float | None) -> Iterator[list[fl
                              f"expected {t0 + k * dt:g} ({basis} dt={dt:g})")
         k += 1
         yield values
+        if k == count:
+            if _continues(reader):
+                log.warning(PAST_HORIZON_WARNING)
+            return
     if k == 0:
         raise ValueError(f"{source}: no samples")
+
+
+def _continues(reader) -> bool:
+    """Whether the reader holds a further non-blank row; one it cannot split counts."""
+    try:
+        return any("".join(row).strip() for row in reader)
+    except csv.Error:
+        return True
 
 
 def load_trace(path, dt_expected: float | None = None) -> Word:
     """Load a trace CSV, every row checked as `read_trace` checks it."""
     with open(path, encoding="utf-8", newline="") as fh:
-        names, rows = read_trace(fh, str(path), dt_expected)
-        times, *columns = zip(*rows)
-    dt = dt_expected or (times[1] - times[0] if len(times) > 1 else 1.0)
+        return word_of(*read_trace(fh, str(path), dt_expected), dt_expected)
+
+
+def word_of(names: list[str], rows: Iterable[list[float]], dt: float | None = None) -> Word:
+    """The word of a trace's signal names and rows; without dt, the first two rows give it."""
+    times, *columns = zip(*rows)
+    dt = dt or (times[1] - times[0] if len(times) > 1 else 1.0)
     return Word(dt, dict(zip(names, columns)), t0=times[0])

@@ -10,6 +10,7 @@ import twtl
 from twtl import monitor
 from twtl.cli import main
 from twtl.monitor import unbounded_atoms
+from twtl.trace import PAST_HORIZON_WARNING
 
 FORMULA = "[H^2 A]^[1,5]\n"
 CONFIG = {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0,
@@ -18,6 +19,7 @@ NOBOUNDS = {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0},
                       "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0}}}
 NOTICE = "twtl: notice: eta left out: no min/max normalization bounds for A\n"
 TRACE = "time,x\n0,5.0\n1,4.5\n2,4.2\n3,4.8\n4,5.0\n5,6.0\n"
+UNSAT_TRACE = "time,x\n" + "".join(f"{t},3.0\n" for t in range(6))
 
 
 @pytest.fixture
@@ -180,6 +182,57 @@ class TestOfflineInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith("twtl: error: unrecognized arguments: --conservative-eta\n")
+
+
+@pytest.mark.parametrize("command", ["check", "rho", "eta", "oracle", "monitor"])
+class TestRowsPastTheHorizon:
+    """Every command reads rows 0..H only: a further line is not parsed, and warns once."""
+
+    @staticmethod
+    def argv(files, command, trace):
+        return [command, "--formula", files["formula"], "--config", files["config"],
+                "--trace", str(trace)]
+
+    @pytest.mark.parametrize("after", ["6,oops\n", "6,5.0\n7,oops\n",
+                                       '6,"' + "9" * 200_000 + '"\n'],
+                             ids=["first", "second", "unsplittable"])
+    @pytest.mark.parametrize("trace", [TRACE, UNSAT_TRACE], ids=["sat", "unsat"])
+    def test_is_not_parsed(self, files, capsys, caplog, tmp_path, command, after, trace):
+        cut, long = tmp_path / "cut.csv", tmp_path / "long.csv"
+        cut.write_text(trace)
+        long.write_text(trace + after)
+        want = run(capsys, *self.argv(files, command, cut))
+        assert want[0] == (1 if command == "check" and trace is UNSAT_TRACE else 0)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="twtl"):
+            assert run(capsys, *self.argv(files, command, long)) == want
+        assert caplog.messages == [PAST_HORIZON_WARNING]
+
+    def test_warns_once_on_stderr(self, files, tmp_path, command):
+        trace = tmp_path / "long.csv"
+        trace.write_text(TRACE + "6,oops\n")
+        src = os.path.dirname(os.path.dirname(twtl.__file__))
+        env = dict(os.environ, PYTHONPATH=src, TWTL_LOG="WARNING")
+        argv = [sys.executable, "-m", "twtl.cli", *self.argv(files, command, trace)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == f"twtl: WARNING: {PAST_HORIZON_WARNING}\n"
+
+    def test_blank_lines_past_the_horizon_warn_nothing(self, files, capsys, caplog, tmp_path,
+                                                       command):
+        trace = tmp_path / "t.csv"
+        trace.write_text(TRACE + "\n,,\n \n")
+        with caplog.at_level("WARNING", logger="twtl"):
+            got = run(capsys, *self.argv(files, command, trace))
+        assert got == run(capsys, *self.argv(files, command, files["trace"]))
+        assert caplog.messages == []
+
+    def test_bad_row_inside_the_horizon_exits_2(self, files, capsys, tmp_path, command):
+        trace = tmp_path / "t.csv"
+        trace.write_text(TRACE.replace("3,4.8", "3,oops") + "6,oops\n")
+        rc, _, err = run(capsys, *self.argv(files, command, trace))
+        assert rc == 2
+        assert err == f"twtl: error: {trace}:5: unparsable number in ['3', 'oops']\n"
 
 
 @pytest.mark.parametrize("argv", [["parse"], ["check", "--trace", "t.csv"]],

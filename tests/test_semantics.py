@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twtl.casestudy import build_formula, build_table, nominal_trajectory
-from twtl.formula import And, Concat, Not, Within, format_formula, horizon, parse, steps
+from twtl.formula import (And, Concat, HoldAtom, Not, Or, Within, format_formula, horizon, parse,
+                          steps)
 from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
 from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
                          random_formula, random_word)
-from twtl.semantics import (_AGM_OR_START, _ETA, EvalConfig, Evaluator, _agm_and2, _agm_or2,
-                            _agm_or_finish, _agm_or_fold, agm_and, agm_or, bool_sat,
+from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
+                            _agm_or2, _agm_or_finish, _agm_or_fold, agm_and, agm_or, bool_sat,
                             compile_formula, eta, rho)
 from twtl.trace import PredicateSpec, PredicateTable, Word
 
@@ -39,6 +40,18 @@ TOL = 1e-9
 
 def unit_word(*xs):
     return Word(1.0, {"x": xs})
+
+
+def pinned_joins(f):
+    """Whether f has an & or | of two pinned operands as a Concat's rhs, and as a Within's lhs."""
+    nodes = []
+    compile_formula(f, 1.0, nodes)
+
+    def joined(k):
+        return nodes[k][0] in (And, Or) and nodes[k][3] is not None
+
+    return (any(kind is Concat and joined(rhs) for kind, _, rhs, *_ in nodes),
+            any(kind is Within and joined(lhs) for kind, lhs, *_ in nodes))
 
 
 class TestAgm:
@@ -202,6 +215,47 @@ def test_word_and_config_dt_must_agree():
     cfg = EvalConfig(dt=0.5)
     assert rho(w, f, UNIT, cfg) == oracle_rho(w, f, UNIT, cfg) == 5.0
     assert bool_sat(w, f, UNIT, cfg) is oracle_bool(w, f, UNIT, cfg) is True
+
+
+class TestPins:
+    """An & or | of two pinned operands pins the shorter of their lengths: a
+    window shorter than both is bottom, neither evaluated nor memoized."""
+
+    @pytest.mark.parametrize("text, pin", [
+        ("H^1 A & H^3 B", 1),
+        ("H^2 A | H^0 !B", 0),
+        ("H^3 A & [H^1 B]^[0,2]", 2),
+        ("(H^1 A | H^2 B) & H^4 A", 1),
+        ("H^1 A & !H^3 B", None),
+        ("!H^1 A | H^3 B", None),
+        ("H^1 A & (H^0 A . H^0 B)", None),
+        ("(H^0 A . H^0 B) | H^1 A", None),
+        ("H^1 A & (H^0 A | !H^0 B)", None),
+    ])
+    def test_compiled_pin(self, text, pin):
+        nodes = []
+        kind, _, _, got, *_ = nodes[compile_formula(parse(text), 1.0, nodes)]
+        assert kind in (And, Or)
+        assert got == pin
+
+    @pytest.mark.parametrize("sem, cfg", [
+        (_BOOL, EvalConfig()), (_RHO, EvalConfig()), (_RHO, EvalConfig(rho_bot=-2.5)),
+        (_RHO, EvalConfig(rho_bot=-math.inf)), (_ETA, EvalConfig()),
+    ], ids=["bool", "rho", "rho_bot=-2.5", "rho_bot=-inf", "eta"])
+    def test_conj_and_disj_of_two_bottoms_are_bottom(self, sem, cfg):
+        bottom = sem.bottom(cfg)
+        assert repr(sem.conj(bottom, bottom)) == repr(bottom)
+        assert repr(sem.disj(bottom, bottom)) == repr(bottom)
+
+    def test_window_shorter_than_both_pins_is_not_memoized(self):
+        f = parse("H^2 A & [H^1 B]^[0,3]")
+        ev = Evaluator(Word(1.0, {"x": (5.0,) * 6}), TABLE)
+        assert ev.rho(f, 0, 1) == -10.0
+        assert ev.eta(f, 0, 1) == -1.0
+        assert ev.stats() == {name: {"memo": 0, "inserted": 0, "folded": 0}
+                              for name in ("rho", "eta")}
+        ev.rho(f, 0, 2)  # as long as the hold's pin: evaluated
+        assert ev.stats()["rho"]["memo"] > 0
 
 
 class TestEta:
@@ -376,9 +430,10 @@ class TestWorkCounts:
         # the starts that read no sample; rho skips the splits whose rhs is
         # too short once its fold is at bottom, and joins the unobserved
         # starts by one max; eta adds both by count once its fold has met a
-        # value >= 0 and they are <= 0, and else folds them one by one
-        assert state.stats() == {"rho": {"memo": 1_585, "inserted": 10_705, "folded": 9_825},
-                                 "eta": {"memo": 1_585, "inserted": 10_980, "folded": 23_993}}
+        # value >= 0 and they are <= 0, and else folds them one by one; an &
+        # window shorter than both operands' pins is bottom, not memoized
+        assert state.stats() == {"rho": {"memo": 820, "inserted": 8_194, "folded": 9_825},
+                                 "eta": {"memo": 820, "inserted": 8_469, "folded": 23_993}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -487,16 +542,37 @@ class TestSweep:
     CFG = EvalConfig(rho_bot=-2.0, rho_top=1.5)  # margins reach -10..10 below
 
     def instances(self, count, seed):
-        rng = random.Random(seed)
-        pinned = 0  # formulas with a Concat whose rhs pins a length > 0
-        for _ in range(count):
+        rng, grafts = random.Random(seed), random.Random(-seed)
+        total = pinned = 0  # formulas; those with a Concat whose rhs pins a length > 0
+        joins = [0, 0]  # those with a pinned & or | as a Concat's rhs, as a Within's lhs
+        for case in range(count):
             f = random_formula(rng, ["A", "B"], self.GEN, max_horizon=9)
-            nodes = []
-            compile_formula(f, 1.0, nodes)
-            pinned += any(kind is Concat and (nodes[rhs][3] or 0) > 0
-                          for kind, _, rhs, *_ in nodes)
-            yield f, random_word(rng, {"x": (-6.0, 14.0)}, n=rng.randint(1, 9)), rng
-        assert pinned >= count // 4
+            batch = [(f, rng)]
+            if case % 4 == 3:  # f also comes joined with an & or | of pinned operands
+                batch.append((self.graft(grafts, f), grafts))
+            for g, r in batch:
+                total += 1
+                nodes = []
+                compile_formula(g, 1.0, nodes)
+                pinned += any(kind is Concat and (nodes[rhs][3] or 0) > 0
+                              for kind, _, rhs, *_ in nodes)
+                joins = [a + b for a, b in zip(joins, pinned_joins(g))]
+                yield g, random_word(r, {"x": (-6.0, 14.0)}, n=r.randint(1, 9)), r
+        assert pinned >= total // 4
+        assert min(joins) >= total // 8, joins
+
+    @staticmethod
+    def graft(rng, f):
+        """f joined with an & or | of two pinned operands, as a Concat's rhs or a Within's lhs."""
+        def pinned():
+            hold = HoldAtom(rng.randint(0, 3), rng.choice("AB"), rng.random() < 0.3)
+            return Within(hold, 0, rng.randint(0, 2)) if rng.random() < 0.3 else hold
+
+        join = rng.choice((And, Or))(pinned(), pinned())
+        if rng.random() < 0.5:
+            return Concat(f, join)
+        b = rng.randint(0, 3)
+        return Concat(Within(join, rng.randint(0, b), b), f)
 
     @staticmethod
     def values(ev, f, a, b):
@@ -531,7 +607,8 @@ class TestResumedFolds:
     # folded with an open sample's extreme shows in the value
     FORMULAS = ("[H^2 P]^[0,5]", "[H^0 P | H^2 !P]^[0,5]", "[H^1 P . H^0 P]^[2,5]",
                 "(H^0 P | H^3 !P) . [H^0 !P]^[0,3]", "(H^0 P . [H^0 !P]^[0,3]) . H^1 P",
-                "[H^0 !P . H^0 P]^[0,4] . H^3 !P")
+                "[H^0 !P . H^0 P]^[0,4] . H^3 !P", "H^1 P . (H^0 !P & H^2 P)",
+                "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]")
 
     @staticmethod
     def fold(value, f, i, j, conj, disj, bottom):
@@ -547,6 +624,9 @@ class TestResumedFolds:
         rng = random.Random(11)
         semantics = (("rho", min, max, -10.0),
                      ("eta", lambda a, b: agm_and([a, b]), agm_or, -1.0))
+        # & and | of pinned operands, shorter than their pins at the last splits and starts
+        joins = [pinned_joins(parse(text)) for text in self.FORMULAS]
+        assert all(sum(column) >= 2 for column in zip(*joins)), joins
         for text in self.FORMULAS:
             f = parse(text)
             assert type(f) in (Concat, Within)
