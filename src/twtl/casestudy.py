@@ -102,17 +102,17 @@ def tight_trajectory() -> Word:
     return _word_from_positions(pts)
 
 
-def monitor_records(word: Word, f: Formula, table: PredicateTable, cfg: EvalConfig,
-                    taus=DEFAULT_TAUS, conservative_eta: bool = False) -> list[StepResult]:
-    """Interval evaluation of the prefixes ending at each time in taus, which must ascend.
+def monitor_records(word: Word, f: Formula, table: PredicateTable,
+                    cfg: EvalConfig) -> list[StepResult]:
+    """Interval evaluation of the prefixes ending at each time in DEFAULT_TAUS.
 
     One monitor is advanced from each prefix to the next, so an evaluation
     keeps the windows the ones before it finished. A time past the word's
     end ends the list; one past the horizon gets the horizon's result.
     """
-    state = MonitorState(f, table, cfg, word.t0, conservative_eta)
+    state = MonitorState(f, table, cfg, word.t0)
     at: list[int] = []
-    for t in taus:
+    for t in DEFAULT_TAUS:
         k = steps(t - word.t0, cfg.dt)
         if k >= word.n:
             break
@@ -167,7 +167,6 @@ def run_case_study(out_dir, fmt: str = "csv") -> CaseStudyResult:
             write_records(fh, fmt, records)
         files.append(str(path))
 
-        ev, h = Evaluator(word, table, cfg), word.n - 1  # one evaluator for the three values
-        results[label] = {"rho": ev.rho(f, 0, h), "eta": ev.eta(f, 0, h),
-                          "sat": ev.bool_sat(f, 0, h)}
+        ev, h = Evaluator(word, f, table, cfg), word.n - 1  # one evaluator for the three values
+        results[label] = {"rho": ev.rho(0, h), "eta": ev.eta(0, h), "sat": ev.bool_sat(0, h)}
     return CaseStudyResult(horizon(f, cfg.dt), results, files)

@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_formula(path: str):
     try:
         return parse_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # also a file that is not UTF-8
         raise CliError(f"cannot read formula: {exc}") from exc
     except TwtlSyntaxError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -214,9 +214,9 @@ def _cmd_parse(args) -> int:
 
 def _check(word, f, table, cfg) -> tuple[bool, float, float | None]:
     """Satisfaction, rho and eta (None if left out) from one evaluator: f compiled once."""
-    ev, h = Evaluator(word, table, cfg), word.n - 1
-    sat, r = ev.bool_sat(f, 0, h), ev.rho(f, 0, h)
-    return sat, r, None if _eta_left_out(unbounded_atoms(f, table)) else ev.eta(f, 0, h)
+    ev, h = Evaluator(word, f, table, cfg), word.n - 1
+    sat, r = ev.bool_sat(0, h), ev.rho(0, h)
+    return sat, r, None if _eta_left_out(unbounded_atoms(f, table)) else ev.eta(0, h)
 
 
 def _oracle(word, f, table, cfg) -> tuple[bool, float, float | None]:

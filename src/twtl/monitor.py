@@ -12,8 +12,8 @@ therefore sound for every completion whose margins lie in that range (its
 value lies inside), nested (they only shrink as the prefix grows) and
 converge to the offline singleton at the horizon.
 
-`rho_interval`, `eta_interval` and `prefix_result` evaluate one prefix with
-a fresh evaluator. `MonitorState` keeps one evaluator over a whole trace and
+`rho_interval` and `eta_interval` evaluate one prefix with a fresh
+evaluator. `MonitorState` keeps one evaluator over a whole trace and
 appends each sample to it: a window that reads only observed samples is
 final, and so is one that reads none, so each evaluation keeps those and
 evaluates again only the frontier, the windows that read both. A sample
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formula import Formula, HoldAtom, horizon, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
@@ -107,27 +107,29 @@ def make_prefix(word: Word, f: Formula, cfg: EvalConfig = DEFAULT_CONFIG) -> Pre
     """Wrap a word as a Prefix of f's horizon, truncating over-long words (warns)."""
     hsteps = steps(horizon(f, cfg.dt), cfg.dt)
     if word.n > hsteps + 1:
-        log.warning("word has %d samples but horizon needs only %d; extra samples ignored",
-                    word.n, hsteps + 1)
+        log.warning(PAST_HORIZON_WARNING)
         word = word.prefix(hsteps + 1)
     return Prefix(word, hsteps)
+
+
+def _interval(run: Callable[..., float], horizon_steps: int) -> RobustnessInterval:
+    """The interval between the lower and the upper bound of an evaluator's
+    `rho` or `eta` over [0, horizon_steps]."""
+    return RobustnessInterval(run(0, horizon_steps), run(0, horizon_steps, upper=True))
 
 
 def rho_interval(prefix: Prefix, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG) -> RobustnessInterval:
     """Sound interval for the robustness of every completion of the prefix."""
-    ev = Evaluator(prefix.word, table, cfg)
-    h = prefix.horizon_steps
-    return RobustnessInterval(ev.rho(f, 0, h), ev.rho(f, 0, h, upper=True))
+    return _interval(Evaluator(prefix.word, f, table, cfg).rho, prefix.horizon_steps)
 
 
 def eta_interval(prefix: Prefix, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG,
                  conservative_eta: bool = False) -> RobustnessInterval:
     """Sound interval for the AGM robustness of every completion of the prefix."""
-    ev = Evaluator(prefix.word, table, cfg, conservative_eta)
-    h = prefix.horizon_steps
-    return RobustnessInterval(ev.eta(f, 0, h), ev.eta(f, 0, h, upper=True))
+    return _interval(Evaluator(prefix.word, f, table, cfg, conservative_eta).eta,
+                     prefix.horizon_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +141,19 @@ class MonitorFinalizedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepResult:
-    """Both intervals and their verdicts at one prefix; [eta] is None when left out."""
+    """Both intervals at one prefix, and their verdicts; [eta] is None when left out."""
 
     t: float
     rho: RobustnessInterval
     eta: RobustnessInterval | None
-    verdict_rho: Verdict
-    verdict_eta: Verdict | None
+
+    @property
+    def verdict_rho(self) -> Verdict:
+        return interval_verdict(self.rho)
+
+    @property
+    def verdict_eta(self) -> Verdict | None:
+        return None if self.eta is None else interval_verdict(self.eta)
 
 
 def formula_signals(f: Formula, table: PredicateTable) -> list[str]:
@@ -157,25 +165,6 @@ def unbounded_atoms(f: Formula, table: PredicateTable) -> list[str]:
     """The atoms of f without normalization bounds, sorted: eta needs every atom's."""
     return sorted({g.atom for g, *_ in postorder(f)
                    if type(g) is HoldAtom and table[g.atom].bounds is None})
-
-
-def _result(ev: Evaluator, f: Formula, horizon_steps: int, t: float,
-            with_eta: bool = True) -> StepResult:
-    """The intervals of f and their verdicts at the evaluator's word, over [0, horizon_steps]."""
-    r = RobustnessInterval(ev.rho(f, 0, horizon_steps), ev.rho(f, 0, horizon_steps, upper=True))
-    if not with_eta:
-        return StepResult(t, r, None, interval_verdict(r), None)
-    e = RobustnessInterval(ev.eta(f, 0, horizon_steps), ev.eta(f, 0, horizon_steps, upper=True))
-    return StepResult(t, r, e, interval_verdict(r), interval_verdict(e))
-
-
-def prefix_result(prefix: Prefix, f: Formula, table: PredicateTable,
-                  cfg: EvalConfig = DEFAULT_CONFIG,
-                  conservative_eta: bool = False) -> StepResult:
-    """Both intervals and their verdicts at a prefix, stamped with its last sample's time."""
-    word = prefix.word
-    return _result(Evaluator(word, table, cfg, conservative_eta), f, prefix.horizon_steps,
-                   word.time_at(word.n - 1))
 
 
 class MonitorState:
@@ -198,14 +187,13 @@ class MonitorState:
     def __init__(self, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG, t0: float = 0.0,
                  conservative_eta: bool = False):
-        self.formula = f
         self.cfg = cfg
         self.t0 = t0
         self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
         self.signal_names = formula_signals(f, table)
         self.unbounded = unbounded_atoms(f, table)
         empty = Word(cfg.dt, {s: () for s in self.signal_names})
-        self._ev: Evaluator | None = Evaluator(empty, table, cfg, conservative_eta)
+        self._ev: Evaluator | None = Evaluator(empty, f, table, cfg, conservative_eta)
         self._stats: dict[str, dict[str, int]] = {}  # the counters of the released evaluator
         self.observed = 0
         self.last: StepResult | None = None
@@ -227,8 +215,9 @@ class MonitorState:
             raise ValueError("no sample observed yet")
         if self._ev is None:
             return self.last  # the horizon's result, already out
-        self.last = _result(self._ev, self.formula, self.horizon_steps,
-                            self.t0 + (self.observed - 1) * self.cfg.dt, not self.unbounded)
+        ev, h = self._ev, self.horizon_steps
+        self.last = StepResult(self.t0 + (self.observed - 1) * self.cfg.dt, _interval(ev.rho, h),
+                               None if self.unbounded else _interval(ev.eta, h))
         if self.finalized:
             self._stats, self._ev = self._ev.stats(), None
         return self.last

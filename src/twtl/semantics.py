@@ -30,22 +30,20 @@ once the accumulator is at least bottom, which conj(x, bottom) <= bottom
 cannot raise; for eta's AGM disjunction once it has folded a value >= 0,
 as conj(x, -1) <= -0.5 (see below).
 
-Each formula object is compiled once per evaluator into a post-order table
-of nodes (kind, children, pinned length, reach, `Within` start offset,
-hold), and the recursion runs over node indices. The evaluator knows a
-formula by its identity: a formula's hash walks the whole tree, so it is
-never hashed. A window is keyed on the samples
-it reads. `H^d` and `[.]^[a,b]` read no sample after i + d and i + b (in
-steps), their pinned length: a shorter window is bottom, not memoized, and
-a longer one is cut to that length. An `&` or `|` of two pinned children
-pins the shorter of their lengths: a shorter window leaves both children
-bottom, and conj(bottom, bottom) and disj(bottom, bottom) are bottom, bit
-for bit, in every semantics (a min or a max of equal values; eta's
-(-1 + -1) / 2 and 1 - (2 * 2) ** 0.5). A `!` pins nothing, as -bottom is
-not bottom, and neither does a `Concat`, whose split with one short side is
-conj(bottom, x). An `&`, `|` or `!` whose children all read a bounded
-length reads no sample after the longest of them, so a longer window is
-cut there too.
+An evaluator compiles its one formula once, when it is built, into a
+post-order table of nodes (kind, children, pinned length, reach, `Within`
+start offset, hold), and the recursion runs over node indices. A window is
+keyed on the samples it reads. `H^d` and `[.]^[a,b]` read no sample after
+i + d and i + b (in steps), their pinned length: a shorter window is
+bottom, not memoized, and a longer one is cut to that length. An `&` or
+`|` of two pinned children pins the shorter of their lengths: a shorter
+window leaves both children bottom, and conj(bottom, bottom) and
+disj(bottom, bottom) are bottom, bit for bit, in every semantics (a min or
+a max of equal values; eta's (-1 + -1) / 2 and 1 - (2 * 2) ** 0.5). A `!`
+pins nothing, as -bottom is not bottom, and neither does a `Concat`, whose
+split with one short side is conj(bottom, x). An `&`, `|` or `!` whose
+children all read a bounded length reads no sample after the longest of
+them, so a longer window is cut there too.
 
 An evaluator's word grows by `append`, one sample at a time; samples at
 indices >= n, the number observed, are open. Every operator is monotone
@@ -283,11 +281,11 @@ _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
                   (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip)
 
 
-def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
-    """Append f's subformulas to `nodes` in post-order; return the index of f's node.
+def compile_formula(f: Formula, dt: float) -> list[tuple]:
+    """f's subformulas as a table of nodes in post-order; f's node is the last.
 
-    The order and the child indices are those of `formula.postorder`, shifted
-    past the nodes already in the table, so compiling does not recurse.
+    The order and the child indices are those of `formula.postorder`, so
+    compiling does not recurse.
     A node is a tuple (kind, lhs, rhs, pin, reach, offset, hold): the Formula
     class; the indices of its children, or None (a Not's or a Within's only
     child is lhs); its pinned length, a shorter window being bottom: the
@@ -299,31 +297,32 @@ def compile_formula(f: Formula, dt: float, nodes: list[tuple]) -> int:
     first start, in steps after the window's start (else 0); and a hold's
     HoldAtom (else None).
     """
-    base = len(nodes)
+    nodes: list[tuple] = []
     for g, lhs, rhs in postorder(f):
         kind = type(g)
         if kind is HoldAtom:
             nodes.append((kind, None, None, g.d, g.d, 0, g))
         elif kind is Within:
             b = steps(g.b, dt)
-            nodes.append((kind, base + lhs, None, b, b, steps(g.a, dt), None))
+            nodes.append((kind, lhs, None, b, b, steps(g.a, dt), None))
         elif kind is Not:
-            nodes.append((kind, base + lhs, None, None, nodes[base + lhs][4], 0, None))
+            nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, None))
         else:
             pin = reach = None
             if kind is not Concat:
-                _, _, _, pa, a, *_ = nodes[base + lhs]
-                _, _, _, pb, b, *_ = nodes[base + rhs]
+                _, _, _, pa, a, *_ = nodes[lhs]
+                _, _, _, pb, b, *_ = nodes[rhs]
                 reach = None if a is None or b is None else max(a, b)
                 pin = None if pa is None or pb is None else min(pa, pb)
-            nodes.append((kind, base + lhs, base + rhs, pin, reach, 0, None))
-    return len(nodes) - 1
+            nodes.append((kind, lhs, rhs, pin, reach, 0, None))
+    return nodes
 
 
 class Evaluator:
-    """The memoized recursions over one word, which `append` grows sample by sample.
+    """The memoized recursions of one formula over one word, which `append` grows.
 
-    Each formula asked for is compiled once into the evaluator's node table.
+    The formula is compiled once, when the evaluator is built, into its node
+    table; `bool_sat`, `rho` and `eta` evaluate it on a window [i, j].
     A sample appended keeps the windows that are final and drops the
     frontier (see the module notes). The runs of the three semantics share
     one store of margin columns, which grow with the word.
@@ -331,8 +330,8 @@ class Evaluator:
     normalized margins for the unobserved samples of an `eta` hold.
     """
 
-    def __init__(self, word: Word, table: PredicateTable, cfg: EvalConfig = DEFAULT_CONFIG,
-                 conservative_eta: bool = False):
+    def __init__(self, word: Word, f: Formula, table: PredicateTable,
+                 cfg: EvalConfig = DEFAULT_CONFIG, conservative_eta: bool = False):
         if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
             raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
         self.n = word.n  # samples observed
@@ -341,24 +340,16 @@ class Evaluator:
         self.conservative_eta = conservative_eta
         self._signals = {s: list(vals) for s, vals in word.signals.items()}
         self._columns = _Columns(self._signals, table)
-        self._nodes: list[tuple] = []
-        # id(formula) -> (formula, its node's index): keyed on identity, so no
-        # formula is hashed, and holding the formula keeps its id from being reused
-        self._roots: dict[int, tuple[Formula, int]] = {}
+        self._nodes = compile_formula(f, cfg.dt)
         self._runs: dict[_Semantics, _Recursion] = {}
 
-    def _evaluate(self, sem: _Semantics, f: Formula, i: int, j: int, upper: bool) -> float:
+    def _evaluate(self, sem: _Semantics, i: int, j: int, upper: bool) -> float:
         if not self.n:
             raise ValueError("cannot evaluate an empty word")
-        root = self._roots.get(id(f))
-        if root is None:
-            root = self._roots[id(f)] = f, compile_formula(f, self.cfg.dt, self._nodes)
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
-        if len(run.slots) < len(self._nodes):
-            run.compile(self._nodes[len(run.slots):])
-        return run.value(root[1], i, j, upper)
+        return run.value(len(self._nodes) - 1, i, j, upper)
 
     def append(self, sample: Mapping[str, float]) -> None:
         """Add one sample, a value of each of the word's signals, checked as a Word checks it.
@@ -376,14 +367,14 @@ class Evaluator:
         for run in self._runs.values():
             run.advance(self.n)
 
-    def bool_sat(self, f: Formula, i: int, j: int) -> bool:
-        return self._evaluate(_BOOL, f, i, j, False) > 0.0
+    def bool_sat(self, i: int, j: int) -> bool:
+        return self._evaluate(_BOOL, i, j, False) > 0.0
 
-    def rho(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
-        return self._evaluate(_RHO, f, i, j, upper)
+    def rho(self, i: int, j: int, upper: bool = False) -> float:
+        return self._evaluate(_RHO, i, j, upper)
 
-    def eta(self, f: Formula, i: int, j: int, upper: bool = False) -> float:
-        return self._evaluate(_ETA, f, i, j, upper)
+    def eta(self, i: int, j: int, upper: bool = False) -> float:
+        return self._evaluate(_ETA, i, j, upper)
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per semantics run so far: memo entries held (windows, and the
@@ -453,8 +444,16 @@ class _Recursion:
         self.short = sem.conj(-self.bottom, self.bottom)
         self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
         # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
-        # length and reach (see compile_formula), and its memos, keyed as in value()
+        # length and reach (see compile_formula), and its memos, keyed as in
+        # value(). Each hold's atom must be in the table and have the extremes
+        # of its own margins (for eta, its bounds), whatever the
+        # conservative_eta flag: so an evaluation raises also when its folds
+        # add every hold that reads the atom without evaluating them.
         self.slots: list[tuple] = []
+        for _, _, _, pin, reach, _, hold in self.nodes:
+            if hold is not None:
+                self.extremes(self.table[hold.atom], self.cfg, False)
+            self.slots.append((pin or 0, reach, {}, {}, {}))
         # sweeps, (t, acc): a Concat's splits or a Within's starts before t
         # folded into acc. Final, keyed (node, start), when every value folded
         # reads only observed samples; else open, keyed (node, start, upper)
@@ -465,19 +464,6 @@ class _Recursion:
         self.tails: dict[tuple, list[float]] = {}
         self.folded = 0  # split and start values folded
         self.dropped = 0  # frontier entries dropped by advance()
-
-    def compile(self, nodes: list[tuple]) -> None:
-        """Add the slots of newly compiled nodes, checking each hold's atom.
-
-        The atom must be in the table and have the extremes of its own margins
-        (for eta, its bounds), whatever the conservative_eta flag: so an
-        evaluation raises also when its folds add every hold that reads the
-        atom without evaluating them.
-        """
-        for _, _, _, pin, reach, _, hold in nodes:
-            if hold is not None:
-                self.extremes(self.table[hold.atom], self.cfg, False)
-            self.slots.append((pin or 0, reach, {}, {}, {}))
 
     def advance(self, n: int) -> None:
         """Move to n observed samples: drop the frontier memos and open sweeps.
@@ -660,16 +646,16 @@ class _Recursion:
 def bool_sat(word: Word, f: Formula, table: PredicateTable,
              cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
     """Boolean satisfaction of `f` by the whole word."""
-    return Evaluator(word, table, cfg).bool_sat(f, 0, word.n - 1)
+    return Evaluator(word, f, table, cfg).bool_sat(0, word.n - 1)
 
 
 def rho(word: Word, f: Formula, table: PredicateTable,
         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Robustness degree; positive implies satisfaction, negative implies violation."""
-    return Evaluator(word, table, cfg).rho(f, 0, word.n - 1)
+    return Evaluator(word, f, table, cfg).rho(0, word.n - 1)
 
 
 def eta(word: Word, f: Formula, table: PredicateTable,
         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """AGM robustness in [-1, 1]; sign-equivalent to rho. Needs atom bounds."""
-    return Evaluator(word, table, cfg).eta(f, 0, word.n - 1)
+    return Evaluator(word, f, table, cfg).eta(0, word.n - 1)

@@ -259,7 +259,7 @@ def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
           ) -> tuple[list[str], Iterator[list[float]]]:
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    reader = csv.reader(lines)
+    reader = _split(csv.reader(lines), source)
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{source}: no samples")
@@ -270,6 +270,15 @@ def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
         if name in header[:k]:
             raise ValueError(f"{source}: duplicate column {name}")
     return header[1:], _rows(reader, source, len(header), dt, count)
+
+
+def _split(reader, source: str) -> Iterator[list[str]]:
+    """The csv reader's rows; a line it cannot split, such as one with a field
+    over the csv module's size limit, raises a ValueError naming it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
 
 
 def _rows(reader, source: str, width: int, dt: float | None, count: int | None
@@ -312,7 +321,7 @@ def _continues(reader) -> bool:
     """Whether the reader holds a further non-blank row; one it cannot split counts."""
     try:
         return any("".join(row).strip() for row in reader)
-    except csv.Error:
+    except ValueError:  # from _split
         return True
 
 

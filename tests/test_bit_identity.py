@@ -62,12 +62,12 @@ def digests() -> tuple[str, str]:
                                  " . ".join(["H^0 A"] * 40))):
         f = parse(text)
         word = _word(seed, 48)
-        ev = Evaluator(word, TABLE)
+        ev = Evaluator(word, f, TABLE)
         windows = [(0, word.n - 1)] + [(i, j) for i in range(0, word.n, 5)
                                        for j in range(i, word.n, 3)]
         for i, j in windows:
-            rho_bool.update(repr((i, j, ev.bool_sat(f, i, j), ev.rho(f, i, j))).encode())
-            eta.update(repr((i, j, ev.eta(f, i, j))).encode())
+            rho_bool.update(repr((i, j, ev.bool_sat(i, j), ev.rho(i, j))).encode())
+            eta.update(repr((i, j, ev.eta(i, j))).encode())
     monitor(parse("[H^2 A]^[0,25] . [H^2 B]^[0,25]"), TABLE, _word(2, 52))
     rng = random.Random(12)
     gen = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,

@@ -13,7 +13,7 @@ from twtl.casestudy import (
 from twtl.formula import horizon, validate
 from twtl.monitor import Verdict
 from twtl.semantics import DEFAULT_CONFIG, bool_sat, rho, eta
-from twtl.trace import load_trace
+from twtl.trace import Word, load_trace
 
 
 def test_formula_and_table_consistent():
@@ -45,8 +45,7 @@ def test_trajectories_rank_by_rho():
 
 def test_monitor_records_shrink_to_satisfied():
     f, table = build_formula(), build_table()
-    recs = monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG,
-                           DEFAULT_TAUS, conservative_eta=False)
+    recs = monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG)
     assert [r.t for r in recs] == [float(t) for t in DEFAULT_TAUS]
     for earlier, later in zip(recs, recs[1:]):
         assert earlier.rho.contains_interval(later.rho, tol=1e-9)
@@ -56,13 +55,11 @@ def test_monitor_records_shrink_to_satisfied():
     assert recs[-1].rho.is_singleton()
 
 
-def test_monitor_records_require_ascending_taus():
-    # one monitor advances through the prefixes and cannot go back
-    f, table = build_formula(), build_table()
-    with pytest.raises(ValueError, match="ascend"):
-        monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG, (10, 2))
+def test_monitor_records_reject_a_word_that_starts_after_a_tau():
+    f, table, w = build_formula(), build_table(), nominal_trajectory()
+    late = Word(w.dt, w.signals, t0=DEFAULT_TAUS[0] + 1.0)
     with pytest.raises(ValueError, match="before the word's first time"):
-        monitor_records(nominal_trajectory(), f, table, DEFAULT_CONFIG, (-1,))
+        monitor_records(late, f, table, DEFAULT_CONFIG)
 
 
 def test_run_case_study_artifacts_roundtrip(tmp_path):

@@ -156,6 +156,39 @@ def test_malformed_config_exits_2(files, capsys, tmp_path, text):
     assert err.startswith(f"twtl: error: cannot load config {cfg}: ") and "Traceback" not in err
 
 
+BIG_FIELD = '"' + "9" * 200_000 + '"'  # over the csv module's field size limit
+
+
+@pytest.mark.parametrize("text, line", [(TRACE.replace("3,4.8", f"3,{BIG_FIELD}"), 5),
+                                        (TRACE.replace("time,x", f"time,{BIG_FIELD}"), 1)],
+                         ids=["row", "header"])
+@pytest.mark.parametrize("command, flag", [
+    ("check", "--trace"), ("rho", "--trace"), ("eta", "--trace"), ("oracle", "--trace"),
+    ("monitor", "--trace"), ("monitor", "--stream"),
+], ids=["check", "rho", "eta", "oracle", "monitor", "monitor_stream"])
+def test_field_over_the_csv_limit_exits_2(files, capsys, monkeypatch, tmp_path, command, flag,
+                                          text, line):
+    trace = tmp_path / "big.csv"
+    trace.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    source = "stream" if flag == "--stream" else str(trace)
+    rc, _, err = run(capsys, command, "--formula", files["formula"], "--config", files["config"],
+                     *([flag] if flag == "--stream" else [flag, source]))
+    assert rc == 2
+    assert err == f"twtl: error: {source}:{line}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "rho", "eta", "oracle", "monitor"])
+def test_formula_not_utf8_exits_2(files, capsys, tmp_path, command):
+    bad = tmp_path / "bad.twtl"
+    bad.write_bytes(b"H^1 \xff\xfeA\n")
+    argv = [] if command == "parse" else ["--config", files["config"], "--trace", files["trace"]]
+    rc, out, err = run(capsys, command, "--formula", str(bad), *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("twtl: error: cannot read formula: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["check", "rho", "eta", "oracle"])
 class TestOfflineInputs:
     """The offline commands check the trace as check and monitor do."""

@@ -113,9 +113,7 @@ def test_deep_formula_walks_without_recursion(name):
     f = parse(text)
     assert validate(f, table_for("A")) == []
     assert horizon(f) == h
-    nodes = []
-    assert compile_formula(f, 1.0, nodes) == count - 1
-    assert len(postorder(f)) == len(nodes) == count
+    assert len(postorder(f)) == len(compile_formula(f, 1.0)) == count
     canonical = format_formula(f)
     assert format_formula(parse(canonical)) == canonical
 

@@ -7,7 +7,6 @@ from twtl.casestudy import (
     build_formula,
     build_table,
     inside_obstacle_margin,
-    monitor_records,
     nominal_trajectory,
     tight_trajectory,
 )
@@ -17,17 +16,18 @@ from twtl.monitor import (
     MonitorState,
     Prefix,
     RobustnessInterval,
+    StepResult,
     Verdict,
     eta_interval,
     interval_verdict,
     make_prefix,
-    prefix_result,
+    results_at,
     rho_interval,
     singleton,
 )
 from twtl.oracle import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 from twtl.semantics import EvalConfig, eta, rho
-from twtl.trace import PredicateTable, Word
+from twtl.trace import PAST_HORIZON_WARNING, PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
@@ -39,6 +39,12 @@ UNIT = PredicateTable.from_dict({"atoms": {
 
 def iv(lo, hi):
     return RobustnessInterval(lo, hi)
+
+
+def batch_result(prefix, f, table, cfg=EvalConfig(), conservative_eta=False):
+    """A monitor's result at the prefix, from a fresh evaluator per interval."""
+    return StepResult(prefix.word.time_at(prefix.word.n - 1), rho_interval(prefix, f, table, cfg),
+                      eta_interval(prefix, f, table, cfg, conservative_eta))
 
 
 class TestInterval:
@@ -64,6 +70,14 @@ class TestInterval:
         # verdicts are strict-sign based, so an endpoint at 0 stays open
         assert interval_verdict(singleton(0.0)) is Verdict.INCONCLUSIVE
 
+    def test_step_result_verdicts_follow_the_intervals(self):
+        for rho_iv, eta_iv in ((iv(0.1, 5.0), iv(-1.0, -0.2)), (iv(-1.0, 1.0), iv(0.3, 0.4)),
+                               (iv(-5.0, -0.1), iv(-0.5, 0.0))):
+            res = StepResult(1.0, rho_iv, eta_iv)
+            assert res.verdict_rho is interval_verdict(rho_iv)
+            assert res.verdict_eta is interval_verdict(eta_iv)
+            assert StepResult(1.0, rho_iv, None).verdict_eta is None
+
 
 class TestPrefix:
     def test_prefix_validation(self):
@@ -75,7 +89,7 @@ class TestPrefix:
         with caplog.at_level("WARNING", logger="twtl"):
             p = make_prefix(w, parse("H^2 A"))
         assert p.word.n == 3
-        assert "ignored" in caplog.text
+        assert caplog.messages == [PAST_HORIZON_WARNING]
 
 
 class TestRhoInterval:
@@ -198,8 +212,8 @@ class TestMonitorState:
         st_ = MonitorState(f, table, conservative_eta=conservative)
         for k in range(word.n):
             res = st_.step({s: word.value(s, k) for s in word.signals})
-            batch = prefix_result(Prefix(word.prefix(k + 1), st_.horizon_steps), f, table,
-                                  conservative_eta=conservative)
+            batch = batch_result(Prefix(word.prefix(k + 1), st_.horizon_steps), f, table,
+                                 conservative_eta=conservative)
             assert res == batch
 
     def test_step_after_finalized_raises(self):
@@ -208,6 +222,11 @@ class TestMonitorState:
         assert st_.finalized
         with pytest.raises(MonitorFinalizedError):
             st_.step({"x": 5.0})
+
+    def test_off_grid_bound_raises_when_built(self):
+        # the evaluator compiles the formula when it is built, before any sample
+        with pytest.raises(ValueError, match="not a multiple of dt"):
+            MonitorState(parse("[H^0 A]^[1,2]"), TABLE, EvalConfig(dt=2.0))
 
     def test_signal_names(self):
         assert MonitorState(parse("H^1 A"), TABLE).signal_names == ["x"]
@@ -230,6 +249,16 @@ class TestMonitorState:
         for sample in samples[1:]:
             assert st_.step(sample) == fresh.step(sample)
         assert st_.finalized
+
+
+class TestResultsAt:
+    def test_rejects_a_descending_index(self):
+        # one monitor advances through the prefixes and cannot go back
+        state = MonitorState(parse("H^3 A"), TABLE)
+        results = results_at(state, ({"x": 5.0} for _ in range(4)), [2, 1])
+        assert next(results).t == 2.0
+        with pytest.raises(ValueError, match="ascend"):
+            next(results)
 
 
 class TestIncrementalEqualsBatch:
@@ -258,12 +287,14 @@ class TestIncrementalEqualsBatch:
                 if k == rejected:
                     with pytest.raises(ValueError):
                         state.step({"x": float("nan")})
-                batch.append(prefix_result(Prefix(w.prefix(k + 1), h), f, self.TABLE, self.CFG,
-                                           conservative))
+                batch.append(batch_result(Prefix(w.prefix(k + 1), h), f, self.TABLE, self.CFG,
+                                          conservative))
                 assert state.step({"x": w.value("x", k)}) == batch[k], (format_formula(f), k)
             taus = sorted(rng.choices(range(h + 1), k=3))
-            assert monitor_records(w, f, self.TABLE, self.CFG, taus, conservative) == \
-                [batch[t] for t in taus], (format_formula(f), taus)
+            fresh = MonitorState(f, self.TABLE, self.CFG, conservative_eta=conservative)
+            samples = ({"x": x} for x in w.signals["x"])
+            assert list(results_at(fresh, samples, taus)) == [batch[t] for t in taus], \
+                (format_formula(f), taus)
 
 
 class TestSoundnessProperties:

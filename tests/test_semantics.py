@@ -44,8 +44,7 @@ def unit_word(*xs):
 
 def pinned_joins(f):
     """Whether f has an & or | of two pinned operands as a Concat's rhs, and as a Within's lhs."""
-    nodes = []
-    compile_formula(f, 1.0, nodes)
+    nodes = compile_formula(f, 1.0)
 
     def joined(k):
         return nodes[k][0] in (And, Or) and nodes[k][3] is not None
@@ -233,8 +232,7 @@ class TestPins:
         ("H^1 A & (H^0 A | !H^0 B)", None),
     ])
     def test_compiled_pin(self, text, pin):
-        nodes = []
-        kind, _, _, got, *_ = nodes[compile_formula(parse(text), 1.0, nodes)]
+        kind, _, _, got, *_ = compile_formula(parse(text), 1.0)[-1]
         assert kind in (And, Or)
         assert got == pin
 
@@ -249,12 +247,12 @@ class TestPins:
 
     def test_window_shorter_than_both_pins_is_not_memoized(self):
         f = parse("H^2 A & [H^1 B]^[0,3]")
-        ev = Evaluator(Word(1.0, {"x": (5.0,) * 6}), TABLE)
-        assert ev.rho(f, 0, 1) == -10.0
-        assert ev.eta(f, 0, 1) == -1.0
+        ev = Evaluator(Word(1.0, {"x": (5.0,) * 6}), f, TABLE)
+        assert ev.rho(0, 1) == -10.0
+        assert ev.eta(0, 1) == -1.0
         assert ev.stats() == {name: {"memo": 0, "inserted": 0, "folded": 0}
                               for name in ("rho", "eta")}
-        ev.rho(f, 0, 2)  # as long as the hold's pin: evaluated
+        ev.rho(0, 2)  # as long as the hold's pin: evaluated
         assert ev.stats()["rho"]["memo"] > 0
 
 
@@ -295,7 +293,7 @@ class TestEta:
         assert rho(w, f, table) == 0.5
         for conservative in (False, True):
             with pytest.raises(ValueError, match="atom Q: normalization bounds required"):
-                Evaluator(w, table, conservative_eta=conservative).eta(f, 0, 0)
+                Evaluator(w, f, table, conservative_eta=conservative).eta(0, 0)
 
     def test_too_short_window_is_minus_one(self):
         assert eta(unit_word(0.5), parse("H^3 P"), UNIT) == -1.0
@@ -341,15 +339,15 @@ class TestWorkCounts:
         f, table, word = build_formula(), build_table(), nominal_trajectory()
         # prefix length 1: nearly every window starts after the observed
         # sample, so windows of one length share an entry whatever their start
-        ev = Evaluator(word.prefix(1), table)
+        ev = Evaluator(word.prefix(1), f, table)
         for value in (ev.rho, ev.eta):
-            value(f, 0, 50)
-            value(f, 0, 50, upper=True)
+            value(0, 50)
+            value(0, 50, upper=True)
         assert sum(s["memo"] for s in ev.stats().values()) <= 1_000
         # complete word: a hold or within window is cut to its pinned length,
         # so windows with one start share an entry whatever their end
-        ev = Evaluator(word, table)
-        ev.rho(f, 0, 50)
+        ev = Evaluator(word, f, table)
+        ev.rho(0, 50)
         assert sum(s["memo"] for s in ev.stats().values()) <= 4_000
 
     def test_monitor_step_keeps_final_windows(self):
@@ -360,10 +358,10 @@ class TestWorkCounts:
         fresh = 0
         for k in range(word.n):
             state.step({s: word.value(s, k) for s in word.signals})
-            ev = Evaluator(word.prefix(k + 1), table)
+            ev = Evaluator(word.prefix(k + 1), f, table)
             for value in (ev.rho, ev.eta):
-                value(f, 0, 50)
-                value(f, 0, 50, upper=True)
+                value(0, 50)
+                value(0, 50, upper=True)
             fresh += sum(s["memo"] for s in ev.stats().values())
         assert state.finalized
         assert sum(s["inserted"] for s in state.stats().values()) <= fresh // 2
@@ -373,10 +371,10 @@ class TestWorkCounts:
         windows = [(i, j) for i in range(4) for j in range(i, 6)]
 
         def values(ev):
-            return [(ev.bool_sat(f, i, j), ev.rho(f, i, j), ev.rho(f, i, j, upper=True),
-                     ev.eta(f, i, j), ev.eta(f, i, j, upper=True)) for i, j in windows]
+            return [(ev.bool_sat(i, j), ev.rho(i, j), ev.rho(i, j, upper=True),
+                     ev.eta(i, j), ev.eta(i, j, upper=True)) for i, j in windows]
 
-        ev = Evaluator(unit_word(0.5, 0.2), UNIT)
+        ev = Evaluator(unit_word(0.5, 0.2), f, UNIT)
         before = values(ev)
         stats = ev.stats()
         for bad in ({"x": math.nan}, {"x": -math.inf}, {"x": "0.1x"}, {"x": None}, {"y": 0.1}):
@@ -387,18 +385,17 @@ class TestWorkCounts:
         for x in (-0.4, 0.7, 1.5):  # 1.5 lies outside P's bounds: eta clamps it
             ev.append({"x": x, "y": 3.0})  # a signal the word lacks is ignored
             xs.append(x)
-            assert values(ev) == values(Evaluator(unit_word(*xs), UNIT)), xs
-        assert ev.rho(parse("H^2 P"), 0, 2) == -0.4
+            assert values(ev) == values(Evaluator(unit_word(*xs), f, UNIT)), xs
 
     def test_clamping_warns_once_per_atom_and_evaluator(self, caplog):
         f = parse("H^4 P | H^1 !P")
-        ev = Evaluator(unit_word(0.5), UNIT)
+        ev = Evaluator(unit_word(0.5), f, UNIT)
         with caplog.at_level("WARNING", logger="twtl"):
             for x in (0.2, 2.0, -3.0, 0.1):
                 ev.append({"x": x})
-                ev.rho(f, 0, 4)
-                ev.eta(f, 0, 4)
-                ev.eta(f, 0, 4, upper=True)
+                ev.rho(0, 4)
+                ev.eta(0, 4)
+                ev.eta(0, 4, upper=True)
         # logged at the first evaluation after 2.0, counting the samples so far
         assert caplog.messages == ["atom P: 1 of 3 samples outside bounds [-1, 1], clamping"]
 
@@ -437,10 +434,10 @@ class TestWorkCounts:
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
-        ev = Evaluator(unit_word(*(rng.uniform(-1.0, 1.0) for _ in range(k))), UNIT)
-        ev.rho(f, 0, k - 1)
-        ev.bool_sat(f, 0, k - 1)
-        ev.eta(f, 0, k - 1)
+        ev = Evaluator(unit_word(*(rng.uniform(-1.0, 1.0) for _ in range(k))), f, UNIT)
+        ev.rho(0, k - 1)
+        ev.bool_sat(0, k - 1)
+        ev.eta(0, k - 1)
         assert ev.stats() == {
             "rho": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
             "bool": {"memo": 19_901, "inserted": 19_901, "folded": 19_900},
@@ -454,11 +451,11 @@ class TestWorkCounts:
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
         xs = [rng.uniform(-1.0, 1.0) for _ in range(k)]
-        ev = Evaluator(unit_word(*xs), UNIT)
+        ev = Evaluator(unit_word(*xs), f, UNIT)
         # a single split puts each hold on its own sample: rho is min(x)
-        assert ev.rho(f, 0, k - 1) == min(xs)
-        assert ev.bool_sat(f, 0, k - 1) == (min(xs) > 0.0)
-        assert ev.eta(f, 0, k - 1) < 0.0
+        assert ev.rho(0, k - 1) == min(xs)
+        assert ev.bool_sat(0, k - 1) == (min(xs) > 0.0)
+        assert ev.eta(0, k - 1) < 0.0
         stats = ev.stats()
         assert set(stats) == {"bool", "rho", "eta"}
         for name, counts in stats.items():
@@ -474,11 +471,11 @@ class TestWorkCounts:
             f = parse(f"[H^2 A]^[0,{m}] . [H^2 B]^[0,{m}]")
             h = 2 * m + 1
             rng = random.Random(m)
-            ev = Evaluator(Word(1.0, {"x": ()}), TABLE)
+            ev = Evaluator(Word(1.0, {"x": ()}), f, TABLE)
             for _ in range(h + 1):
                 ev.append({"x": rng.uniform(0.0, 8.0)})
-                ev.rho(f, 0, h)
-                ev.rho(f, 0, h, upper=True)
+                ev.rho(0, h)
+                ev.rho(0, h, upper=True)
             folded.append(ev.stats()["rho"]["folded"])
         assert folded[1] <= 4.5 * folded[0] and folded[2] <= 4.5 * folded[1], folded
 
@@ -495,10 +492,10 @@ class TestWorkCounts:
             h = 2 * m + 1
             for upper in (False, True):
                 rng = random.Random(m)
-                ev = Evaluator(Word(1.0, {"x": ()}), TABLE)
+                ev = Evaluator(Word(1.0, {"x": ()}), f, TABLE)
                 for _ in range(h + 1):
                     ev.append({"x": rng.uniform(0.0, 8.0)})
-                    ev.eta(f, 0, h, upper)
+                    ev.eta(0, h, upper)
                 folded[upper].append(ev.stats()["eta"]["folded"])
         assert folded == {False: [6_683, 26_665, 103_873], True: [11_823, 78_023, 561_048]}
         lower = folded[False]
@@ -506,7 +503,7 @@ class TestWorkCounts:
 
 
 class TestFormulaIdentity:
-    """An evaluator knows the formulas it compiled by identity, not by hash."""
+    """Evaluation never hashes a formula: a formula's hash walks the whole tree."""
 
     def test_evaluation_hashes_no_formula(self, monkeypatch):
         def unhashable(self):
@@ -523,15 +520,6 @@ class TestFormulaIdentity:
         for k in range(word.n):
             state.step({s: word.value(s, k) for s in word.signals})
         assert state.finalized
-
-    def test_second_evaluation_compiles_nothing(self):
-        f, table, word = build_formula(), build_table(), nominal_trajectory()
-        ev = Evaluator(word, table)
-        ev.rho(f, 0, word.n - 1)
-        nodes = len(ev._nodes)
-        ev.eta(f, 0, word.n - 1)
-        ev.rho(f, 0, 10, upper=True)
-        assert len(ev._nodes) == nodes
 
 
 class TestSweep:
@@ -552,8 +540,7 @@ class TestSweep:
                 batch.append((self.graft(grafts, f), grafts))
             for g, r in batch:
                 total += 1
-                nodes = []
-                compile_formula(g, 1.0, nodes)
+                nodes = compile_formula(g, 1.0)
                 pinned += any(kind is Concat and (nodes[rhs][3] or 0) > 0
                               for kind, _, rhs, *_ in nodes)
                 joins = [a + b for a, b in zip(joins, pinned_joins(g))]
@@ -575,21 +562,21 @@ class TestSweep:
         return Concat(Within(join, rng.randint(0, b), b), f)
 
     @staticmethod
-    def values(ev, f, a, b):
-        return (ev.bool_sat(f, a, b), ev.rho(f, a, b), ev.rho(f, a, b, upper=True),
-                ev.eta(f, a, b), ev.eta(f, a, b, upper=True))
+    def values(ev, a, b):
+        return (ev.bool_sat(a, b), ev.rho(a, b), ev.rho(a, b, upper=True),
+                ev.eta(a, b), ev.eta(a, b, upper=True))
 
     def test_window_order_does_not_change_values(self):
         for f, w, rng in self.instances(150, seed=4242):
             windows = [(a, b) for a in range(w.n + 2) for b in range(a, w.n + 3)]
-            fresh = {ab: self.values(Evaluator(w, TABLE, self.CFG), f, *ab) for ab in windows}
+            fresh = {ab: self.values(Evaluator(w, f, TABLE, self.CFG), *ab) for ab in windows}
             shuffled = windows[:]
             rng.shuffle(shuffled)
-            ev = Evaluator(w, TABLE, self.CFG)
+            ev = Evaluator(w, f, TABLE, self.CFG)
             for order in (sorted(windows, key=lambda ab: -ab[1]), shuffled,
                           sorted(windows, key=lambda ab: ab[1])):
                 for ab in order:
-                    assert self.values(ev, f, *ab) == fresh[ab], (format_formula(f), ab)
+                    assert self.values(ev, *ab) == fresh[ab], (format_formula(f), ab)
 
     def test_offline_values_agree_with_oracle(self):
         for f, w, _ in self.instances(400, seed=4343):
@@ -611,14 +598,15 @@ class TestResumedFolds:
                 "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]")
 
     @staticmethod
-    def fold(value, f, i, j, conj, disj, bottom):
+    def fold(f, i, j, conj, disj, bottom, lhs, rhs=None):
+        """f on [i, j] from lhs(a, b) and rhs(a, b), its children's values (a Within's is lhs)."""
         if type(f) is Concat:
             if i == j:
                 return bottom
-            return disj([conj(value(f.lhs, i, t), value(f.rhs, t + 1, j)) for t in range(i, j)])
+            return disj([conj(lhs(i, t), rhs(t + 1, j)) for t in range(i, j)])
         if j - i < f.b:
             return bottom
-        return disj([value(f.sub, t, i + f.b) for t in range(i + f.a, i + f.b + 1)])
+        return disj([lhs(t, i + f.b) for t in range(i + f.a, i + f.b + 1)])
 
     def test_folds_equal_their_definitions_at_every_prefix(self):
         rng = random.Random(11)
@@ -631,19 +619,20 @@ class TestResumedFolds:
             f = parse(text)
             assert type(f) in (Concat, Within)
             h = steps(horizon(f, 1.0), 1.0)
-            ev = Evaluator(unit_word(), UNIT)
+            children = (f.lhs, f.rhs) if type(f) is Concat else (f.sub,)
+            # f and each child in an evaluator of its own, fed the same samples
+            evs = [Evaluator(unit_word(), g, UNIT) for g in (f, *children)]
             for n in range(1, h + 2):
-                ev.append({"x": rng.uniform(-1.0, 1.0)})
+                sample = {"x": rng.uniform(-1.0, 1.0)}
+                for ev in evs:
+                    ev.append(sample)
                 for (name, conj, disj, bottom), upper in itertools.product(semantics,
                                                                            (False, True)):
-                    run = getattr(ev, name)
-
-                    def value(g, a, b):
-                        return run(g, a, b, upper)
-
+                    value, *parts = [functools.partial(getattr(ev, name), upper=upper)
+                                     for ev in evs]
                     # longest first, as a monitor asks for [0, h]: a frontier
                     # window then starts its sweep from the final one
                     for i in range(h + 1):
                         for j in range(h, i - 1, -1):
-                            want = self.fold(value, f, i, j, conj, disj, bottom)
-                            assert value(f, i, j) == want, (text, name, n, i, j, upper)
+                            want = self.fold(f, i, j, conj, disj, bottom, *parts)
+                            assert value(i, j) == want, (text, name, n, i, j, upper)

@@ -185,6 +185,14 @@ class TestLoadTrace:
             with pytest.raises(ValueError, match=rf"trace\.csv: duplicate column {name}$"):
                 load_trace(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("time,x\n0,1\n1,{big}\n", 3), ("time,{big}\n0,1\n", 1),
+    ], ids=["row", "header"])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, text, line):
+        p = self.write(tmp_path, text.format(big='"' + "9" * 200_000 + '"'))
+        with pytest.raises(ValueError, match=rf"trace\.csv:{line}: field larger than field limit"):
+            load_trace(p)
+
     def test_gap_rejected_with_its_line(self, tmp_path):
         p = self.write(tmp_path, "time,x\n0,1\n1,2\n3,3\n")
         with pytest.raises(ValueError, match=r"trace\.csv:4: time 3 is off the sampling grid"):
