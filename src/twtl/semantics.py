@@ -28,7 +28,10 @@ semantics' `skip` adds them without evaluating lhs either when they can
 change no more than the fold's count: for the max folds of bool and rho
 once the accumulator is at least bottom, which conj(x, bottom) <= bottom
 cannot raise; for eta's AGM disjunction once it has folded a value >= 0,
-as conj(x, -1) <= -0.5 (see below).
+as conj(x, -1) <= -0.5 (see below). Else, when lhs reaches r steps, the
+splits t >= i + r read lhs on [i, i+r]: they are one value, and a
+semantics' `repeat` adds the run of them at once, with the bits of folding
+it value by value.
 
 An evaluator compiles its one formula once, when it is built, into a
 post-order table of nodes (kind, children, pinned length, reach, `Within`
@@ -80,10 +83,13 @@ values either way). The AGM disjunction of `eta` is a mean of its terms,
 which two partial results cannot give in general. But an accumulator that
 has folded a value >= 0 finishes as the sum of its positive values over
 their count, so values <= 0 change only the count: when the greatest is
-<= 0, `skip` adds the starts t >= n by their number in O(1); otherwise
-they are folded left to right, at O(b) per window. On a prefix, eta's
-lower run reads each open sample as its atom's least margin, so the skip
-mostly applies there, and the upper run mostly folds.
+<= 0, `skip` adds the starts t >= n by their number in O(1). Otherwise
+they are folded left to right, but in runs: when lhs reaches r steps, the
+starts t <= j - r read its unobserved window of r steps, one memo entry,
+and the starts whose lhs window is shorter than its pin are bottom. Each
+run is one value that `repeat` adds at once, so a window asks lhs for one
+value per run and per length between the pin and the reach; only an eta
+run of positive values still costs one float addition per start.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -147,6 +153,23 @@ def _agm_or_fold(acc: tuple, v: float) -> tuple:
         raise _agm_range_error("agm_or", v)
     n, pos, prod, neg = acc
     return n + 1, (pos + v if v > 0.0 else pos), prod * (1.0 - v), neg and v < 0.0
+
+
+def _agm_or_repeat(acc: tuple, v: float, m: int) -> tuple:
+    # m folds of v: values <= 0 never change the sum, and the product is
+    # never read once a value >= 0 has been folded
+    if not m:
+        return acc
+    if not _AGM_LO <= v <= _AGM_HI:
+        raise _agm_range_error("agm_or", v)
+    n, pos, prod, neg = acc
+    if v > 0.0:
+        for _ in range(m):
+            pos += v
+    elif neg and v < 0.0:
+        for _ in range(m):
+            prod *= 1.0 - v
+    return n + m, pos, prod, neg and v < 0.0
 
 
 def _agm_or_skip(acc: tuple, hi: float, m: int) -> tuple | None:
@@ -236,6 +259,9 @@ class _Semantics:
     # the accumulator after folding m values, none of them above hi, when
     # it is known without folding them one by one; else None
     skip: Callable[[Any, float, int], Any]
+    # the accumulator after folding one value m times; finish gives the bits
+    # of m calls of fold
+    repeat: Callable[[Any, float, int], Any]
     # values that decide a conjunction and a disjunction (and a disjunction's
     # accumulator) whatever else they meet, or None
     conj_absorbing: float | None = None
@@ -265,20 +291,27 @@ def _max_skip(acc: float, hi: float, m: int) -> float | None:
     return acc if acc >= hi else None
 
 
+def _max_repeat(acc: float, v: float, m: int) -> float:
+    # a max keeps the first of equal values
+    return _max2(acc, v) if m else acc
+
+
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
 _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
                    lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
-                   lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, -1.0, 1.0, True)
+                   lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
+                   -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
                   _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
-                  _max_skip, -math.inf, math.inf, True)
+                  _max_skip, _max_repeat, -math.inf, math.inf, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
                   _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
                   lambda spec, cfg, conservative:
-                  (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip)
+                  (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip,
+                  _agm_or_repeat)
 
 
 def compile_formula(f: Formula, dt: float) -> list[tuple]:
@@ -381,9 +414,10 @@ class Evaluator:
         greatest value of a `Within`'s starts that read no sample, per
         length), memo entries inserted (those held and the frontier entries
         dropped by `append`), and split and start values folded. A split or
-        start that a sweep or a memo already holds is not folded again, and
-        one that a fold skips (it can change no more than the fold's count)
-        is not counted."""
+        start that a sweep or a memo already holds is not folded again, one
+        that a fold skips (it can change no more than the fold's count) is
+        not counted, and a run of equal values that `repeat` adds counts as
+        one."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
@@ -437,7 +471,8 @@ class _Recursion:
         self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
-        self.extremes, self.skip, self.maxfold = sem.extremes, sem.skip, sem.maxfold
+        self.extremes, self.skip, self.repeat = sem.extremes, sem.skip, sem.repeat
+        self.maxfold = sem.maxfold
         self.bottom = sem.bottom(ev.cfg)
         # no split whose rhs is too short is above conj(-bottom, bottom): for
         # bool and rho conj is a min, and eta's values lie in [bottom, -bottom]
@@ -468,14 +503,16 @@ class _Recursion:
     def advance(self, n: int) -> None:
         """Move to n observed samples: drop the frontier memos and open sweeps.
 
-        They are replaced by fresh dicts, not emptied key by key: a dict
-        keeps its table's size after its keys are deleted.
+        Each non-empty dict is emptied in place by `clear()`, which frees its
+        table; deleting its keys one by one would keep the table's size.
         """
         self.n = n
-        self.dropped += sum(len(slot[3]) for slot in self.slots)
-        self.slots = [(pin, reach, final, {}, unobserved)
-                      for pin, reach, final, _, unobserved in self.slots]
-        self.open_sweeps = {}
+        for slot in self.slots:
+            frontier = slot[3]
+            if frontier:
+                self.dropped += len(frontier)
+                frontier.clear()
+        self.open_sweeps.clear()
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
@@ -579,13 +616,22 @@ class _Recursion:
             if skipped is not None:
                 acc = skipped
             else:
+                # when lhs reaches r steps, the splits t >= i + r read it on
+                # [i, i+r]: they are one value, folded as one run
+                r = self.slots[lhs][1]
+                same = j if r is None or i + r > j else i + r
                 bottom = self.bottom
                 while t < j and acc != stop:
                     v = value(lhs, i, t, upper)
                     if v != conj_absorbing:
                         v = conj(v, bottom)
-                    acc = fold(acc, v)
-                    t += 1
+                    if t < same:
+                        acc = fold(acc, v)
+                        t += 1
+                    else:
+                        acc = self.repeat(acc, v, j - t)
+                        self.folded -= j - t - 1
+                        t = j
             self.folded += t - first
             return self.finish(acc)
         # a Within: the best start. The starts t < n - r, where lhs reaches r
@@ -620,9 +666,21 @@ class _Recursion:
             if skipped is not None:
                 acc = skipped
             else:
-                while t <= j and acc != stop:
+                # the starts t <= j - r read lhs's unobserved window of r
+                # steps and the starts t > j - pin too short a window: each
+                # of the two is one value, folded as one run
+                pin = self.slots[lhs][0]
+                if r is not None and t <= j - r:
+                    acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
+                    self.folded -= j - r - t
+                    t = j + 1 - r
+                while t <= j - pin and acc != stop:
                     acc = fold(acc, value(lhs, t, j, upper))
                     t += 1
+                if t <= j and acc != stop:
+                    acc = self.repeat(acc, self.bottom, j + 1 - t)
+                    self.folded -= j - t
+                    t = j + 1
         self.folded += t - first
         return self.finish(acc)
 

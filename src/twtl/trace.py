@@ -259,8 +259,8 @@ def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
           ) -> tuple[list[str], Iterator[list[float]]]:
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    reader = _split(csv.reader(lines), source)
-    header = next(reader, None)
+    reader = csv.reader(lines)
+    header = next(_split(reader, source), None)
     if header is None:
         raise ValueError(f"{source}: no samples")
     header = [h.strip() for h in header]
@@ -283,10 +283,12 @@ def _split(reader, source: str) -> Iterator[list[str]]:
 
 def _rows(reader, source: str, width: int, dt: float | None, count: int | None
           ) -> Iterator[list[float]]:
-    """The checked rows, at most `count` of them (None: all)."""
+    """The csv reader's checked rows, at most `count` of them (None: all)."""
     basis = "expected" if dt is not None else "non-uniform timestamps; the first two rows give"
     t0, k = 0.0, 0
-    for lineno, row in enumerate(reader, start=2):
+    rows = _split(reader, source)
+    for row in rows:
+        lineno = reader.line_num  # the row's last line: a quoted field may span lines
         if not "".join(row).strip():
             continue
         if len(row) != width:
@@ -310,7 +312,7 @@ def _rows(reader, source: str, width: int, dt: float | None, count: int | None
         k += 1
         yield values
         if k == count:
-            if _continues(reader):
+            if _continues(rows):
                 log.warning(PAST_HORIZON_WARNING)
             return
     if k == 0:

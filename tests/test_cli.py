@@ -207,6 +207,13 @@ class TestOfflineInputs:
                   "--trace", str(trace))
         assert got == (2, "", f"twtl: error: {trace}: duplicate column x\n")
 
+    def test_row_after_a_multiline_field_names_its_line(self, files, capsys, tmp_path, command):
+        trace = tmp_path / "t.csv"
+        trace.write_text('time,x\n0,"5\n"\n1,oops\n')
+        got = run(capsys, command, "--formula", files["formula"], "--config", files["config"],
+                  "--trace", str(trace))
+        assert got == (2, "", f"twtl: error: {trace}:4: unparsable number in ['1', 'oops']\n")
+
     def test_only_monitor_takes_conservative_eta(self, files, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--formula", files["formula"], "--config", files["config"],
@@ -500,8 +507,9 @@ class TestMonitorCommand:
         ("time,y\n0,5.0\n", ": header lacks signals ['x']"),
         ("time,x\n0,5.0\n1,4.5\n2.5,4.2\n", ":4: time 2.5 is off the sampling grid"),
         ("time,x,x\n0,5.0,1.0\n", ": duplicate column x"),
+        ('time,x\n0,"5\n"\n1,oops\n', ":4: unparsable number in ['1', 'oops']"),
     ], ids=["bad_header", "off_grid", "nan", "inf", "lacks_signal", "after_two_records",
-            "duplicate_column"])
+            "duplicate_column", "after_multiline_field"])
     def test_trace_file_fails_as_the_stream_does(self, files, capsys, monkeypatch, tmp_path,
                                                  text, want):
         trace = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,8 +14,8 @@ from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
 from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
                          random_formula, random_word)
 from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
-                            _agm_or2, _agm_or_finish, _agm_or_fold, agm_and, agm_or, bool_sat,
-                            compile_formula, eta, rho)
+                            _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, agm_and,
+                            agm_or, bool_sat, compile_formula, eta, rho)
 from twtl.trace import PredicateSpec, PredicateTable, Word
 
 TABLE = PredicateTable.from_dict({"atoms": {
@@ -136,6 +137,37 @@ class TestAgm:
                 values = [abs(v) or 0.25 for v in values]
             want = min(max(_agm_and(values), -1.0), 1.0)
             assert repr(agm_and(values)) == repr(want), values
+
+
+class TestRepeat:
+    """A semantics' repeat(acc, v, m) finishes as m folds of v do, bit for bit."""
+
+    BEFORE = {"empty": [], "negative": [-0.3, -0.7], "mixed": [-0.3, 0.4, -0.2]}
+
+    @staticmethod
+    def finish(sem, acc, after):
+        try:
+            return repr(sem.finish(functools.reduce(sem.fold, after, acc)))
+        except ValueError as exc:  # eta's finish of an empty accumulator
+            return str(exc)
+
+    @pytest.mark.parametrize("sem", [_BOOL, _RHO, _ETA], ids=lambda sem: sem.name)
+    @pytest.mark.parametrize("before", list(BEFORE.values()), ids=list(BEFORE))
+    def test_equals_one_fold_per_value(self, sem, before):
+        acc = functools.reduce(sem.fold, before, sem.start)
+        for v, m, after in itertools.product((-1.0, -0.5, -0.0, 0.0, 0.3, 1.0), (0, 1, 2, 17),
+                                             ([], [-0.4], [0.2, -0.6])):
+            want = self.finish(sem, functools.reduce(sem.fold, [v] * m, acc), after)
+            assert self.finish(sem, sem.repeat(acc, v, m), after) == want, (v, m, after)
+
+    @pytest.mark.parametrize("v", [1.5, -1.0001, math.inf, math.nan])
+    def test_rejects_what_fold_rejects(self, v):
+        with pytest.raises(ValueError) as want:
+            _ETA.fold(_AGM_OR_START, v)
+        for m in (1, 17):
+            with pytest.raises(ValueError) as got:
+                _ETA.repeat(_AGM_OR_START, v, m)
+            assert str(got.value) == str(want.value)
 
 
 class TestBoolAndRho:
@@ -427,10 +459,12 @@ class TestWorkCounts:
         # the starts that read no sample; rho skips the splits whose rhs is
         # too short once its fold is at bottom, and joins the unobserved
         # starts by one max; eta adds both by count once its fold has met a
-        # value >= 0 and they are <= 0, and else folds them one by one; an &
-        # window shorter than both operands' pins is bottom, not memoized
-        assert state.stats() == {"rho": {"memo": 820, "inserted": 8_194, "folded": 9_825},
-                                 "eta": {"memo": 820, "inserted": 8_469, "folded": 23_993}}
+        # value >= 0 and they are <= 0; else a run of equal values (too-short
+        # splits whose lhs is cut at its reach, unobserved starts whose lhs is
+        # cut at its reach or too short) counts as one fold; an & window
+        # shorter than both operands' pins is bottom, not memoized
+        assert state.stats() == {"rho": {"memo": 820, "inserted": 8_194, "folded": 9_804},
+                                 "eta": {"memo": 820, "inserted": 8_469, "folded": 13_705}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -483,9 +517,12 @@ class TestWorkCounts:
         # the shape above with eta's two bounds, each in its own evaluator. The
         # lower run's open samples take A's and B's least margins, so the
         # starts that read no sample are <= 0 and a fold that has met a value
-        # >= 0 adds them by count: O(M) per step. The upper run's are > 0 and
-        # are folded one by one, O(M) per window (folding every start one by
-        # one, either run folds 13,153 / 83,178 / 581,353 values)
+        # >= 0 adds them by count: O(M) per step. The upper run's are > 0, but
+        # those whose lhs window is cut to its reach are one value, and so
+        # are the too-short ones: each run of them counts as one fold, so the
+        # upper run grows quadratically too (folding those runs one by one,
+        # the runs fold 6,683 / 26,665 / 103,873 and 11,823 / 78,023 / 561,048
+        # values; folding every start one by one, 13,153 / 83,178 / 581,353)
         folded = {False: [], True: []}
         for m in (25, 50, 100):
             f = parse(f"[H^2 A]^[0,{m}] . [H^2 B]^[0,{m}]")
@@ -497,9 +534,9 @@ class TestWorkCounts:
                     ev.append({"x": rng.uniform(0.0, 8.0)})
                     ev.eta(0, h, upper)
                 folded[upper].append(ev.stats()["eta"]["folded"])
-        assert folded == {False: [6_683, 26_665, 103_873], True: [11_823, 78_023, 561_048]}
-        lower = folded[False]
-        assert lower[1] <= 4.5 * lower[0] and lower[2] <= 4.5 * lower[1], lower
+        assert folded == {False: [3_391, 12_401, 47_234], True: [4_347, 16_822, 66_147]}
+        for run in folded.values():
+            assert run[1] <= 4.5 * run[0] and run[2] <= 4.5 * run[1], run
 
 
 class TestFormulaIdentity:
@@ -592,10 +629,13 @@ class TestResumedFolds:
 
     # lhs windows that are not bottom at most splits, so a split or start
     # folded with an open sample's extreme shows in the value
+    # a Within whose lhs pins fewer steps than it reaches: its unobserved
+    # starts fold a run cut at the reach, one by one, then a run of bottoms
+    PIN_BELOW_REACH = "[H^1 P | H^3 !P]^[0,6]"
     FORMULAS = ("[H^2 P]^[0,5]", "[H^0 P | H^2 !P]^[0,5]", "[H^1 P . H^0 P]^[2,5]",
                 "(H^0 P | H^3 !P) . [H^0 !P]^[0,3]", "(H^0 P . [H^0 !P]^[0,3]) . H^1 P",
                 "[H^0 !P . H^0 P]^[0,4] . H^3 !P", "H^1 P . (H^0 !P & H^2 P)",
-                "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]")
+                "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]", PIN_BELOW_REACH)
 
     @staticmethod
     def fold(f, i, j, conj, disj, bottom, lhs, rhs=None):
@@ -608,7 +648,14 @@ class TestResumedFolds:
             return bottom
         return disj([lhs(t, i + f.b) for t in range(i + f.a, i + f.b + 1)])
 
-    def test_folds_equal_their_definitions_at_every_prefix(self):
+    def test_folds_equal_their_definitions_at_every_prefix(self, monkeypatch):
+        ran, asking = set(), [None]  # (formula, upper) whose eta folded a run of equal values
+
+        def repeat(acc, v, m):
+            ran.add(asking[0])
+            return _agm_or_repeat(acc, v, m)
+
+        monkeypatch.setattr("twtl.semantics._ETA", dataclasses.replace(_ETA, repeat=repeat))
         rng = random.Random(11)
         semantics = (("rho", min, max, -10.0),
                      ("eta", lambda a, b: agm_and([a, b]), agm_or, -1.0))
@@ -630,9 +677,11 @@ class TestResumedFolds:
                                                                            (False, True)):
                     value, *parts = [functools.partial(getattr(ev, name), upper=upper)
                                      for ev in evs]
+                    asking[0] = text, upper
                     # longest first, as a monitor asks for [0, h]: a frontier
                     # window then starts its sweep from the final one
                     for i in range(h + 1):
                         for j in range(h, i - 1, -1):
                             want = self.fold(f, i, j, conj, disj, bottom, *parts)
                             assert value(i, j) == want, (text, name, n, i, j, upper)
+        assert {(self.PIN_BELOW_REACH, False), (self.PIN_BELOW_REACH, True)} <= ran

@@ -198,6 +198,11 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match=r"trace\.csv:4: time 3 is off the sampling grid"):
             load_trace(p)
 
+    def test_row_after_a_multiline_field_names_its_line(self, tmp_path):
+        p = self.write(tmp_path, 'time,x\n0,"5\n"\n1,oops\n')
+        with pytest.raises(ValueError, match=r"trace\.csv:4: unparsable number in \['1', 'oops'\]"):
+            load_trace(p)
+
     def test_bad_rows(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
             load_trace(self.write(tmp_path, "time,x\n0,1,9\n"))
