@@ -276,7 +276,10 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
 
 def _cmd_monitor(args) -> int:
     f, table, cfg = _load_inputs(args)
-    state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
+    try:
+        state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
+    except ValueError as exc:  # a horizon with no step count, such as one that overflows
+        raise CliError(str(exc)) from exc
     _eta_left_out(state.unbounded)
     source = "stream" if args.stream else args.trace
     try:
@@ -336,7 +339,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # evaluation recurses once per nesting level (parsing and validation do not)
+        # evaluation takes one Python frame per nesting level, about 980 levels
+        # at the default limit (parsing and validation do not recurse)
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
 

@@ -18,9 +18,9 @@ time units (so the horizon of ``[phi]^[a,b]`` is exactly `b`).
 Nesting limits: the parser keeps explicit operand and operator stacks, and
 printing, `horizon`, `validate` and a formula's `==`, `hash()` and
 `repr()` loop over `postorder`, so none of them has a depth limit.
-Evaluation still recurses once per nesting level, about 400 levels at
-Python's default recursion limit; beyond that the `twtl` command exits 2
-("formula nested too deeply").
+Evaluation still recurses, one Python frame per nesting level: about 980
+levels at Python's default recursion limit; beyond that the `twtl`
+command exits 2 ("formula nested too deeply").
 """
 
 from __future__ import annotations

@@ -466,28 +466,34 @@ class _Recursion:
     """
 
     def __init__(self, sem: _Semantics, ev: Evaluator):
-        self.n, self.nodes, self.columns = ev.n, ev._nodes, ev._columns
-        self.table, self.cfg, self.conservative_eta = ev.table, ev.cfg, ev.conservative_eta
-        self.margin, self.conj, self.disj, self.hold = sem.margin, sem.conj, sem.disj, sem.hold
+        self.n, self.columns = ev.n, ev._columns
+        self.conj, self.disj, self.hold = sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
-        self.extremes, self.skip, self.repeat = sem.extremes, sem.skip, sem.repeat
-        self.maxfold = sem.maxfold
+        self.skip, self.repeat, self.maxfold = sem.skip, sem.repeat, sem.maxfold
         self.bottom = sem.bottom(ev.cfg)
         # no split whose rhs is too short is above conj(-bottom, bottom): for
         # bool and rho conj is a min, and eta's values lie in [bottom, -bottom]
         self.short = sem.conj(-self.bottom, self.bottom)
-        self._extremes: dict[str, tuple[float, float]] = {}  # atom -> (least, greatest)
-        # (pin or 0, reach, final, frontier, unobserved) per node: its pinned
-        # length and reach (see compile_formula), and its memos, keyed as in
-        # value(). Each hold's atom must be in the table and have the extremes
-        # of its own margins (for eta, its bounds), whatever the
-        # conservative_eta flag: so an evaluation raises also when its folds
-        # add every hold that reads the atom without evaluating them.
+        # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
+        # is its column's key and the pads of its lower and upper bound, the
+        # margins an unobserved sample takes; and (pin or 0, reach, final,
+        # frontier, unobserved), its pinned length and reach (see
+        # compile_formula) and its memos, keyed as in value(). Each hold's
+        # atom must be in the table and have the extremes of its own margins
+        # (for eta, its bounds), whatever the conservative_eta flag: so an
+        # evaluation raises also when its folds add every hold that reads the
+        # atom without evaluating them.
+        self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
-        for _, _, _, pin, reach, _, hold in self.nodes:
+        for kind, lhs, rhs, pin, reach, offset, hold in ev._nodes:
             if hold is not None:
-                self.extremes(self.table[hold.atom], self.cfg, False)
+                spec = ev.table[hold.atom]
+                sem.extremes(spec, ev.cfg, False)
+                lo, hi = sem.extremes(spec, ev.cfg, ev.conservative_eta)
+                hold = ((sem.margin, hold.atom, hold.negated),
+                        (-hi, -lo) if hold.negated else (lo, hi))
+            self.nodes.append((kind, lhs, rhs, offset, hold))
             self.slots.append((pin or 0, reach, {}, {}, {}))
         # sweeps, (t, acc): a Concat's splits or a Within's starts before t
         # folded into acc. Final, keyed (node, start), when every value folded
@@ -515,7 +521,11 @@ class _Recursion:
         self.open_sweeps.clear()
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
-        """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions."""
+        """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions.
+
+        A miss is evaluated here and memoized at the one exit, so each
+        nesting level of the formula costs one Python frame.
+        """
         pin, reach, memo, frontier, unobserved = self.slots[k]
         if reach is not None:
             # too short for every completion; tested before a hold's padding,
@@ -534,46 +544,36 @@ class _Recursion:
             j -= i - n
             i = n
         got = memo.get(key)
-        if got is None:
-            got = memo[key] = self._value(k, i, j, upper)
-        return got
-
-    def _hold(self, f: HoldAtom, i: int, j: int, upper: bool) -> float:
-        stop = j + 1
-        key = self.margin, f.atom, f.negated
-        col = self.columns.get(key)
-        if col is None or len(col) < self.n:
-            col = self.columns.grow(*key)
-        ms = col[i:stop]
-        if stop <= self.n:
-            return self.hold(ms)
-        # an unobserved sample takes the extreme margin of the bound asked for
-        ext = self._extremes.get(f.atom)
-        if ext is None:
-            ext = self._extremes[f.atom] = self.extremes(self.table[f.atom], self.cfg,
-                                                         self.conservative_eta)
-        lo, hi = ext
-        pad = (-lo if upper else -hi) if f.negated else (hi if upper else lo)
-        return pad if i >= self.n else self.hold(ms + [pad] * (stop - self.n))
-
-    def _value(self, k: int, i: int, j: int, upper: bool) -> float:
+        if got is not None:
+            return got
         # plain loops, not comprehensions: a comprehension would turn these
         # locals into closure cells, paid for on every call
-        kind, lhs, rhs, _, _, offset, hold = self.nodes[k]
+        kind, lhs, rhs, offset, hold = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
-            return self._hold(hold, i, j, upper)
-        if kind is Not:
-            return -value(lhs, i, j, not upper)
-        if kind is And:
-            v = value(lhs, i, j, upper)
-            return v if v == self.conj_absorbing else self.conj(v, value(rhs, i, j, upper))
-        if kind is Or:
-            v = value(lhs, i, j, upper)
-            return v if v == self.disj_absorbing else self.disj(v, value(rhs, i, j, upper))
-        if kind is Concat:
-            if i == j:
-                return self.bottom
+            column, pads = hold
+            col = self.columns.get(column)
+            if col is None or len(col) < n:
+                col = self.columns.grow(*column)
+            if j < n:
+                got = self.hold(col[i:j + 1])
+            elif i < n:  # an unobserved sample takes the pad of the bound asked for
+                got = self.hold(col[i:n] + [pads[upper]] * (j + 1 - n))
+            else:
+                got = pads[upper]
+        elif kind is Not:
+            got = -value(lhs, i, j, not upper)
+        elif kind is And:
+            got = value(lhs, i, j, upper)
+            if got != self.conj_absorbing:
+                got = self.conj(got, value(rhs, i, j, upper))
+        elif kind is Or:
+            got = value(lhs, i, j, upper)
+            if got != self.disj_absorbing:
+                got = self.disj(got, value(rhs, i, j, upper))
+        elif kind is Concat and i == j:
+            got = self.bottom
+        elif kind is Concat:
             # When rhs reaches p steps, every split t < j - p reads rhs on
             # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
             # of [i, j-1] and t = j-1-p. One sweep per start folds them across
@@ -581,8 +581,7 @@ class _Recursion:
             # samples, across steps. The at most p splits after them, and
             # every split of an rhs without a reach, are folded per window.
             # The last pin splits leave rhs too short: it is bottom.
-            slot = self.slots[rhs]
-            pin, p, n = slot[0], slot[1], self.n
+            pin, p, _, _, _ = self.slots[rhs]
             fit = i if p is None or j - p < i else j - p
             short = i if j - pin < i else j - pin
             t, acc = i, self.start
@@ -633,72 +632,70 @@ class _Recursion:
                         self.folded -= j - t - 1
                         t = j
             self.folded += t - first
-            return self.finish(acc)
-        # a Within: the best start. The starts t < n - r, where lhs reaches r
-        # steps, read lhs on [t, t+r], observed: one sweep per window folds
-        # them across steps. The starts t >= n read no sample, and one memo
-        # per length holds the greatest of their values.
-        fold, stop, n = self.fold, self.disj_absorbing, self.n
-        t, acc = i + offset, self.start
-        r = self.slots[lhs][1]
-        resume = r is not None and t < n - r
-        if resume:  # a final window needs its sweep no more
-            state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
-            if state is not None:
-                t, acc = state
-        first = t
-        if resume and j >= n:
-            end = n - r
+            got = self.finish(acc)
+        else:
+            # a Within: the best start. The starts t < n - r, where lhs
+            # reaches r steps, read lhs on [t, t+r], observed: one sweep per
+            # window folds them across steps. The starts t >= n read no
+            # sample, and one memo per length holds the greatest of their values.
+            fold, stop = self.fold, self.disj_absorbing
+            t, acc = i + offset, self.start
+            r = self.slots[lhs][1]
+            resume = r is not None and t < n - r
+            if resume:  # a final window needs its sweep no more
+                state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
+                if state is not None:
+                    t, acc = state
+            first = t
+            if resume and j >= n:
+                end = n - r
+                while t < end and acc != stop:
+                    acc = fold(acc, value(lhs, t, j, upper))
+                    t += 1
+                self.sweeps[k, i] = t, acc
+            end = n if j >= n else j + 1
             while t < end and acc != stop:
                 acc = fold(acc, value(lhs, t, j, upper))
                 t += 1
-            self.sweeps[k, i] = t, acc
-        end = n if j >= n else j + 1
-        while t < end and acc != stop:
-            acc = fold(acc, value(lhs, t, j, upper))
-            t += 1
-        if t <= j and acc != stop:  # the starts t >= n
-            hi = self._tail(k, lhs, j - t, upper)
-            if self.maxfold:
-                self.folded += t - first
-                return self.disj(acc, hi)
-            skipped = self.skip(acc, hi, j + 1 - t)
-            if skipped is not None:
-                acc = skipped
-            else:
-                # the starts t <= j - r read lhs's unobserved window of r
-                # steps and the starts t > j - pin too short a window: each
-                # of the two is one value, folded as one run
-                pin = self.slots[lhs][0]
-                if r is not None and t <= j - r:
-                    acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
-                    self.folded -= j - r - t
-                    t = j + 1 - r
-                while t <= j - pin and acc != stop:
-                    acc = fold(acc, value(lhs, t, j, upper))
-                    t += 1
-                if t <= j and acc != stop:
-                    acc = self.repeat(acc, self.bottom, j + 1 - t)
-                    self.folded -= j - t
-                    t = j + 1
-        self.folded += t - first
-        return self.finish(acc)
-
-    def _tail(self, k: int, lhs: int, length: int, upper: bool) -> float:
-        """The greatest lhs value of Within node k over starts that read no
-        sample, the longest of their lhs windows having `length` steps: under
-        a max fold, the best of those starts."""
-        tails = self.tails.get((k, upper))
-        if tails is None:
-            tails = self.tails[k, upper] = []
-        n = self.n
-        # the starts run from the longest window to the shortest, so the
-        # first of equal values is kept as a left-to-right fold keeps it
-        while len(tails) <= length:
-            v = self.value(lhs, n, n + len(tails), upper)
-            tails.append(_max2(v, tails[-1]) if tails else v)
-            self.folded += 1
-        return tails[length]
+            if t <= j and acc != stop:  # the starts t >= n
+                # the greatest lhs value of those starts, whose longest lhs
+                # window has j - t steps: under a max fold, their best. They
+                # run from the longest window to the shortest, so the first
+                # of equal values is kept as a left-to-right fold keeps it
+                tails = self.tails.get((k, upper))
+                if tails is None:
+                    tails = self.tails[k, upper] = []
+                while len(tails) <= j - t:
+                    v = value(lhs, n, n + len(tails), upper)
+                    tails.append(_max2(v, tails[-1]) if tails else v)
+                    self.folded += 1
+                hi = tails[j - t]
+                if self.maxfold:
+                    acc = self.disj(acc, hi)
+                else:
+                    skipped = self.skip(acc, hi, j + 1 - t)
+                    if skipped is not None:
+                        acc = skipped
+                    else:
+                        # the starts t <= j - r read lhs's unobserved window
+                        # of r steps and the starts t > j - pin too short a
+                        # window: each of the two is one value, folded as one run
+                        pin = self.slots[lhs][0]
+                        if r is not None and t <= j - r:
+                            acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
+                            self.folded -= j - r - t
+                            t = j + 1 - r
+                        while t <= j - pin and acc != stop:
+                            acc = fold(acc, value(lhs, t, j, upper))
+                            t += 1
+                        if t <= j and acc != stop:
+                            acc = self.repeat(acc, self.bottom, j + 1 - t)
+                            self.folded -= j - t
+                            t = j + 1
+            self.folded += t - first
+            got = self.finish(acc)
+        memo[key] = got
+        return got
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

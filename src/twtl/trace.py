@@ -233,23 +233,12 @@ class Word:
                     t0=self.t0)
 
 
-def read_trace(lines: Iterable[str], source: str, dt: float | None = None
-               ) -> tuple[list[str], Iterator[list[float]]]:
-    """A trace CSV's signal names, its header checked now (no column named twice), and its rows.
-
-    Each row ``[t, v1, ...]`` is read and checked when it is asked for: one
-    finite number per column, and row k's time on the first row's grid,
-    |(t - t0)/dt - k| <= 1e-9; without a known dt the first two rows fix it.
-    Blank lines are skipped. Errors are ValueErrors naming ``<source>:<line>``.
-    """
-    return _read(lines, source, dt, None)
-
-
 def read_prefix(lines: Iterable[str], source: str, dt: float, horizon_steps: int
                 ) -> tuple[list[str], Iterator[list[float]]]:
-    """`read_trace`'s names and its rows 0..horizon_steps, read and checked as it reads them.
+    """A trace CSV's signal names, its header checked now, and its rows 0..horizon_steps.
 
-    A further non-blank line is not parsed: it logs the one warning that the
+    Each row is checked, by `load_trace`'s rules, when it is asked for. A
+    further non-blank line is not parsed: it logs the one warning that the
     trace continues past the horizon, and the rows end.
     """
     return _read(lines, source, dt, horizon_steps + 1)
@@ -328,9 +317,15 @@ def _continues(reader) -> bool:
 
 
 def load_trace(path, dt_expected: float | None = None) -> Word:
-    """Load a trace CSV, every row checked as `read_trace` checks it."""
+    """Load a trace CSV: a header ``time,<sig1>,...`` that names no column twice, and rows.
+
+    Each row ``[t, v1, ...]`` holds one finite number per column, and row
+    k's time lies on the first row's grid, |(t - t0)/dt - k| <= 1e-9;
+    without a known dt the first two rows fix it. Blank lines are skipped.
+    Errors are ValueErrors naming ``<source>:<line>``.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        return word_of(*read_trace(fh, str(path), dt_expected), dt_expected)
+        return word_of(*_read(fh, str(path), dt_expected, None), dt_expected)
 
 
 def word_of(names: list[str], rows: Iterable[list[float]], dt: float | None = None) -> Word:

@@ -297,6 +297,23 @@ def test_bounds_and_dt_must_be_finite(files, capsys, flag, value):
     assert f"argument {flag}: must be finite, got {value}" in out.err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("check", "--trace"), ("rho", "--trace"), ("eta", "--trace"), ("oracle", "--trace"),
+    ("monitor", "--trace"), ("monitor", "--stream"),
+], ids=["check", "rho", "eta", "oracle", "monitor", "monitor_stream"])
+def test_horizon_that_overflows_exits_2(capsys, monkeypatch, tmp_path, command, flag):
+    # H^2 at dt = 1e308 lasts 2e308, which overflows to inf: no number of steps
+    (tmp_path / "f.twtl").write_text("H^2 A\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    text = "time,x\n0,0.5\n1e308,0.5\n"
+    (tmp_path / "t.csv").write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    source = [flag] if flag == "--stream" else [flag, str(tmp_path / "t.csv")]
+    got = run(capsys, command, "--formula", str(tmp_path / "f.twtl"),
+              "--config", str(tmp_path / "cfg.json"), "--dt", "1e308", *source)
+    assert got == (2, "", "twtl: error: duration inf is not a multiple of dt=1e+308\n")
+
+
 def test_rho_bounds_must_straddle_zero(files, capsys):
     rc, out, err = run(capsys, "check", "--formula", files["formula"],
                        "--config", files["config"], "--trace", files["trace"],

@@ -260,6 +260,23 @@ class TestResultsAt:
         with pytest.raises(ValueError, match="ascend"):
             next(results)
 
+    @pytest.mark.parametrize("at, times", [(None, [0.0, 1.0]), ([1, 5], [1.0]), ([5], [])],
+                             ids=["every", "one_past", "all_past"])
+    def test_a_sample_past_the_horizon_ends_the_results(self, caplog, at, times):
+        # H^1 A reads samples 0 and 1: sample 2 warns once and ends the run,
+        # sample 3 is never read, and an index past the horizon yields nothing
+        state, read = MonitorState(parse("H^1 A"), TABLE), []
+
+        def samples():
+            for x in (5.0, 6.0, 7.0, 8.0):
+                read.append(x)
+                yield {"x": x}
+
+        with caplog.at_level("WARNING", logger="twtl"):
+            assert [r.t for r in results_at(state, samples(), at)] == times
+        assert caplog.messages == [PAST_HORIZON_WARNING]
+        assert state.observed == 2 and read == [5.0, 6.0, 7.0]
+
 
 class TestIncrementalEqualsBatch:
     """A monitor keeps one evaluator over a run and evaluates again only the

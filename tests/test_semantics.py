@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -537,6 +538,35 @@ class TestWorkCounts:
         assert folded == {False: [3_391, 12_401, 47_234], True: [4_347, 16_822, 66_147]}
         for run in folded.values():
             assert run[1] <= 4.5 * run[0] and run[2] <= 4.5 * run[1], run
+
+
+DEEP = {
+    "and-chain": " & ".join(["H^0 A"] * 900),
+    "not-prefix": "!" * 900 + "H^0 A",
+    "within": "[" * 900 + "H^0 A" + "]^[0,1]" * 900,
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP)
+def test_deep_formula_evaluates_at_the_default_recursion_limit(text):
+    # the recursion costs one Python frame per nesting level: each formula
+    # is rho = 1 on x = 5, 3, 6 (the chain and the even ! prefix read sample
+    # 0, each nested Within the better of samples 0 and 1)
+    f, xs = parse(text), (5.0, 3.0, 6.0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        word = Word(1.0, {"x": xs})
+        assert bool_sat(word, f, TABLE)
+        assert rho(word, f, TABLE) == 1.0
+        assert eta(word, f, TABLE) > 0.0
+        state = MonitorState(f, TABLE)
+        for x in xs[:state.horizon_steps + 1]:
+            last = state.step({"x": x})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert last.rho == singleton(1.0)
+    assert last.eta.lo > 0.0
 
 
 class TestFormulaIdentity:
