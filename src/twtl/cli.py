@@ -115,20 +115,13 @@ def _add_common(p: argparse.ArgumentParser, source=None) -> None:
     (source or p).add_argument("--trace", required=source is None, help="path to the trace CSV")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="twtl", description=__doc__.split("\n\n")[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse and validate a formula")
+def _parse_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", required=True)
     p.add_argument("--config", help="optional predicate JSON for atom resolution checks")
     p.add_argument("--dt", type=_positive, default=1.0)
 
-    for name in ("check", "rho", "eta"):
-        p = sub.add_parser(name)
-        _add_common(p)
 
-    p = sub.add_parser("monitor", help="replay a trace through the online monitors")
+def _monitor_options(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     _add_common(p, source)
     source.add_argument("--stream", action="store_true", help="read samples from stdin")
@@ -138,13 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub.add_parser("casestudy", help="write the bundled navigation scenario")
+
+def _casestudy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-
-    p = sub.add_parser("oracle", help="debug: unmemoized reference evaluators")
-    _add_common(p)
-    return ap
 
 
 def _load_formula(path: str):
@@ -207,8 +197,13 @@ def _cmd_parse(args) -> int:
     f = _load_formula(args.formula)
     if args.config:
         _load_table(args.config, f, args.dt)
+    h = horizon(f, args.dt)
+    try:  # a horizon every command can evaluate has a step count
+        steps(h, args.dt)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     print(format_formula(f))
-    print(f"horizon: {horizon(f, args.dt):g}")
+    print(f"horizon: {h:g}")
     return 0
 
 
@@ -323,15 +318,47 @@ def _cmd_casestudy(args) -> int:
     return 0
 
 
+# each command: its line in the top-level help (None: not listed), the function
+# that adds its options, and the function that runs it; in the usage's order
+_COMMANDS = {
+    "parse": ("parse and validate a formula", _parse_options, _cmd_parse),
+    "check": (None, _add_common, _cmd_check),
+    "rho": (None, _add_common, _cmd_value),
+    "eta": (None, _add_common, _cmd_value),
+    "monitor": ("replay a trace through the online monitors", _monitor_options, _cmd_monitor),
+    "casestudy": ("write the bundled navigation scenario", _casestudy_options, _cmd_casestudy),
+    "oracle": ("debug: unmemoized reference evaluators", _add_common, _cmd_check),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of `twtl argv`: every command, but only the options of the one argv names.
+
+    A one-shot call parses one command's options, so declaring the others
+    would be wasted; an argv that names no command (help, no arguments, an
+    unknown word) gets every command's options. Usage, help and error texts
+    are the same either way.
+    """
+    ap = argparse.ArgumentParser(prog="twtl", description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (listed, options, _) in _COMMANDS.items():
+        # a help keyword, even None, would list the command in the top-level help
+        p = sub.add_parser(name, help=listed) if listed else sub.add_parser(name)
+        if named is None or named == name:
+            options(p)
+    return ap
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("TWTL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="twtl: %(levelname)s: %(message)s")
-    args = _build_parser().parse_args(argv)
-    commands = {"parse": _cmd_parse, "check": _cmd_check, "rho": _cmd_value, "eta": _cmd_value,
-                "monitor": _cmd_monitor, "casestudy": _cmd_casestudy, "oracle": _cmd_check}
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return commands[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except BrokenPipeError:  # stdout goes to devnull, so the final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

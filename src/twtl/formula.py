@@ -15,6 +15,10 @@ Grammar (loosest to tightest binding: `.`, `|`, `&`, unary)::
 Hold durations `d` count samples; within bounds `a`, `b` are absolute
 time units (so the horizon of ``[phi]^[a,b]`` is exactly `b`).
 
+The text is tokenized in one regular-expression pass. Each token carries
+its offset in the text; the 1-based line and column of a `TwtlSyntaxError`
+are worked out from that offset only when one is raised.
+
 Nesting limits: the parser keeps explicit operand and operator stacks, and
 printing, `horizon`, `validate` and a formula's `==`, `hash()` and
 `repr()` loop over `postorder`, so none of them has a depth limit.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .trace import PredicateTable
@@ -125,45 +129,42 @@ class Within(Formula):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(  # a comment is white space
-    r"(?P<WS>\s+|#[^\n]*)|(?P<INT>\d+)|(?P<IDENT>[A-Za-z_]\w*)|(?P<SYM>[!&|.()\[\],^])"
+_TOKEN_RE = re.compile(  # a comment is white space; any other character is BAD
+    r"\s+|#[^\n]*|(?P<INT>\d+)|(?P<IDENT>[A-Za-z_]\w*)|(?P<SYM>[!&|.()\[\],^])|(?P<BAD>.)",
+    re.DOTALL,
 )
 
-_Token = tuple[str, str, int, int]  # kind, text, line, col
+_Token = tuple[str, str, int]  # kind, text, offset in the formula text
 
 # binary operators: precedence (higher binds tighter) and symbol; all left-associative
 _BIN_OPS = {Concat: (1, "."), Or: (2, "|"), And: (3, "&")}
 _BIN_SYMS = {sym: (prec, cls) for cls, (prec, sym) in _BIN_OPS.items()}
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TwtlSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "WS":
-            yield (kind, tok, line, col)
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    yield ("EOF", "", line, col)
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
         self.pos = 0
+        tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:  # white space
+                continue
+            if kind == "BAD":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            tokens.append((kind, m.group(), m.start()))
+        tokens.append(("EOF", "", len(text)))
+        self.tokens = tokens
+
+    def error(self, message: str, offset: int) -> TwtlSyntaxError:
+        """The error at `offset`, with its 1-based line and column."""
+        text = self.text
+        return TwtlSyntaxError(message, text.count("\n", 0, offset) + 1,
+                               offset - text.rfind("\n", 0, offset))
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token `ahead` tokens on; only EOF, the last token, has none after it."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -172,16 +173,16 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> _Token:
-        kind, tok, line, col = self.peek()
+        kind, tok, offset = self.peek()
         if tok != text:
             found = f", found {tok!r}" if tok else ""
-            raise TwtlSyntaxError(f"expected {text!r}{found}", line, col)
+            raise self.error(f"expected {text!r}{found}", offset)
         return self.next()
 
     def expect_int(self, what: str) -> int:
-        kind, tok, line, col = self.peek()
+        kind, tok, offset = self.peek()
         if kind != "INT":
-            raise TwtlSyntaxError(f"malformed time bound: expected {what}, found {tok!r}", line, col)
+            raise self.error(f"malformed time bound: expected {what}, found {tok!r}", offset)
         self.next()
         return int(tok)
 
@@ -197,7 +198,7 @@ class _Parser:
             while True:  # an operand is finished: close groups until a binary operator
                 while ops and ops[-1] is Not:
                     operands[-1] = ops.pop()(operands[-1])
-                _, tok, line, col = self.peek()
+                _, tok, offset = self.peek()
                 prec, cls = _BIN_SYMS.get(tok, (0, None))
                 # left-associative: reduce the pending binary operators that bind at
                 # least as tight; any other token reduces them all
@@ -210,9 +211,9 @@ class _Parser:
                     break
                 if not ops:
                     if tok:
-                        raise TwtlSyntaxError(f"trailing input {tok!r}", line, col)
+                        raise self.error(f"trailing input {tok!r}", offset)
                     return operands[0]
-                _, opener, line, col = ops.pop()
+                _, opener, offset = ops.pop()
                 self.expect(")" if opener == "(" else "]")
                 if opener == "[":  # then ^[a,b]; a bad pair is reported at the "["
                     self.expect("^")
@@ -221,13 +222,13 @@ class _Parser:
                     self.expect(",")
                     b = self.expect_int("window upper bound")
                     if b < a:
-                        raise TwtlSyntaxError(f"malformed time bound: b={b} < a={a}", line, col)
+                        raise self.error(f"malformed time bound: b={b} < a={a}", offset)
                     self.expect("]")
                     operands[-1] = Within(operands[-1], a, b)
 
     def hold(self) -> HoldAtom:
         """A hold atom: the only operand once "!", "(" and "[" are pushed."""
-        kind, tok, line, col = self.peek()
+        kind, tok, offset = self.peek()
         if kind == "IDENT" and tok == "H" and self.peek(1)[1] == "^":
             self.next()
             self.next()
@@ -235,16 +236,16 @@ class _Parser:
             negated = self.peek()[1] == "!"
             if negated:
                 self.next()
-            akind, aname, aline, acol = self.next()
+            akind, aname, aoffset = self.next()
             if akind != "IDENT":
-                raise TwtlSyntaxError(f"expected atom name, found {aname!r}", aline, acol)
+                raise self.error(f"expected atom name, found {aname!r}", aoffset)
             return HoldAtom(d, aname, negated)
         if kind == "IDENT":
-            raise TwtlSyntaxError(
-                f"unknown operator or bare atom {tok!r} (atoms appear only under H^d)", line, col
+            raise self.error(
+                f"unknown operator or bare atom {tok!r} (atoms appear only under H^d)", offset
             )
         message = f"unexpected {tok!r}" if tok else "unexpected end of input"
-        raise TwtlSyntaxError(message, line, col)
+        raise self.error(message, offset)
 
 
 def parse(text: str) -> Formula:

@@ -197,7 +197,12 @@ def agm_and(values: Sequence[float]) -> float:
     """AGM conjunction: geometric blend when all positive, mean of negative parts otherwise."""
     if not isinstance(values, (list, tuple)):
         values = list(values)
-    n = len(values)
+    return _agm_and_hold(values, 0.0, 0)
+
+
+def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
+    """agm_and of `values` followed by m copies of pad, with its bits, building no list."""
+    n = len(values) + m
     if not n:
         raise ValueError("agm_and of an empty sequence")
     # one pass checks the range, multiplies the positive parts in math.prod's
@@ -212,6 +217,16 @@ def agm_and(values: Sequence[float]) -> float:
         else:
             neg += v
             positive = False
+    if m:
+        if not _AGM_LO <= pad <= _AGM_HI:
+            raise _agm_range_error("agm_and", pad)
+        if pad <= 0.0:
+            for _ in range(m):
+                neg += pad
+            positive = False
+        elif positive:  # the product is never read once a value <= 0 has been met
+            for _ in range(m):
+                prod *= 1.0 + pad
     if positive:
         return _clamp_unit(prod ** (1.0 / n) - 1.0)
     return _clamp_unit(neg / n)
@@ -252,7 +267,9 @@ class _Semantics:
     start: Any
     fold: Callable[[Any, float], Any]
     finish: Callable[[Any], float]
-    hold: Callable[[Sequence[float]], float]  # aggregate of a hold's margins
+    # aggregate of a hold's margins: the observed ones, then a count of copies
+    # of one pad, the margin its unobserved samples take
+    hold: Callable[[Sequence[float], float, int], float]
     # (least, greatest) margin an unobserved sample of the atom can take,
     # given the config and the conservative_eta flag
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
@@ -286,6 +303,12 @@ def _same(v: float) -> float:
     return v
 
 
+def _min_hold(ms: Sequence[float], pad: float, m: int) -> float:
+    # min(ms + [pad] * m): min keeps the first of equal values
+    low = min(ms)
+    return pad if m and pad < low else low
+
+
 def _max_skip(acc: float, hi: float, m: int) -> float | None:
     # values at or below a max fold's accumulator leave it as it is
     return acc if acc >= hi else None
@@ -300,15 +323,15 @@ def _max_repeat(acc: float, v: float, m: int) -> float:
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
 _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
-                   lambda ms: 1.0 if min(ms) > 0.0 else -1.0,
+                   lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
                    -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
-                  _same, min, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
+                  _same, _min_hold, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
                   _max_skip, _max_repeat, -math.inf, math.inf, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
-                  _AGM_OR_START, _agm_or_fold, _agm_or_finish, agm_and,
+                  _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip,
                   _agm_or_repeat)
@@ -556,9 +579,9 @@ class _Recursion:
             if col is None or len(col) < n:
                 col = self.columns.grow(*column)
             if j < n:
-                got = self.hold(col[i:j + 1])
+                got = self.hold(col[i:j + 1], 0.0, 0)
             elif i < n:  # an unobserved sample takes the pad of the bound asked for
-                got = self.hold(col[i:n] + [pads[upper]] * (j + 1 - n))
+                got = self.hold(col[i:n], pads[upper], j + 1 - n)
             else:
                 got = pads[upper]
         elif kind is Not:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import twtl
-from twtl import monitor
+from twtl import cli, monitor
 from twtl.cli import main
 from twtl.monitor import unbounded_atoms
 from twtl.trace import PAST_HORIZON_WARNING
@@ -63,6 +63,16 @@ class TestParseCommand:
         assert rc == 2
         assert "Zz" in err
 
+    @pytest.mark.parametrize("text, dt, duration", [
+        ("H^2 A", "1e308", "inf"), ("[H^2 A]^[0,3]", "0.7", "3.0"),
+    ], ids=["overflow", "off-grid"])
+    def test_horizon_without_steps_exits_2_without_config(self, capsys, tmp_path, text, dt,
+                                                          duration):
+        (tmp_path / "f.twtl").write_text(text)
+        got = run(capsys, "parse", "--formula", str(tmp_path / "f.twtl"), "--dt", dt)
+        assert got == (2, "", f"twtl: error: duration {duration} is not a multiple of "
+                              f"dt={float(dt)}\n")
+
     def test_config_atom_lacks_op(self, files, capsys, tmp_path):
         cfg = tmp_path / "noop.json"
         cfg.write_text(json.dumps({"atoms": {"A": {"signal": "x", "sigma": 4.0}}}))
@@ -70,6 +80,62 @@ class TestParseCommand:
         assert rc == 2
         assert out == ""
         assert err.startswith(f"twtl: error: cannot load config {cfg}: ")
+
+
+USAGE = "usage: twtl [-h] {parse,check,rho,eta,monitor,casestudy,oracle} ...\n"
+CHECK_USAGE = ("usage: twtl check [-h] --formula FORMULA --config CONFIG [--dt DT]\n"
+               "                  [--rho-bot RHO_BOT] [--rho-top RHO_TOP] --trace TRACE\n")
+COMMANDS = ("parse", "check", "rho", "eta", "monitor", "casestudy", "oracle")
+
+
+def exits(capsys, argv):
+    """argparse's exit code, stdout and stderr for `twtl argv`."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestUsageTexts:
+    """A command's parser declares only its own options; no text may show it."""
+
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli._build_parser([]).parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert f"usage: twtl {command} [-h]" in full
+        assert exits(capsys, [command, "--help"]) == (0, full, "")
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, USAGE + """
+Command-line front end.
+
+positional arguments:
+  {parse,check,rho,eta,monitor,casestudy,oracle}
+    parse               parse and validate a formula
+    monitor             replay a trace through the online monitors
+    casestudy           write the bundled navigation scenario
+    oracle              debug: unmemoized reference evaluators
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+        ([], 2, "", USAGE + "twtl: error: the following arguments are required: command\n"),
+        (["bogus"], 2, "", USAGE + "twtl: error: argument command: invalid choice: 'bogus' "
+         "(choose from 'parse', 'check', 'rho', 'eta', 'monitor', 'casestudy', 'oracle')\n"),
+        (["check", "--bogus"], 2, "", CHECK_USAGE + "twtl check: error: the following "
+         "arguments are required: --formula, --config, --trace\n"),
+        # the top-level parser reports what the command leaves over
+        (["check", "--formula", "f", "--config", "c", "--trace", "t", "extra"], 2, "",
+         USAGE + "twtl: error: unrecognized arguments: extra\n"),
+    ], ids=["help", "no-arguments", "unknown-command", "unknown-option", "extra-argument"])
+    def test_texts(self, capsys, argv, code, out, err):
+        assert exits(capsys, argv) == (code, out, err)
 
 
 class TestCheckCommand:
@@ -298,9 +364,9 @@ def test_bounds_and_dt_must_be_finite(files, capsys, flag, value):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("check", "--trace"), ("rho", "--trace"), ("eta", "--trace"), ("oracle", "--trace"),
-    ("monitor", "--trace"), ("monitor", "--stream"),
-], ids=["check", "rho", "eta", "oracle", "monitor", "monitor_stream"])
+    ("parse", None), ("check", "--trace"), ("rho", "--trace"), ("eta", "--trace"),
+    ("oracle", "--trace"), ("monitor", "--trace"), ("monitor", "--stream"),
+], ids=["parse", "check", "rho", "eta", "oracle", "monitor", "monitor_stream"])
 def test_horizon_that_overflows_exits_2(capsys, monkeypatch, tmp_path, command, flag):
     # H^2 at dt = 1e308 lasts 2e308, which overflows to inf: no number of steps
     (tmp_path / "f.twtl").write_text("H^2 A\n")
@@ -308,7 +374,7 @@ def test_horizon_that_overflows_exits_2(capsys, monkeypatch, tmp_path, command, 
     text = "time,x\n0,0.5\n1e308,0.5\n"
     (tmp_path / "t.csv").write_text(text)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    source = [flag] if flag == "--stream" else [flag, str(tmp_path / "t.csv")]
+    source = [flag] if flag == "--stream" else [flag, str(tmp_path / "t.csv")] if flag else []
     got = run(capsys, command, "--formula", str(tmp_path / "f.twtl"),
               "--config", str(tmp_path / "cfg.json"), "--dt", "1e308", *source)
     assert got == (2, "", "twtl: error: duration inf is not a multiple of dt=1e+308\n")

@@ -62,6 +62,7 @@ class TestParse:
         text = "# task one\n[H^2 A]^[0,4]  # deadline\n  & H^4 !B\n"
         assert parse(text) == And(Within(HoldAtom(2, "A"), 0, 4),
                                   HoldAtom(4, "B", negated=True))
+        assert parse("H ^1 A") == HoldAtom(1, "A")  # white space may part any two tokens
 
     @pytest.mark.parametrize("bad", [
         "", "H^ A", "H^2", "A", "[H^1 A]^[2,1]", "[H^1 A]^[0]", "H^1 A )",
@@ -76,6 +77,23 @@ class TestParse:
             parse("H^1 A &\n H^2 %")
         assert exc.value.line == 2
         assert exc.value.column == 6
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("# one\nH^1 A &  # two\n  H^2 B $\n", "unexpected character '$'", 3, 9),
+        ("H^1 A &\t@", "unexpected character '@'", 1, 9),
+        ("H^1 A &\r\n  %", "unexpected character '%'", 2, 3),
+        ("H^1 A & B", "unknown operator or bare atom 'B' (atoms appear only under H^d)", 1, 9),
+        ("[H^1 A]^[0,3", "expected ']'", 1, 13),
+        ("H^0 B .\n  [H^1 A]^[3,1]", "malformed time bound: b=1 < a=3", 2, 3),
+        ("H^1 A H^2 B", "trailing input 'H'", 1, 7),
+        ("H^1 A &\n", "unexpected end of input", 2, 1),
+    ])
+    def test_error_message_line_and_column(self, text, message, line, column):
+        # a tab and a "\r" count as one column each; only "\n" ends a line
+        with pytest.raises(TwtlSyntaxError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{line}:{column}: {message}", line, column)
 
     def test_within_b_less_than_a_message(self):
         with pytest.raises(TwtlSyntaxError, match="malformed time bound"):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,21 @@ class TestMonitorState:
         for sample in samples[1:]:
             assert st_.step(sample) == fresh.step(sample)
         assert st_.finalized
+
+
+def test_frontier_hold_builds_no_list_of_pads():
+    # a hold window past the frontier pads its unobserved samples by count,
+    # so one step on H^d allocates no memory that grows with d
+    f = parse("H^200000 A")
+    st_ = MonitorState(f, TABLE)
+    tracemalloc.start()
+    try:
+        res = st_.step({"x": 5.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert res == batch_result(Prefix(Word(1.0, {"x": (5.0,)}), st_.horizon_steps), f, TABLE)
 
 
 class TestResultsAt:

@@ -171,6 +171,28 @@ class TestRepeat:
             assert str(got.value) == str(want.value)
 
 
+class TestPaddedHold:
+    """A semantics' hold(ms, pad, m) aggregates ms + [pad] * m, bit for bit."""
+
+    WHOLE = {"bool": lambda ms: 1.0 if min(ms) > 0.0 else -1.0, "rho": min, "eta": agm_and}
+
+    @pytest.mark.parametrize("sem", [_BOOL, _RHO, _ETA], ids=lambda sem: sem.name)
+    def test_equals_the_whole_list(self, sem):
+        whole = self.WHOLE[sem.name]
+        for ms, pad, m in itertools.product(
+                ([0.5], [-0.0], [0.0, 0.3], [0.2, -0.6, 0.7], [0.4, 0.9, 0.1]),
+                (-1.0, -0.5, -0.0, 0.0, 0.3, 1.0), (0, 1, 2, 17)):
+            assert repr(sem.hold(ms, pad, m)) == repr(whole(ms + [pad] * m)), (ms, pad, m)
+
+    @pytest.mark.parametrize("pad", [1.5, -1.0001, math.inf, math.nan])
+    def test_eta_rejects_what_agm_and_rejects(self, pad):
+        with pytest.raises(ValueError) as want:
+            agm_and([0.5, pad])
+        with pytest.raises(ValueError) as got:
+            _ETA.hold([0.5], pad, 3)
+        assert str(got.value) == str(want.value)
+
+
 class TestBoolAndRho:
     def test_hold(self):
         w = Word(1.0, {"x": (5.0, 6.0, 4.5)})
