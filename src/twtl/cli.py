@@ -12,10 +12,11 @@ Subcommands::
 
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
-I/O, parse, or validation failure; 141, silently, when a closed pipe ends
-stdout. When an atom of the formula has no min/max bounds, check, oracle
-and monitor print one notice and leave eta empty, and eta exits 2. Set
-TWTL_LOG=DEBUG|INFO|... for logging.
+I/O, parse, or validation failure, a failed write to stdout or a file
+included; 141, silently, when a closed pipe ends stdout. When an atom of
+the formula has no min/max bounds, check, oracle and monitor print one
+notice and leave eta empty, and eta exits 2. Set TWTL_LOG=DEBUG|INFO|...
+for logging.
 """
 
 from __future__ import annotations
@@ -241,6 +242,17 @@ def _cannot_write(exc: OSError, path: str) -> CliError:
     return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
+def _write_file(path: str, fmt: str, records: Iterable[StepResult]) -> None:
+    """write_records to the file at path; a failure to open, write or close it is a CliError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_records(fh, fmt, records)
+    except BrokenPipeError:  # a closed pipe exits 141, as on stdout
+        raise
+    except OSError as exc:
+        raise _cannot_write(exc, path) from exc
+
+
 def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]],
                taus: list[float] | None) -> Iterator[StepResult]:
     """Feed the monitor one row at a time up to its horizon; yield the records at the --tau times.
@@ -286,13 +298,11 @@ def _cmd_monitor(args) -> int:
         try:
             names, rows = read_prefix(lines, source, cfg.dt, state.horizon_steps)
             _check_header(source, names, state.signal_names)
-            try:
-                out = (open(args.out, "w", encoding="utf-8") if args.out
-                       else contextlib.nullcontext(sys.stdout))
-            except OSError as exc:
-                raise _cannot_write(exc, args.out) from exc
-            with out as fh:
-                write_records(fh, args.format, _step_rows(state, names, rows, args.tau))
+            records = _step_rows(state, names, rows, args.tau)
+            if args.out:
+                _write_file(args.out, args.format, records)
+            else:
+                write_records(sys.stdout, args.format, records)
         except ValueError as exc:  # a bad header or row, or a step the config cannot evaluate
             raise CliError(str(exc)) from exc
     if not state.finalized:
@@ -331,37 +341,57 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser of `twtl argv`: every command, but only the options of the one argv names.
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser of `twtl`: every command, each with its options.
 
-    A one-shot call parses one command's options, so declaring the others
-    would be wasted; an argv that names no command (help, no arguments, an
-    unknown word) gets every command's options. Usage, help and error texts
-    are the same either way.
+    `_parse_args` needs it only for what a command's own parser cannot
+    print: the top-level help, and the errors for no command, an unknown
+    one and arguments the command leaves over.
     """
     ap = argparse.ArgumentParser(prog="twtl", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (listed, options, _) in _COMMANDS.items():
         # a help keyword, even None, would list the command in the top-level help
-        p = sub.add_parser(name, help=listed) if listed else sub.add_parser(name)
-        if named is None or named == name:
-            options(p)
+        options(sub.add_parser(name, help=listed) if listed else sub.add_parser(name))
     return ap
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of `twtl argv`, as the full parser would give them.
+
+    A command's options are parsed by one parser of its own, named as the
+    full parser names its subparser, so a valid call builds one parser and
+    the command's help and errors are the same bytes. The full parser takes
+    every argv that names no command and every one that leaves arguments over.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        p = argparse.ArgumentParser(prog=f"twtl {name}")
+        _COMMANDS[name][1](p)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run `twtl argv` (default: the process's arguments) and return its exit code.
+
+    Each command turns a failure to read its inputs or to write a file it
+    names into a CliError. An OSError that still escapes it is a failed write
+    to stdout: exit 141 for a closed pipe, else 2 with one error line.
+    """
     level = os.environ.get("TWTL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="twtl: %(levelname)s: %(message)s")
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
-    except BrokenPipeError:  # stdout goes to devnull, so the final flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        code = _COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except CliError as exc:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
@@ -370,6 +400,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # at the default limit (parsing and validation do not recurse)
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
+    except OSError as exc:
+        closed = isinstance(exc, BrokenPipeError)
+        if not closed:
+            print(f"twtl: error: {_cannot_write(exc, 'stdout')}", file=sys.stderr)
+        # stdout goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141 if closed else 2
 
 
 if __name__ == "__main__":

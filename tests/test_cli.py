@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from twtl import cli, monitor
 from twtl.cli import main
 from twtl.monitor import unbounded_atoms
 from twtl.trace import PAST_HORIZON_WARNING
+
+import argv_table
 
 FORMULA = "[H^2 A]^[1,5]\n"
 CONFIG = {"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0,
@@ -97,7 +100,7 @@ def exits(capsys, argv):
 
 
 class TestUsageTexts:
-    """A command's parser declares only its own options; no text may show it."""
+    """A valid command is parsed by a parser of its own; no text may show it."""
 
     @pytest.fixture(autouse=True)
     def width(self, monkeypatch):
@@ -106,7 +109,7 @@ class TestUsageTexts:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help_is_the_full_parsers(self, capsys, command):
         with pytest.raises(SystemExit):
-            cli._build_parser([]).parse_args([command, "--help"])
+            cli._build_parser().parse_args([command, "--help"])
         full = capsys.readouterr().out
         assert f"usage: twtl {command} [-h]" in full
         assert exits(capsys, [command, "--help"]) == (0, full, "")
@@ -136,6 +139,41 @@ options:
     ], ids=["help", "no-arguments", "unknown-command", "unknown-option", "extra-argument"])
     def test_texts(self, capsys, argv, code, out, err):
         assert exits(capsys, argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", argv_table.ARGVS, ids=lambda argv: " ".join(argv) or "-")
+    def test_own_parser_parses_as_the_full_parser(self, argv):
+        own = argv_table.outcome(cli._parse_args, argv)
+        assert own == argv_table.outcome(argv_table.full, argv)
+
+
+FULL = ["twtl"] + [f"twtl {command}" for command in COMMANDS]
+
+
+@pytest.mark.parametrize("argv, code, progs", [
+    (["check", "FILES"], 0, ["twtl check"]),
+    (["monitor", "FILES", "--tau", "0,1"], 0, ["twtl monitor"]),
+    ([], 2, FULL),
+    (["bogus", "FILES"], 2, FULL),
+    (["che", "FILES"], 2, FULL),
+    (["check", "FILES", "extra"], 2, ["twtl check"] + FULL),
+], ids=["check", "monitor", "no-command", "unknown", "abbreviated", "left-over"])
+def test_parsers_built(files, capsys, monkeypatch, argv, code, progs):
+    """A valid one-shot command builds its own parser only; anything else builds the full one."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    paths = ["--formula", files["formula"], "--config", files["config"], "--trace", files["trace"]]
+    argv = [a for arg in argv for a in (paths if arg == "FILES" else [arg])]
+    if code == 0:
+        assert run(capsys, *argv)[0] == 0
+    else:
+        assert exits(capsys, argv)[0] == code
+    assert built == progs
 
 
 class TestCheckCommand:
@@ -792,3 +830,28 @@ class TestCaseStudyCommand:
         assert rc == 2
         assert out == ""
         assert err == f"twtl: error: cannot write {blocker / 'sub'}: Not a directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, target", [
+    (["parse", "--formula", "F"], "stdout"),
+    *(([command, "--formula", "F", "--config", "C", "--trace", "T"], "stdout")
+      for command in ("check", "rho", "eta", "oracle", "monitor")),
+    (["casestudy", "--out", "D"], "stdout"),
+    (["monitor", "--formula", "F", "--config", "C", "--trace", "T", "--out", "/dev/full"],
+     "/dev/full"),
+], ids=["parse", "check", "rho", "eta", "oracle", "monitor", "casestudy", "monitor-out"])
+def test_failed_write_exits_2_with_one_line(files, tmp_path, buffered, argv, target):
+    """A full device under stdout or --out: one error line, exit 2, nothing at exit."""
+    names = {"F": files["formula"], "C": files["config"], "T": files["trace"],
+             "D": str(tmp_path / "cs")}
+    argv = [names.get(a, a) for a in argv]
+    src = os.path.dirname(os.path.dirname(twtl.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "twtl.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, f"twtl: error: cannot write {target}: No space left on device\n")
