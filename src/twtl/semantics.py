@@ -23,15 +23,16 @@ window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
 end starts it again at i. Any other rhs has no such splits, and each
 window folds all of its own. When rhs pins a length (a hold, a `Within`,
 or an `&` or `|` of two pinned children, see below), its last splits leave
-it too short: they fold conj(lhs, bottom) without evaluating rhs. A
-semantics' `skip` adds them without evaluating lhs either when they can
-change no more than the fold's count: for the max folds of bool and rho
-once the accumulator is at least bottom, which conj(x, bottom) <= bottom
-cannot raise; for eta's AGM disjunction once it has folded a value >= 0,
-as conj(x, -1) <= -0.5 (see below). Else, when lhs reaches r steps, the
-splits t >= i + r read lhs on [i, i+r]: they are one value, and a
-semantics' `repeat` adds the run of them at once, with the bits of folding
-it value by value.
+it too short: they fold conj(lhs, bottom) without evaluating rhs. Each is
+at most conj(top, bottom), where a semantics' `top` is a value no other
+exceeds. A semantics' `skip` adds values at most such a bound without
+evaluating lhs either when they can change no more than the fold's count:
+for the max folds of bool and rho once the accumulator is at least the
+bound; for eta's AGM disjunction once it has folded a value >= 0 and the
+bound is <= 0, as conj(x, -1) <= -0.5 (see below). Else, when lhs reaches
+r steps, the splits t >= i + r read lhs on [i, i+r]: they are one value,
+and a semantics' `repeat` adds the run of them at once, with the bits of
+folding it value by value.
 
 An evaluator compiles its one formula once, when it is built, into a
 post-order table of nodes (kind, children, pinned length, reach, `Within`
@@ -73,23 +74,35 @@ whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
 are observed, in the final sweep of its start. A `Within` window [s, s+b]
 whose lhs reaches r steps keeps one final sweep of its starts t < n-r,
 which read lhs on [t, t+r]. A step extends these sweeps by the splits and
-starts that became final, and folds the rest per window. The starts
-t >= n of a `Within` read no sample: the greatest of their values depends
-on the node, the length of the longest of their windows and the bound
-only, and is memoized on those once. Under the max folds of bool and rho
-it is their best, and joins the other starts by one disjunction, which
-keeps the bits of a left-to-right fold (a max keeps the first of equal
-values either way). The AGM disjunction of `eta` is a mean of its terms,
-which two partial results cannot give in general. But an accumulator that
-has folded a value >= 0 finishes as the sum of its positive values over
-their count, so values <= 0 change only the count: when the greatest is
-<= 0, `skip` adds the starts t >= n by their number in O(1). Otherwise
-they are folded left to right, but in runs: when lhs reaches r steps, the
-starts t <= j - r read its unobserved window of r steps, one memo entry,
-and the starts whose lhs window is shorter than its pin are bottom. Each
-run is one value that `repeat` adds at once, so a window asks lhs for one
-value per run and per length between the pin and the reach; only an eta
-run of positive values still costs one float addition per start.
+starts that became final, and folds the rest per window. A window that
+reads no sample has a value that depends on its node, length and bound
+only, and so has the greatest value of a node on such windows up to a
+length: `tail` memoizes it once per node, bound and length.
+
+The splits t >= n-1 of a frontier `Concat` window [i, j] read rhs on such
+windows, of at most j-1-t steps, so each is at most conj(top, the tail of
+rhs). Once the fold has reached n-1 and stored its sweeps there, `skip`
+adds them by that bound when it can, and so the open sweep of the fit
+splits among them. With rho's lower bound, whose open samples take
+rho_bot, it mostly can: a step then asks lhs for none of those splits. The
+upper bound rarely can, and still folds them one by one.
+
+The starts t >= n of a `Within` read no sample either: the greatest of
+their values is the tail of lhs up to j-t steps. Under the max folds of
+bool and rho it is their best, and joins the other starts by one
+disjunction, which keeps the bits of a left-to-right fold (a max keeps the
+first of equal values either way). The AGM disjunction of `eta` is a mean
+of its terms, which two partial results cannot give in general. But an
+accumulator that has folded a value >= 0 finishes as the sum of its
+positive values over their count, so values <= 0 change only the count:
+when the greatest is <= 0, `skip` adds the starts t >= n by their number
+in O(1). Otherwise they are folded left to right, but in runs: when lhs
+reaches r steps, the starts t <= j - r read its unobserved window of r
+steps, one memo entry, and the starts whose lhs window is shorter than its
+pin are bottom. Each run is one value that `repeat` adds at once, so a
+window asks lhs for one value per run and per length between the pin and
+the reach; only an eta run of positive values still costs one float
+addition per start.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -258,6 +271,9 @@ class _Semantics:
     name: str
     margin: str  # the PredicateSpec method that gives an atom's margin at one sample value
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
+    # a value no other exceeds, so conj(x, v) <= conj(top, v) for every value x:
+    # inf where conj is a min, 1 for eta's values in [-1, 1] and its monotone conj
+    top: float
     # conjunction and disjunction of two values, for `&` and `|`
     conj: Callable[[float, float], float]
     disj: Callable[[float, float], float]
@@ -322,15 +338,17 @@ def _max_repeat(acc: float, v: float, m: int) -> float:
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
-_BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, _min2, _max2, -math.inf, _max2, _same,
+_BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, math.inf, _min2, _max2, -math.inf,
+                   _max2, _same,
                    lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
                    -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
-_RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, _min2, _max2, -math.inf, _max2,
-                  _same, _min_hold, lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
+_RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, math.inf, _min2, _max2,
+                  -math.inf, _max2, _same, _min_hold,
+                  lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
                   _max_skip, _max_repeat, -math.inf, math.inf, True)
-_ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, _agm_and2, _agm_or2,
+_ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, 1.0, _agm_and2, _agm_or2,
                   _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip,
@@ -402,6 +420,8 @@ class Evaluator:
     def _evaluate(self, sem: _Semantics, i: int, j: int, upper: bool) -> float:
         if not self.n:
             raise ValueError("cannot evaluate an empty word")
+        if not 0 <= i <= j:
+            raise ValueError(f"window [{i}, {j}]: need 0 <= start <= end")
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
@@ -434,13 +454,15 @@ class Evaluator:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per semantics run so far: memo entries held (windows, and the
-        greatest value of a `Within`'s starts that read no sample, per
-        length), memo entries inserted (those held and the frontier entries
-        dropped by `append`), and split and start values folded. A split or
-        start that a sweep or a memo already holds is not folded again, one
-        that a fold skips (it can change no more than the fold's count) is
-        not counted, and a run of equal values that `repeat` adds counts as
-        one."""
+        greatest value of a node on the windows that read no sample, per
+        node, bound and length: a `Within`'s lhs for its starts that read no
+        sample, a `Concat`'s rhs for its splits whose rhs reads none), memo
+        entries inserted (those held and the frontier entries dropped by
+        `append`), and values folded: splits, starts and those greatest
+        values. A split or start that a sweep or a memo already holds is not
+        folded again, one that a fold skips (it can change no more than the
+        fold's count) is not counted, and a run of equal values that
+        `repeat` adds counts as one."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
@@ -494,10 +516,8 @@ class _Recursion:
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.skip, self.repeat, self.maxfold = sem.skip, sem.repeat, sem.maxfold
-        self.bottom = sem.bottom(ev.cfg)
-        # no split whose rhs is too short is above conj(-bottom, bottom): for
-        # bool and rho conj is a min, and eta's values lie in [bottom, -bottom]
-        self.short = sem.conj(-self.bottom, self.bottom)
+        self.bottom, self.top = sem.bottom(ev.cfg), sem.top
+        self.short = sem.conj(sem.top, self.bottom)  # no split whose rhs is too short is above it
         # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
         # is its column's key and the pads of its lower and upper bound, the
         # margins an unobserved sample takes; and (pin or 0, reach, final,
@@ -523,8 +543,8 @@ class _Recursion:
         # reads only observed samples; else open, keyed (node, start, upper)
         self.sweeps: dict[tuple, tuple] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
-        # (Within node, upper) -> the greatest lhs value of its starts that
-        # read no sample, by the length of the longest of their windows
+        # (node, upper) -> the greatest value of the node on the windows that
+        # read no sample, by the length of the longest of them (see tail())
         self.tails: dict[tuple, list[float]] = {}
         self.folded = 0  # split and start values folded
         self.dropped = 0  # frontier entries dropped by advance()
@@ -542,6 +562,24 @@ class _Recursion:
                 self.dropped += len(frontier)
                 frontier.clear()
         self.open_sweeps.clear()
+
+    def tail(self, k: int, steps: int, upper: bool) -> float:
+        """The greatest value of node k on a window of at most `steps` steps
+        that reads no sample.
+
+        Such a value depends on the window's length only. Of equal values
+        the longest window's is kept, which a left-to-right fold over starts
+        or splits meets first.
+        """
+        tails = self.tails.get((k, upper))
+        if tails is None:
+            tails = self.tails[k, upper] = []
+        n = self.n
+        while len(tails) <= steps:
+            v = self.value(k, n, n + len(tails), upper)
+            tails.append(_max2(v, tails[-1]) if tails else v)
+            self.folded += 1
+        return tails[steps]
 
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions.
@@ -618,7 +656,15 @@ class _Recursion:
             first = t
             conj, fold = self.conj, self.fold
             conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
-            ends = (n - 1 - p, fit, short) if keep and j >= n and t < n - 1 - p else (fit, short)
+            # The splits t >= n-1 of a frontier window read rhs on no sample:
+            # the fold bounds them as one once it reaches cut (see below)
+            ends, cut = (fit, short), j + 1
+            if j >= n:
+                if t < short and n - 1 < short:
+                    cut = n - 1 if t < n - 1 else t
+                    ends = (cut, fit, short) if cut < fit else (fit, cut, short)
+                if keep and t < n - 1 - p:
+                    ends = (n - 1 - p, *ends)
             for end in ends:
                 while t < end and acc != stop:
                     v = value(lhs, i, t, upper)
@@ -627,11 +673,30 @@ class _Recursion:
                     acc = fold(acc, v)
                     t += 1
                 if keep:
-                    if j < n or end < fit:  # every split folded reads only observed samples
+                    if t <= n - 1 - p:  # every split folded reads only observed samples
                         self.sweeps[k, i] = t, acc
                     else:
                         self.open_sweeps[k, i, upper] = t, acc
                     keep = end < fit
+                if t >= cut:
+                    # each split from t on is at most conj(top, the tail of
+                    # rhs up to j-1-t steps, or its reach). The sweep is
+                    # stored above: when the fold may add these splits
+                    # without evaluating lhs, so may the open sweep those
+                    # before fit. Tried only when some skip is possible, so
+                    # that a fold that can skip nothing computes no tail
+                    cut = j + 1
+                    if self.skip(acc, self.bottom, 0) is not None:
+                        m = j - 1 - t if p is None or j - 1 - t < p else p
+                        hi = conj(self.top, self.tail(rhs, m, upper))
+                        skipped = self.skip(acc, hi, j - t)
+                        if skipped is not None:
+                            if keep:
+                                self.open_sweeps[k, i, upper] = fit, self.skip(acc, hi, fit - t)
+                                keep = False
+                            acc = skipped
+                            self.folded -= j - t
+                            t = j
             # each is conj(lhs, bottom) <= self.short: the fold may add them
             # without evaluating lhs
             skipped = self.skip(acc, self.short, j - t) if t < j else None
@@ -685,14 +750,7 @@ class _Recursion:
                 # window has j - t steps: under a max fold, their best. They
                 # run from the longest window to the shortest, so the first
                 # of equal values is kept as a left-to-right fold keeps it
-                tails = self.tails.get((k, upper))
-                if tails is None:
-                    tails = self.tails[k, upper] = []
-                while len(tails) <= j - t:
-                    v = value(lhs, n, n + len(tails), upper)
-                    tails.append(_max2(v, tails[-1]) if tails else v)
-                    self.folded += 1
-                hi = tails[j - t]
+                hi = self.tail(lhs, j - t, upper)
                 if self.maxfold:
                     acc = self.disj(acc, hi)
                 else:

@@ -13,18 +13,11 @@ import pytest
 from twtl.casestudy import run_case_study
 from twtl.formula import format_formula, horizon, parse
 from twtl.monitor import MonitorState, Prefix, eta_interval, rho_interval
-from twtl.oracle import (
-    GenConfig,
-    ValueGrid,
-    completion_bounds,
-    oracle_bool,
-    oracle_eta,
-    oracle_rho,
-    random_formula,
-    random_word,
-)
+from twtl.oracle import oracle_bool, oracle_eta, oracle_rho
 from twtl.semantics import bool_sat, eta, rho
 from twtl.trace import PredicateTable, Word
+
+from instances import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},

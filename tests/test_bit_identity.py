@@ -26,9 +26,10 @@ import random
 from twtl.casestudy import build_formula, build_table, nominal_trajectory, tight_trajectory
 from twtl.formula import parse
 from twtl.monitor import MonitorState
-from twtl.oracle import GenConfig, random_formula, random_word
 from twtl.semantics import EvalConfig, Evaluator
 from twtl.trace import PredicateTable, Word
+
+from instances import GenConfig, random_formula, random_word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},

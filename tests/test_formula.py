@@ -19,9 +19,10 @@ from twtl.formula import (
     steps,
     validate,
 )
-from twtl.oracle import GenConfig, random_formula
 from twtl.semantics import compile_formula
 from twtl.trace import PredicateTable
+
+from instances import GenConfig, random_formula
 
 
 def table_for(*names):

@@ -26,9 +26,10 @@ from twtl.monitor import (
     rho_interval,
     singleton,
 )
-from twtl.oracle import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 from twtl.semantics import EvalConfig, eta, rho
 from twtl.trace import PAST_HORIZON_WARNING, PredicateTable, Word
+
+from instances import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},

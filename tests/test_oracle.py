@@ -5,19 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from twtl.formula import HoldAtom, Within, horizon, parse
 from twtl.monitor import Prefix, eta_interval, rho_interval
-from twtl.oracle import (
-    GenConfig,
-    ValueGrid,
-    completion_bounds,
-    oracle_bool,
-    oracle_eta,
-    oracle_rho,
-    random_formula,
-    random_word,
-    word_to_samples,
-)
+from twtl.oracle import oracle_bool, oracle_eta, oracle_rho, word_to_samples
 from twtl.semantics import bool_sat, eta, rho
 from twtl.trace import PredicateTable, Word
+
+from instances import GenConfig, ValueGrid, completion_bounds, random_formula, random_word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},

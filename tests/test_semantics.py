@@ -8,16 +8,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twtl.casestudy import build_formula, build_table, nominal_trajectory
+from twtl.casestudy import build_formula, build_table, nominal_trajectory, tight_trajectory
 from twtl.formula import (And, Concat, HoldAtom, Not, Or, Within, format_formula, horizon, parse,
                           steps)
 from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
-from twtl.oracle import (GenConfig, _agm_and, oracle_bool, oracle_eta, oracle_rho,
-                         random_formula, random_word)
+from twtl.oracle import _agm_and, oracle_bool, oracle_eta, oracle_rho
 from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
-                            _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, agm_and,
-                            agm_or, bool_sat, compile_formula, eta, rho)
+                            _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, _Recursion,
+                            agm_and, agm_or, bool_sat, compile_formula, eta, rho)
 from twtl.trace import PredicateSpec, PredicateTable, Word
+
+from instances import GenConfig, random_formula, random_word
 
 TABLE = PredicateTable.from_dict({"atoms": {
     "A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},
@@ -271,6 +272,28 @@ def test_word_and_config_dt_must_agree():
     assert bool_sat(w, f, UNIT, cfg) is oracle_bool(w, f, UNIT, cfg) is True
 
 
+def test_invalid_window_is_rejected_and_changes_nothing():
+    # a start below 0 or after the end is no window: the recursion would take
+    # a value from Python's negative slicing, fold no split or raise an
+    # unrelated error ("min() arg is an empty sequence")
+    windows = [(i, j) for i in range(4) for j in range(i, 6)]
+    for text in ("H^5 P", "H^0 P . H^0 P", "[H^1 P]^[0,2] | !H^2 P"):
+        ev = Evaluator(unit_word(0.5, -0.2, 0.7, 0.1), parse(text), UNIT)
+
+        def values():
+            return [(ev.bool_sat(i, j), ev.rho(i, j), ev.rho(i, j, upper=True),
+                     ev.eta(i, j), ev.eta(i, j, upper=True)) for i, j in windows]
+
+        before, stats = values(), ev.stats()
+        for i, j in ((-3, 2), (2, 1), (-1, -1), (0, -1), (5, 4)):
+            for evaluate in (ev.bool_sat, ev.rho, ev.eta,
+                             functools.partial(ev.rho, upper=True),
+                             functools.partial(ev.eta, upper=True)):
+                with pytest.raises(ValueError, match=rf"^window \[{i}, {j}\]"):
+                    evaluate(i, j)
+        assert values() == before and ev.stats() == stats, text
+
+
 class TestPins:
     """An & or | of two pinned operands pins the shorter of their lengths: a
     window shorter than both is bottom, neither evaluated nor memoized."""
@@ -479,15 +502,17 @@ class TestWorkCounts:
         for k in range(word.n):
             state.step({s: word.value(s, k) for s in word.signals})
         # both resume the final Within starts and Concat splits and memoize
-        # the starts that read no sample; rho skips the splits whose rhs is
-        # too short once its fold is at bottom, and joins the unobserved
-        # starts by one max; eta adds both by count once its fold has met a
-        # value >= 0 and they are <= 0; else a run of equal values (too-short
-        # splits whose lhs is cut at its reach, unobserved starts whose lhs is
-        # cut at its reach or too short) counts as one fold; an & window
-        # shorter than both operands' pins is bottom, not memoized
-        assert state.stats() == {"rho": {"memo": 820, "inserted": 8_194, "folded": 9_804},
-                                 "eta": {"memo": 820, "inserted": 8_469, "folded": 13_705}}
+        # the greatest value of a node on the windows that read no sample;
+        # rho skips the splits whose rhs is too short once its fold is at
+        # bottom, the splits whose rhs reads no sample once it is at the
+        # greatest rhs value, and joins the unobserved starts by one max; eta
+        # adds these by count once its fold has met a value >= 0 and they are
+        # <= 0; else a run of equal values (too-short splits whose lhs is cut
+        # at its reach, unobserved starts whose lhs is cut at its reach or too
+        # short) counts as one fold; an & window shorter than both operands'
+        # pins is bottom, not memoized
+        assert state.stats() == {"rho": {"memo": 866, "inserted": 6_165, "folded": 7_050},
+                                 "eta": {"memo": 866, "inserted": 8_017, "folded": 12_873}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -500,6 +525,56 @@ class TestWorkCounts:
             "bool": {"memo": 19_901, "inserted": 19_901, "folded": 19_900},
             "eta": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
         }
+
+    def test_lower_bound_adds_unobserved_splits_by_count(self):
+        # each bound of each semantics in an evaluator of its own, stepped
+        # through a case-study trace. At step n the outer . bounds its splits
+        # t >= n-1, whose rhs reads no sample, by conj(top, the greatest such
+        # rhs value). rho's lower run, whose open samples take rho_bot, adds
+        # them by count once its fold is at that bound, and asks lhs for none:
+        # folding each of them, it folded 5,355 values and inserted 4,453
+        # entries, as many as the upper run
+        f, table = build_formula(), build_table()
+        h = steps(horizon(f, 1.0), 1.0)
+        counts = {}
+        for trace in (nominal_trajectory, tight_trajectory):
+            word = trace()
+            for name, upper in itertools.product(("rho", "eta"), (False, True)):
+                ev = Evaluator(Word(1.0, {s: () for s in word.signals}), f, table)
+                for k in range(word.n):
+                    ev.append({s: word.value(s, k) for s in word.signals})
+                    getattr(ev, name)(0, h, upper)
+                stats = ev.stats()[name]
+                counts[trace.__name__, name, upper] = stats["inserted"], stats["folded"]
+        assert counts == {
+            ("nominal_trajectory", "rho", False): (2_401, 2_654),
+            ("nominal_trajectory", "rho", True): (4_476, 5_302),
+            ("nominal_trajectory", "eta", False): (4_253, 6_842),
+            ("nominal_trajectory", "eta", True): (4_476, 6_973),
+            ("tight_trajectory", "rho", False): (2_401, 2_654),
+            ("tight_trajectory", "rho", True): (4_476, 5_302),
+            ("tight_trajectory", "eta", False): (4_126, 6_638),
+            ("tight_trajectory", "eta", True): (4_476, 6_968),
+        }
+        assert counts["nominal_trajectory", "rho", False][1] <= 5_355 // 2
+
+    def test_bounded_splits_leave_the_final_sweep_extended(self):
+        # rhs reaches 0 steps, so the final sweep of [0, j] ends at split n-1,
+        # where the bounded splits begin. The sweep is stored before they are
+        # added by count: else each step of rho's lower run would fold again
+        # every split after the last sweep stored, 1,116 in all as the upper
+        # run does
+        f = parse("[H^0 P]^[0,40] . H^0 P")
+        counts = {}
+        for upper in (False, True):
+            rng = random.Random(3)
+            ev = Evaluator(unit_word(), f, UNIT)
+            for _ in range(45):
+                ev.append({"x": rng.uniform(-1.0, 1.0)})
+                ev.rho(0, 44, upper)
+            counts[upper] = ev.stats()["rho"]
+        assert counts == {False: {"memo": 130, "inserted": 175, "folded": 170},
+                          True: {"memo": 130, "inserted": 214, "folded": 1_116}}
 
     def test_chain_splits_are_quadratic(self):
         # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
@@ -684,10 +759,15 @@ class TestResumedFolds:
     # a Within whose lhs pins fewer steps than it reaches: its unobserved
     # starts fold a run cut at the reach, one by one, then a run of bottoms
     PIN_BELOW_REACH = "[H^1 P | H^3 !P]^[0,6]"
+    # a Concat whose rhs reads to its window's end: the splits whose rhs reads
+    # no sample are bounded by the greatest such rhs value. P | !P is >= 0 on
+    # an observed sample, so eta's lower fold meets a value >= 0 before them
+    NO_REACH = "(H^0 P | H^0 !P) . ((H^0 P | H^0 !P) . [H^0 P | H^0 !P]^[0,1])"
     FORMULAS = ("[H^2 P]^[0,5]", "[H^0 P | H^2 !P]^[0,5]", "[H^1 P . H^0 P]^[2,5]",
                 "(H^0 P | H^3 !P) . [H^0 !P]^[0,3]", "(H^0 P . [H^0 !P]^[0,3]) . H^1 P",
                 "[H^0 !P . H^0 P]^[0,4] . H^3 !P", "H^1 P . (H^0 !P & H^2 P)",
-                "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]", PIN_BELOW_REACH)
+                "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]", PIN_BELOW_REACH,
+                NO_REACH)
 
     @staticmethod
     def fold(f, i, j, conj, disj, bottom, lhs, rhs=None):
@@ -700,6 +780,29 @@ class TestResumedFolds:
             return bottom
         return disj([lhs(t, i + f.b) for t in range(i + f.a, i + f.b + 1)])
 
+    def prefixes(self, text, rng):
+        """Feed f and each child, each in an evaluator of its own, one sample
+        at a time up to f's horizon h. At each prefix n, per semantics and
+        bound: (h, n, semantics, upper, f's value on a window, the fold of
+        its children's values there)."""
+        f = parse(text)
+        assert type(f) in (Concat, Within)
+        h = steps(horizon(f, 1.0), 1.0)
+        children = (f.lhs, f.rhs) if type(f) is Concat else (f.sub,)
+        evs = [Evaluator(unit_word(), g, UNIT) for g in (f, *children)]
+        semantics = (("rho", min, max, -10.0),
+                     ("eta", lambda a, b: agm_and([a, b]), agm_or, -1.0))
+        for n in range(1, h + 2):
+            sample = {"x": rng.uniform(-1.0, 1.0)}
+            for ev in evs:
+                ev.append(sample)
+            for (name, conj, disj, bottom), upper in itertools.product(semantics, (False, True)):
+                value, *parts = [functools.partial(getattr(ev, name), upper=upper)
+                                 for ev in evs]
+                yield h, n, name, upper, value, functools.partial(
+                    self.fold, f, conj=conj, disj=disj, bottom=bottom, lhs=parts[0],
+                    rhs=parts[1] if len(parts) > 1 else None)
+
     def test_folds_equal_their_definitions_at_every_prefix(self, monkeypatch):
         ran, asking = set(), [None]  # (formula, upper) whose eta folded a run of equal values
 
@@ -707,33 +810,58 @@ class TestResumedFolds:
             ran.add(asking[0])
             return _agm_or_repeat(acc, v, m)
 
-        monkeypatch.setattr("twtl.semantics._ETA", dataclasses.replace(_ETA, repeat=repeat))
+        # (formula, semantics) whose Concat fold added splits by their rhs's
+        # tail: the first skip after a tail() of a Concat's rhs is the bound
+        # it serves (a Within asks for the tail of its lhs)
+        bounded, tailed = set(), [False]
+        tail = _Recursion.tail
+
+        def recorded_tail(run, k, steps, upper):
+            got = tail(run, k, steps, upper)
+            tailed[0] = any(kind is Concat and rhs == k for kind, _, rhs, *_ in run.nodes)
+            return got
+
+        def recorded_skip(name, skip):
+            def recorded(acc, hi, m):
+                got = skip(acc, hi, m)
+                if tailed[0] and got is not None and m:
+                    bounded.add((asking[0][0], name))
+                tailed[0] = False
+                return got
+            return recorded
+
+        monkeypatch.setattr(_Recursion, "tail", recorded_tail)
+        monkeypatch.setattr("twtl.semantics._RHO",
+                            dataclasses.replace(_RHO, skip=recorded_skip("rho", _RHO.skip)))
+        monkeypatch.setattr("twtl.semantics._ETA", dataclasses.replace(
+            _ETA, repeat=repeat, skip=recorded_skip("eta", _ETA.skip)))
         rng = random.Random(11)
-        semantics = (("rho", min, max, -10.0),
-                     ("eta", lambda a, b: agm_and([a, b]), agm_or, -1.0))
         # & and | of pinned operands, shorter than their pins at the last splits and starts
         joins = [pinned_joins(parse(text)) for text in self.FORMULAS]
         assert all(sum(column) >= 2 for column in zip(*joins)), joins
         for text in self.FORMULAS:
-            f = parse(text)
-            assert type(f) in (Concat, Within)
-            h = steps(horizon(f, 1.0), 1.0)
-            children = (f.lhs, f.rhs) if type(f) is Concat else (f.sub,)
-            # f and each child in an evaluator of its own, fed the same samples
-            evs = [Evaluator(unit_word(), g, UNIT) for g in (f, *children)]
-            for n in range(1, h + 2):
-                sample = {"x": rng.uniform(-1.0, 1.0)}
-                for ev in evs:
-                    ev.append(sample)
-                for (name, conj, disj, bottom), upper in itertools.product(semantics,
-                                                                           (False, True)):
-                    value, *parts = [functools.partial(getattr(ev, name), upper=upper)
-                                     for ev in evs]
-                    asking[0] = text, upper
-                    # longest first, as a monitor asks for [0, h]: a frontier
-                    # window then starts its sweep from the final one
-                    for i in range(h + 1):
-                        for j in range(h, i - 1, -1):
-                            want = self.fold(f, i, j, conj, disj, bottom, *parts)
-                            assert value(i, j) == want, (text, name, n, i, j, upper)
+            for h, n, name, upper, value, want in self.prefixes(text, rng):
+                asking[0] = text, upper
+                # longest first, as a monitor asks for [0, h]: a frontier
+                # window then starts its sweep from the final one
+                for i in range(h + 1):
+                    for j in range(h, i - 1, -1):
+                        assert value(i, j) == want(i, j), (text, name, n, i, j, upper)
         assert {(self.PIN_BELOW_REACH, False), (self.PIN_BELOW_REACH, True)} <= ran
+        assert {(self.NO_REACH, "rho"), (self.NO_REACH, "eta")} <= bounded
+
+    # the splits of [0, j] whose rhs reads no sample lie among its fit splits
+    # when j >= n + 1, and eta's lower fold has met a value >= 0 before them:
+    # the open sweep to the fit splits adds them by their bound
+    OPEN_SWEEP = "((H^0 P | H^0 !P) | [H^0 P]^[0,3]) . [H^0 P | H^0 !P]^[0,1]"
+
+    def test_open_sweeps_resumed_by_longer_windows_equal_their_definitions(self):
+        # shortest first, as a Concat asks its lhs for [i, t] over ascending
+        # t: a frontier window resumes the open sweep that the window before
+        # it left at its fit splits
+        rng = random.Random(12)
+        for text in (*self.FORMULAS, self.OPEN_SWEEP):
+            for h, n, name, upper, value, want in self.prefixes(text, rng):
+                for i in range(h + 1):
+                    for j in range(i, h + 1):
+                        assert value(i, j) == want(i, j), (text, name, n, i, j, upper)
