@@ -73,6 +73,12 @@ class Formula:
         return hash(_key(self))
 
 
+def _check_int(field: str, v: object) -> None:
+    # a float or a bool would build, but print as no formula parse reads
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{field} must be an int, got {v!r}")
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class HoldAtom(Formula):
     """``H^d pi`` or ``H^d !pi``: hold a (negated) atom for d+1 samples."""
@@ -82,6 +88,7 @@ class HoldAtom(Formula):
     negated: bool = False
 
     def __post_init__(self):
+        _check_int("hold duration d", self.d)
         if self.d < 0:
             raise ValueError("hold duration must be >= 0")
         if not self.atom:
@@ -120,6 +127,8 @@ class Within(Formula):
     b: int
 
     def __post_init__(self):
+        _check_int("within lower bound a", self.a)
+        _check_int("within upper bound b", self.b)
         if self.a < 0:
             raise ValueError("within lower bound must be >= 0")
         if self.b < self.a:

@@ -12,6 +12,9 @@ they return the same bits as `agm_and` and `agm_or` over a list of the two,
 without building one. The splits of a `Concat` and the starts of a `Within`
 are folded left to right into the disjunction, so no list of values is
 built either. Satisfaction stops a conjunction at -1 and a disjunction at 1.
+A fold's accumulator is one float with no count: `finish` is given the
+window's, j - i splits of a `Concat` on [i, j] or b - a + 1 starts of a
+`[.]^[a,b]`, exact as each is folded, skipped or added in a run (below).
 
 A `Concat` on [i, j] takes the best of its splits t in [i, j). When its rhs
 reads at most p steps after its start, a split t < j - p reads the rhs
@@ -25,14 +28,14 @@ window folds all of its own. When rhs pins a length (a hold, a `Within`,
 or an `&` or `|` of two pinned children, see below), its last splits leave
 it too short: they fold conj(lhs, bottom) without evaluating rhs. Each is
 at most conj(top, bottom), where a semantics' `top` is a value no other
-exceeds. A semantics' `skip` adds values at most such a bound without
-evaluating lhs either when they can change no more than the fold's count:
-for the max folds of bool and rho once the accumulator is at least the
-bound; for eta's AGM disjunction once it has folded a value >= 0 and the
-bound is <= 0, as conj(x, -1) <= -0.5 (see below). Else, when lhs reaches
-r steps, the splits t >= i + r read lhs on [i, i+r]: they are one value,
-and a semantics' `repeat` adds the run of them at once, with the bits of
-folding it value by value.
+exceeds. A semantics' `skip` tests whether values at most such a bound
+leave the accumulator as it is, so that the window's count adds them
+without evaluating lhs either: for the max folds of bool and rho once the
+accumulator is at least the bound; for eta's AGM disjunction once it has
+folded a value >= 0 and the bound is <= 0, as conj(x, -1) <= -0.5 (see
+below). Else, when lhs reaches r steps, the splits t >= i + r read lhs on
+[i, i+r]: they are one value, and a semantics' `repeat` adds the run of
+them at once, with the bits of folding it value by value.
 
 An evaluator compiles its one formula once, when it is built, into a
 post-order table of nodes (kind, children, pinned length, reach, `Within`
@@ -81,28 +84,29 @@ length: `tail` memoizes it once per node, bound and length.
 
 The splits t >= n-1 of a frontier `Concat` window [i, j] read rhs on such
 windows, of at most j-1-t steps, so each is at most conj(top, the tail of
-rhs). Once the fold has reached n-1 and stored its sweeps there, `skip`
-adds them by that bound when it can, and so the open sweep of the fit
-splits among them. With rho's lower bound, whose open samples take
-rho_bot, it mostly can: a step then asks lhs for none of those splits. The
-upper bound rarely can, and still folds them one by one.
+rhs). Once the fold has reached n-1 and stored its sweeps there, the
+window adds them by count when `skip` allows it for that bound, and the
+open sweep of the fit splits among them is the accumulator as it stands.
+With rho's lower bound, whose open samples take rho_bot, it mostly can: a
+step then asks lhs for none of those splits. The upper bound rarely can,
+and still folds them one by one.
 
 The starts t >= n of a `Within` read no sample either: the greatest of
-their values is the tail of lhs up to j-t steps. Under the max folds of
-bool and rho it is their best, and joins the other starts by one
-disjunction, which keeps the bits of a left-to-right fold (a max keeps the
-first of equal values either way). The AGM disjunction of `eta` is a mean
-of its terms, which two partial results cannot give in general. But an
-accumulator that has folded a value >= 0 finishes as the sum of its
-positive values over their count, so values <= 0 change only the count:
-when the greatest is <= 0, `skip` adds the starts t >= n by their number
-in O(1). Otherwise they are folded left to right, but in runs: when lhs
-reaches r steps, the starts t <= j - r read its unobserved window of r
-steps, one memo entry, and the starts whose lhs window is shorter than its
-pin are bottom. Each run is one value that `repeat` adds at once, so a
-window asks lhs for one value per run and per length between the pin and
-the reach; only an eta run of positive values still costs one float
-addition per start.
+their values is the tail of lhs up to j-t steps, or its reach. Under the
+max folds of bool and rho it is their best, and joins the other starts by
+one disjunction, which keeps the bits of a left-to-right fold (a max keeps
+the first of equal values either way). The AGM disjunction of `eta` is a
+mean of its terms, which two partial results cannot give in general. But
+an accumulator that has folded a value >= 0 finishes as the sum of its
+positive values over the count, which values <= 0 leave as it is: when
+the greatest is <= 0, `skip` allows it, and the window's count adds the
+starts t >= n in O(1). Otherwise they are folded left to right, but in
+runs: when lhs reaches r steps, the starts t <= j - r read its unobserved
+window of r steps, one memo entry, and the starts whose lhs window is
+shorter than its pin are bottom. Each run is one value that `repeat` adds
+at once, so a window asks lhs for one value per run and per length between
+the pin and the reach; only an eta run of positive values still costs one
+float addition per start.
 
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
@@ -113,7 +117,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
 from .trace import PredicateSpec, PredicateTable, Word
@@ -155,55 +159,56 @@ def _agm_range_error(name: str, *values: float) -> ValueError:
     return ValueError(f"{name}: value {v} outside [-1, 1]")
 
 
-# An AGM disjunction folds its values left to right into (count, sum of the
-# positive parts, product of 1 - v, whether every value is negative). The sum
-# runs in that order from 0.0, the one summation order of every AGM mean.
-_AGM_OR_START = (0, 0.0, 1.0, True)
+# An AGM disjunction folds its values left to right into one float. While
+# every value is negative it is -prod(1 - v) <= -1, with the product's bits
+# (negation is exact in a product); once a value >= 0 is folded, the sum of
+# the positive parts from 0.0, the one summation order of every AGM mean.
+_AGM_OR_START = -1.0
 
 
-def _agm_or_fold(acc: tuple, v: float) -> tuple:
+def _agm_or_fold(acc: float, v: float) -> float:
     if not _AGM_LO <= v <= _AGM_HI:
         raise _agm_range_error("agm_or", v)
-    n, pos, prod, neg = acc
-    return n + 1, (pos + v if v > 0.0 else pos), prod * (1.0 - v), neg and v < 0.0
+    if acc < 0.0:
+        if v < 0.0:
+            return acc * (1.0 - v)
+        acc = 0.0
+    return acc + v if v > 0.0 else acc
 
 
-def _agm_or_repeat(acc: tuple, v: float, m: int) -> tuple:
-    # m folds of v: values <= 0 never change the sum, and the product is
-    # never read once a value >= 0 has been folded
+def _agm_or_repeat(acc: float, v: float, m: int) -> float:
+    # m folds of v: the first may leave the product; values <= 0 never change the sum
     if not m:
         return acc
-    if not _AGM_LO <= v <= _AGM_HI:
-        raise _agm_range_error("agm_or", v)
-    n, pos, prod, neg = acc
-    if v > 0.0:
-        for _ in range(m):
-            pos += v
-    elif neg and v < 0.0:
-        for _ in range(m):
-            prod *= 1.0 - v
-    return n + m, pos, prod, neg and v < 0.0
+    acc = _agm_or_fold(acc, v)
+    if acc < 0.0:
+        for _ in range(m - 1):
+            acc *= 1.0 - v
+    elif v > 0.0:
+        for _ in range(m - 1):
+            acc += v
+    return acc
 
 
-def _agm_or_skip(acc: tuple, hi: float, m: int) -> tuple | None:
-    # an accumulator that has folded a value >= 0 finishes as pos / count,
-    # which m values <= 0 change only by their count
-    n, pos, prod, neg = acc
-    return None if neg or hi > 0.0 else (n + m, pos, prod, False)
+def _agm_or_skip(acc: float, hi: float) -> bool:
+    # an accumulator that has folded a value >= 0 finishes as its sum over the
+    # count, which values <= 0 leave as it is
+    return acc >= 0.0 and hi <= 0.0
 
 
-def _agm_or_finish(acc: tuple) -> float:
-    n, pos, prod, neg = acc
+def _agm_or_finish(acc: float, n: int) -> float:
     if not n:
         raise ValueError("agm_or of an empty sequence")
-    if neg:
-        return _clamp_unit(1.0 - prod ** (1.0 / n))
-    return _clamp_unit(pos / n)
+    if acc < 0.0:
+        return _clamp_unit(1.0 - (-acc) ** (1.0 / n))
+    return _clamp_unit(acc / n)
 
 
 def agm_or(values: Iterable[float]) -> float:
     """AGM disjunction: geometric blend when all negative, mean of positive parts otherwise."""
-    return _agm_or_finish(functools.reduce(_agm_or_fold, values, _AGM_OR_START))
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    return _agm_or_finish(functools.reduce(_agm_or_fold, values, _AGM_OR_START), len(values))
 
 
 def agm_and(values: Sequence[float]) -> float:
@@ -279,22 +284,23 @@ class _Semantics:
     disj: Callable[[float, float], float]
     # the disjunction over a Concat's splits or a Within's starts, as a
     # left-to-right fold: an empty accumulator, a step that adds one value,
-    # and the value of a nonempty accumulator; folding two values gives disj's value
-    start: Any
-    fold: Callable[[Any, float], Any]
-    finish: Callable[[Any], float]
+    # and the value of an accumulator given the count of values it stands
+    # for, which the window gives; folding two values gives disj's value
+    start: float
+    fold: Callable[[float, float], float]
+    finish: Callable[[float, int], float]
     # aggregate of a hold's margins: the observed ones, then a count of copies
     # of one pad, the margin its unobserved samples take
     hold: Callable[[Sequence[float], float, int], float]
     # (least, greatest) margin an unobserved sample of the atom can take,
     # given the config and the conservative_eta flag
     extremes: Callable[[PredicateSpec, EvalConfig, bool], tuple[float, float]]
-    # the accumulator after folding m values, none of them above hi, when
-    # it is known without folding them one by one; else None
-    skip: Callable[[Any, float, int], Any]
+    # whether folding values none of them above hi leaves the accumulator as
+    # it is, so that the fold may count them without evaluating them
+    skip: Callable[[float, float], bool]
     # the accumulator after folding one value m times; finish gives the bits
     # of m calls of fold
-    repeat: Callable[[Any, float, int], Any]
+    repeat: Callable[[float, float, int], float]
     # values that decide a conjunction and a disjunction (and a disjunction's
     # accumulator) whatever else they meet, or None
     conj_absorbing: float | None = None
@@ -315,7 +321,7 @@ def _max2(a: float, b: float) -> float:
     return b if b > a else a
 
 
-def _same(v: float) -> float:
+def _same(v: float, n: int) -> float:
     return v
 
 
@@ -325,9 +331,9 @@ def _min_hold(ms: Sequence[float], pad: float, m: int) -> float:
     return pad if m and pad < low else low
 
 
-def _max_skip(acc: float, hi: float, m: int) -> float | None:
+def _max_skip(acc: float, hi: float) -> bool:
     # values at or below a max fold's accumulator leave it as it is
-    return acc if acc >= hi else None
+    return acc >= hi
 
 
 def _max_repeat(acc: float, v: float, m: int) -> float:
@@ -460,9 +466,9 @@ class Evaluator:
         entries inserted (those held and the frontier entries dropped by
         `append`), and values folded: splits, starts and those greatest
         values. A split or start that a sweep or a memo already holds is not
-        folded again, one that a fold skips (it can change no more than the
-        fold's count) is not counted, and a run of equal values that
-        `repeat` adds counts as one."""
+        folded again, one that a fold skips (it leaves the accumulator as it
+        is) is not counted, and a run of equal values that `repeat` adds
+        counts as one."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
@@ -567,13 +573,16 @@ class _Recursion:
         """The greatest value of node k on a window of at most `steps` steps
         that reads no sample.
 
-        Such a value depends on the window's length only. Of equal values
-        the longest window's is kept, which a left-to-right fold over starts
-        or splits meets first.
+        Such a value depends on the window's length only, and a window longer
+        than the node's reach is cut to it: the list stops there. Of equal
+        values the longest window's is kept, which a left-to-right fold over
+        starts or splits meets first.
         """
         tails = self.tails.get((k, upper))
         if tails is None:
             tails = self.tails[k, upper] = []
+        reach = self.slots[k][1]
+        steps = steps if reach is None or steps < reach else reach
         n = self.n
         while len(tails) <= steps:
             v = self.value(k, n, n + len(tails), upper)
@@ -686,23 +695,17 @@ class _Recursion:
                     # before fit. Tried only when some skip is possible, so
                     # that a fold that can skip nothing computes no tail
                     cut = j + 1
-                    if self.skip(acc, self.bottom, 0) is not None:
-                        m = j - 1 - t if p is None or j - 1 - t < p else p
-                        hi = conj(self.top, self.tail(rhs, m, upper))
-                        skipped = self.skip(acc, hi, j - t)
-                        if skipped is not None:
+                    if self.skip(acc, self.bottom):
+                        hi = conj(self.top, self.tail(rhs, j - 1 - t, upper))
+                        if self.skip(acc, hi):
                             if keep:
-                                self.open_sweeps[k, i, upper] = fit, self.skip(acc, hi, fit - t)
+                                self.open_sweeps[k, i, upper] = fit, acc
                                 keep = False
-                            acc = skipped
                             self.folded -= j - t
                             t = j
             # each is conj(lhs, bottom) <= self.short: the fold may add them
             # without evaluating lhs
-            skipped = self.skip(acc, self.short, j - t) if t < j else None
-            if skipped is not None:
-                acc = skipped
-            else:
+            if t < j and not self.skip(acc, self.short):
                 # when lhs reaches r steps, the splits t >= i + r read it on
                 # [i, i+r]: they are one value, folded as one run
                 r = self.slots[lhs][1]
@@ -720,7 +723,7 @@ class _Recursion:
                         self.folded -= j - t - 1
                         t = j
             self.folded += t - first
-            got = self.finish(acc)
+            got = self.finish(acc, j - i)
         else:
             # a Within: the best start. The starts t < n - r, where lhs
             # reaches r steps, read lhs on [t, t+r], observed: one sweep per
@@ -753,28 +756,24 @@ class _Recursion:
                 hi = self.tail(lhs, j - t, upper)
                 if self.maxfold:
                     acc = self.disj(acc, hi)
-                else:
-                    skipped = self.skip(acc, hi, j + 1 - t)
-                    if skipped is not None:
-                        acc = skipped
-                    else:
-                        # the starts t <= j - r read lhs's unobserved window
-                        # of r steps and the starts t > j - pin too short a
-                        # window: each of the two is one value, folded as one run
-                        pin = self.slots[lhs][0]
-                        if r is not None and t <= j - r:
-                            acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
-                            self.folded -= j - r - t
-                            t = j + 1 - r
-                        while t <= j - pin and acc != stop:
-                            acc = fold(acc, value(lhs, t, j, upper))
-                            t += 1
-                        if t <= j and acc != stop:
-                            acc = self.repeat(acc, self.bottom, j + 1 - t)
-                            self.folded -= j - t
-                            t = j + 1
+                elif not self.skip(acc, hi):
+                    # the starts t <= j - r read lhs's unobserved window of r
+                    # steps and the starts t > j - pin too short a window:
+                    # each of the two is one value, folded as one run
+                    pin = self.slots[lhs][0]
+                    if r is not None and t <= j - r:
+                        acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
+                        self.folded -= j - r - t
+                        t = j + 1 - r
+                    while t <= j - pin and acc != stop:
+                        acc = fold(acc, value(lhs, t, j, upper))
+                        t += 1
+                    if t <= j and acc != stop:
+                        acc = self.repeat(acc, self.bottom, j + 1 - t)
+                        self.folded -= j - t
+                        t = j + 1
             self.folded += t - first
-            got = self.finish(acc)
+            got = self.finish(acc, j + 1 - i - offset)
         memo[key] = got
         return got
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,6 +177,20 @@ class TestAst:
             Within(HoldAtom(0, "A"), a=4, b=2)
         with pytest.raises(ValueError):
             Within(HoldAtom(0, "A"), a=-1, b=2)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: HoldAtom(v, "A"), "hold duration d"),
+        (lambda v: Within(HoldAtom(0, "A"), v, 2), "within lower bound a"),
+        (lambda v: Within(HoldAtom(0, "A"), 0, v), "within upper bound b"),
+    ])
+    @pytest.mark.parametrize("v", [1.5, 2.0, 0.5, True, False, "1", None])
+    def test_durations_and_bounds_must_be_ints(self, make, field, v):
+        # such a node would print as text that parse rejects or reads as
+        # another formula, and a float would fail inside the evaluation
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {v!r}")):
+            make(v)
+        f = make(1)
+        assert parse(format_formula(f)) == f
 
 
 class TestHorizon:

@@ -122,12 +122,32 @@ class TestAgm:
            st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
                               st.floats(min_value=-1.0, max_value=0.0)), min_size=1, max_size=8))
     def test_disjunction_adds_values_at_most_zero_by_count(self, before, first, run):
-        # once a value >= 0 is folded, values <= 0 change only the count
+        # once a value >= 0 is folded, values <= 0 leave the accumulator as
+        # it is: finishing it with the count of every value gives their agm_or
         acc = functools.reduce(_agm_or_fold, before + [first], _AGM_OR_START)
-        want = _agm_or_finish(functools.reduce(_agm_or_fold, run, acc))
-        assert repr(_agm_or_finish(_ETA.skip(acc, max(run), len(run)))) == repr(want)
-        assert _ETA.skip(acc, 1e-300, len(run)) is None
-        assert _ETA.skip(_agm_or_fold(_AGM_OR_START, -0.5), -0.5, 1) is None
+        assert _ETA.skip(acc, max(run)) is True
+        assert repr(functools.reduce(_agm_or_fold, run, acc)) == repr(acc)
+        n = len(before) + 1 + len(run)
+        assert repr(_agm_or_finish(acc, n)) == repr(agm_or(before + [first] + run))
+        assert _ETA.skip(acc, 1e-300) is False
+        assert _ETA.skip(_agm_or_fold(_AGM_OR_START, -0.5), -0.5) is False
+
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=12))
+    def test_disjunction_accumulator_encodes_its_state_by_sign(self, values):
+        # <= -1 (minus the product of 1 - v) while every value folded is
+        # negative, and >= 0 (the sum of the positive parts) afterwards
+        acc = _AGM_OR_START
+        for k, v in enumerate(values, 1):
+            acc = _agm_or_fold(acc, v)
+            if all(u < 0.0 for u in values[:k]):
+                assert acc <= -1.0
+            else:
+                assert acc >= 0.0
+
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
+    def test_disjunction_of_an_iterator_equals_that_of_a_list(self, values):
+        assert repr(agm_or(iter(values))) == repr(agm_or(values))
+        assert repr(agm_or(v for v in values)) == repr(agm_or(tuple(values)))
 
     def test_one_pass_conjunction_equals_the_oracle(self):
         # the oracle's formula, written out apart from production, clamped
@@ -147,10 +167,11 @@ class TestRepeat:
     BEFORE = {"empty": [], "negative": [-0.3, -0.7], "mixed": [-0.3, 0.4, -0.2]}
 
     @staticmethod
-    def finish(sem, acc, after):
+    def finish(sem, acc, after, n):
+        """acc, which stands for n values, with `after` folded, finished."""
         try:
-            return repr(sem.finish(functools.reduce(sem.fold, after, acc)))
-        except ValueError as exc:  # eta's finish of an empty accumulator
+            return repr(sem.finish(functools.reduce(sem.fold, after, acc), n + len(after)))
+        except ValueError as exc:  # eta's finish of no values
             return str(exc)
 
     @pytest.mark.parametrize("sem", [_BOOL, _RHO, _ETA], ids=lambda sem: sem.name)
@@ -159,8 +180,9 @@ class TestRepeat:
         acc = functools.reduce(sem.fold, before, sem.start)
         for v, m, after in itertools.product((-1.0, -0.5, -0.0, 0.0, 0.3, 1.0), (0, 1, 2, 17),
                                              ([], [-0.4], [0.2, -0.6])):
-            want = self.finish(sem, functools.reduce(sem.fold, [v] * m, acc), after)
-            assert self.finish(sem, sem.repeat(acc, v, m), after) == want, (v, m, after)
+            n = len(before) + m
+            want = self.finish(sem, functools.reduce(sem.fold, [v] * m, acc), after, n)
+            assert self.finish(sem, sem.repeat(acc, v, m), after, n) == want, (v, m, after)
 
     @pytest.mark.parametrize("v", [1.5, -1.0001, math.inf, math.nan])
     def test_rejects_what_fold_rejects(self, v):
@@ -511,8 +533,8 @@ class TestWorkCounts:
         # at its reach, unobserved starts whose lhs is cut at its reach or too
         # short) counts as one fold; an & window shorter than both operands'
         # pins is bottom, not memoized
-        assert state.stats() == {"rho": {"memo": 866, "inserted": 6_165, "folded": 7_050},
-                                 "eta": {"memo": 866, "inserted": 8_017, "folded": 12_873}}
+        assert state.stats() == {"rho": {"memo": 832, "inserted": 6_131, "folded": 7_016},
+                                 "eta": {"memo": 832, "inserted": 7_983, "folded": 12_839}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -547,14 +569,14 @@ class TestWorkCounts:
                 stats = ev.stats()[name]
                 counts[trace.__name__, name, upper] = stats["inserted"], stats["folded"]
         assert counts == {
-            ("nominal_trajectory", "rho", False): (2_401, 2_654),
-            ("nominal_trajectory", "rho", True): (4_476, 5_302),
-            ("nominal_trajectory", "eta", False): (4_253, 6_842),
-            ("nominal_trajectory", "eta", True): (4_476, 6_973),
-            ("tight_trajectory", "rho", False): (2_401, 2_654),
-            ("tight_trajectory", "rho", True): (4_476, 5_302),
-            ("tight_trajectory", "eta", False): (4_126, 6_638),
-            ("tight_trajectory", "eta", True): (4_476, 6_968),
+            ("nominal_trajectory", "rho", False): (2_384, 2_637),
+            ("nominal_trajectory", "rho", True): (4_459, 5_285),
+            ("nominal_trajectory", "eta", False): (4_236, 6_825),
+            ("nominal_trajectory", "eta", True): (4_459, 6_956),
+            ("tight_trajectory", "rho", False): (2_384, 2_637),
+            ("tight_trajectory", "rho", True): (4_459, 5_285),
+            ("tight_trajectory", "eta", False): (4_109, 6_621),
+            ("tight_trajectory", "eta", True): (4_459, 6_951),
         }
         assert counts["nominal_trajectory", "rho", False][1] <= 5_355 // 2
 
@@ -562,7 +584,7 @@ class TestWorkCounts:
         # rhs reaches 0 steps, so the final sweep of [0, j] ends at split n-1,
         # where the bounded splits begin. The sweep is stored before they are
         # added by count: else each step of rho's lower run would fold again
-        # every split after the last sweep stored, 1,116 in all as the upper
+        # every split after the last sweep stored, 1,077 in all as the upper
         # run does
         f = parse("[H^0 P]^[0,40] . H^0 P")
         counts = {}
@@ -573,8 +595,8 @@ class TestWorkCounts:
                 ev.append({"x": rng.uniform(-1.0, 1.0)})
                 ev.rho(0, 44, upper)
             counts[upper] = ev.stats()["rho"]
-        assert counts == {False: {"memo": 130, "inserted": 175, "folded": 170},
-                          True: {"memo": 130, "inserted": 214, "folded": 1_116}}
+        assert counts == {False: {"memo": 91, "inserted": 136, "folded": 131},
+                          True: {"memo": 91, "inserted": 175, "folded": 1_077}}
 
     def test_chain_splits_are_quadratic(self):
         # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
@@ -632,7 +654,7 @@ class TestWorkCounts:
                     ev.append({"x": rng.uniform(0.0, 8.0)})
                     ev.eta(0, h, upper)
                 folded[upper].append(ev.stats()["eta"]["folded"])
-        assert folded == {False: [3_391, 12_401, 47_234], True: [4_347, 16_822, 66_147]}
+        assert folded == {False: [3_346, 12_306, 47_039], True: [4_302, 16_727, 65_952]}
         for run in folded.values():
             assert run[1] <= 4.5 * run[0] and run[2] <= 4.5 * run[1], run
 
@@ -822,9 +844,9 @@ class TestResumedFolds:
             return got
 
         def recorded_skip(name, skip):
-            def recorded(acc, hi, m):
-                got = skip(acc, hi, m)
-                if tailed[0] and got is not None and m:
+            def recorded(acc, hi):
+                got = skip(acc, hi)
+                if tailed[0] and got:
                     bounded.add((asking[0][0], name))
                 tailed[0] = False
                 return got
