@@ -12,24 +12,31 @@ Subcommands::
 
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
-I/O, parse, or validation failure, a failed write to stdout or a file
-included; 141, silently, when a closed pipe ends stdout. When an atom of
-the formula has no min/max bounds, check, oracle and monitor print one
-notice and leave eta empty, and eta exits 2. Set TWTL_LOG=DEBUG|INFO|...
-for logging.
+I/O, parse, or validation failure, a failed write to stdout or a file, a
+closed stdout and an --out that names the trace included; 141, silently,
+when a closed pipe ends stdout. When an atom of the formula has no min/max
+bounds, check, oracle and monitor print one notice and leave eta empty,
+and eta exits 2. Set TWTL_LOG=DEBUG|INFO|... for logging.
+
+`main` is the one failure boundary: a command raises a ValueError for bad
+input, and main prints its message as the one `twtl: error:` line. The
+evaluating commands read the trace through one reader, which checks the
+header before it reads a row.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import io
 import itertools
 import json
 import logging
 import math
 import os
 import sys
-from typing import Container, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
 from .monitor import MonitorState, StepResult, formula_signals, results_at, unbounded_atoms
@@ -71,10 +78,6 @@ def write_records(out: TextIO, fmt: str, records: Iterable[StepResult]) -> None:
             }) + "\n")
         out.flush()
     out.write(header)
-
-
-class CliError(Exception):
-    """User-facing failure; maps to exit code 2."""
 
 
 def _eta_left_out(atoms: list[str]) -> bool:
@@ -142,9 +145,9 @@ def _load_formula(path: str):
     try:
         return parse_file(path)
     except (OSError, UnicodeDecodeError) as exc:  # also a file that is not UTF-8
-        raise CliError(f"cannot read formula: {exc}") from exc
+        raise ValueError(f"cannot read formula: {exc}") from exc
     except TwtlSyntaxError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_table(path: str, f, dt: float) -> PredicateTable:
@@ -152,7 +155,7 @@ def _load_table(path: str, f, dt: float) -> PredicateTable:
     try:
         table = PredicateTable.from_json(path)
     except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
-        raise CliError(f"cannot load config {path}: {exc}") from exc
+        raise ValueError(f"cannot load config {path}: {exc}") from exc
     problems = []
     for d in validate(f, table, dt):
         if d.severity == "error":
@@ -160,38 +163,58 @@ def _load_table(path: str, f, dt: float) -> PredicateTable:
         else:
             log.warning("%s", d.message)
     if problems:
-        raise CliError("; ".join(problems))
+        raise ValueError("; ".join(problems))
     return table
 
 
 def _load_inputs(args) -> tuple:
     f = _load_formula(args.formula)
     table = _load_table(args.config, f, args.dt)
+    return f, table, EvalConfig(rho_bot=args.rho_bot, rho_top=args.rho_top, dt=args.dt)
+
+
+@contextlib.contextmanager
+def _read_trace(path: str | None, dt: float, last: int, signals: list[str],
+                out: str | None = None):
+    """The signal names and rows 0..last of the trace at path, or of stdin if it is None.
+
+    The header is checked before any row is read: it must hold every signal
+    in `signals`. Each row is checked as it is read. The file a command will
+    write, `out`, may not be the trace, since opening it would truncate it.
+    """
+    source = "stream" if path is None else path
+    if path is None and sys.stdin is None:  # Python's stdin when the process starts with it closed
+        raise ValueError("cannot read stream: stdin is closed")
     try:
-        cfg = EvalConfig(rho_bot=args.rho_bot, rho_top=args.rho_top, dt=args.dt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return f, table, cfg
+        opened = (contextlib.nullcontext(sys.stdin) if path is None
+                  else open(path, encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+    with opened as lines:
+        if out and _same_file(out, lines):
+            raise ValueError(f"--out {out} is the file the trace is read from")
+        names, rows = read_prefix(lines, source, dt, last)
+        missing = [s for s in signals if s not in names]
+        if missing:
+            raise ValueError(f"{source}: header lacks signals {missing}")
+        yield names, rows
 
 
-def _check_header(source: str, names: Container[str], signals: list[str]) -> None:
-    """Raise unless the trace's column `names` hold every signal the formula reads."""
-    missing = [s for s in signals if s not in names]
-    if missing:
-        raise CliError(f"{source}: header lacks signals {missing}")
+def _same_file(path: str, lines: TextIO) -> bool:
+    """Whether path names the file that `lines` reads."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(lines.fileno()))
+    except OSError:  # no file at path, or `lines` has none, such as a StringIO
+        return False
 
 
 def _evaluate(args, evaluate):
-    """evaluate's value on the --trace word up to f's horizon; failures are CLI errors."""
+    """evaluate's value on the trace's word up to f's horizon."""
     f, table, cfg = _load_inputs(args)
-    try:
-        hsteps = steps(horizon(f, cfg.dt), cfg.dt)
-        with open(args.trace, encoding="utf-8", newline="") as fh:
-            word = word_of(*read_prefix(fh, args.trace, cfg.dt, hsteps), cfg.dt)
-        _check_header(args.trace, word.signals, formula_signals(f, table))
-        return evaluate(word, f, table, cfg)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    last = steps(horizon(f, cfg.dt), cfg.dt)
+    with _read_trace(args.trace, cfg.dt, last, formula_signals(f, table)) as (names, rows):
+        word = word_of(names, rows, cfg.dt)
+    return evaluate(word, f, table, cfg)
 
 
 def _cmd_parse(args) -> int:
@@ -199,10 +222,7 @@ def _cmd_parse(args) -> int:
     if args.config:
         _load_table(args.config, f, args.dt)
     h = horizon(f, args.dt)
-    try:  # a horizon every command can evaluate has a step count
-        steps(h, args.dt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    steps(h, args.dt)  # a horizon every command can evaluate has a step count
     print(format_formula(f))
     print(f"horizon: {h:g}")
     return 0
@@ -238,12 +258,20 @@ def _cmd_value(args) -> int:
     return 0
 
 
-def _cannot_write(exc: OSError, path: str) -> CliError:
-    return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+class _ClosedStdout(io.TextIOBase):
+    """sys.stdout when the process starts with stdout closed, in place of None,
+    to which print writes nothing: a write fails as on a closed descriptor."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+def _cannot_write(exc: OSError, path: str) -> ValueError:
+    return ValueError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
 def _write_file(path: str, fmt: str, records: Iterable[StepResult]) -> None:
-    """write_records to the file at path; a failure to open, write or close it is a CliError."""
+    """write_records to the file at path; a failure to open, write or close it is a ValueError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             write_records(fh, fmt, records)
@@ -274,8 +302,8 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
             except ValueError:
                 k = -1
             if not 0 <= k <= h:
-                raise CliError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
-                               f"k in 0..{h}")
+                raise ValueError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
+                                 f"k in 0..{h}")
             at.add(k)
     samples = (dict(zip(names, row[1:])) for row in itertools.chain((first,), rows))
     yield from results_at(state, samples, None if at is None else sorted(at))
@@ -283,28 +311,15 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
 
 def _cmd_monitor(args) -> int:
     f, table, cfg = _load_inputs(args)
-    try:
-        state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
-    except ValueError as exc:  # a horizon with no step count, such as one that overflows
-        raise CliError(str(exc)) from exc
+    state = MonitorState(f, table, cfg, conservative_eta=args.conservative_eta)
     _eta_left_out(state.unbounded)
-    source = "stream" if args.stream else args.trace
-    try:
-        opened = (contextlib.nullcontext(sys.stdin) if args.stream
-                  else open(source, encoding="utf-8", newline=""))
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
-    with opened as lines:
-        try:
-            names, rows = read_prefix(lines, source, cfg.dt, state.horizon_steps)
-            _check_header(source, names, state.signal_names)
-            records = _step_rows(state, names, rows, args.tau)
-            if args.out:
-                _write_file(args.out, args.format, records)
-            else:
-                write_records(sys.stdout, args.format, records)
-        except ValueError as exc:  # a bad header or row, or a step the config cannot evaluate
-            raise CliError(str(exc)) from exc
+    with _read_trace(args.trace, cfg.dt, state.horizon_steps, state.signal_names,
+                     args.out) as (names, rows):  # --stream leaves args.trace None
+        records = _step_rows(state, names, rows, args.tau)
+        if args.out:
+            _write_file(args.out, args.format, records)
+        else:
+            write_records(sys.stdout, args.format, records)
     if not state.finalized:
         log.warning("inconclusive at end of trace: %d of %d samples observed",
                     state.observed, state.horizon_steps + 1)
@@ -378,21 +393,25 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run `twtl argv` (default: the process's arguments) and return its exit code.
 
-    Each command turns a failure to read its inputs or to write a file it
-    names into a CliError. An OSError that still escapes it is a failed write
-    to stdout: exit 141 for a closed pipe, else 2 with one error line.
+    This is the one place where a failure becomes an exit code. A ValueError
+    is bad input, or a failure to read an input or write a file a command
+    names: exit 2 with its message as the one error line. An OSError that
+    escapes is a failed write to stdout: exit 141 for a closed pipe, else 2
+    with one error line.
     """
     level = os.environ.get("TWTL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="twtl: %(levelname)s: %(message)s")
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
+    args = _parse_args(argv)  # argparse prints its help to stderr if stdout is None
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
-    except CliError as exc:
+    except ValueError as exc:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -404,8 +423,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         closed = isinstance(exc, BrokenPipeError)
         if not closed:
             print(f"twtl: error: {_cannot_write(exc, 'stdout')}", file=sys.stderr)
-        # stdout goes to devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(sys.stdout, _ClosedStdout):
+            # stdout goes to devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141 if closed else 2
 
 

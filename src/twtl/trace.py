@@ -233,19 +233,15 @@ class Word:
                     t0=self.t0)
 
 
-def read_prefix(lines: Iterable[str], source: str, dt: float, horizon_steps: int
-                ) -> tuple[list[str], Iterator[list[float]]]:
+def read_prefix(lines: Iterable[str], source: str, dt: float | None = None,
+                horizon_steps: int | None = None) -> tuple[list[str], Iterator[list[float]]]:
     """A trace CSV's signal names, its header checked now, and its rows 0..horizon_steps.
 
-    Each row is checked, by `load_trace`'s rules, when it is asked for. A
-    further non-blank line is not parsed: it logs the one warning that the
-    trace continues past the horizon, and the rows end.
+    Each row is checked, by `load_trace`'s rules, when it is asked for;
+    without dt, the first two rows give it. Without a horizon every row is
+    read. With one, a further non-blank line is not parsed: it logs the one
+    warning that the trace continues past the horizon, and the rows end.
     """
-    return _read(lines, source, dt, horizon_steps + 1)
-
-
-def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
-          ) -> tuple[list[str], Iterator[list[float]]]:
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     reader = csv.reader(lines)
@@ -258,7 +254,7 @@ def _read(lines: Iterable[str], source: str, dt: float | None, count: int | None
     for k, name in enumerate(header):
         if name in header[:k]:
             raise ValueError(f"{source}: duplicate column {name}")
-    return header[1:], _rows(reader, source, len(header), dt, count)
+    return header[1:], _rows(reader, source, len(header), dt, horizon_steps)
 
 
 def _split(reader, source: str) -> Iterator[list[str]]:
@@ -270,9 +266,9 @@ def _split(reader, source: str) -> Iterator[list[str]]:
         raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
 
 
-def _rows(reader, source: str, width: int, dt: float | None, count: int | None
+def _rows(reader, source: str, width: int, dt: float | None, last: int | None
           ) -> Iterator[list[float]]:
-    """The csv reader's checked rows, at most `count` of them (None: all)."""
+    """The csv reader's checked rows 0..last (None: all)."""
     basis = "expected" if dt is not None else "non-uniform timestamps; the first two rows give"
     t0, k = 0.0, 0
     rows = _split(reader, source)
@@ -298,12 +294,12 @@ def _rows(reader, source: str, width: int, dt: float | None, count: int | None
         elif abs((t - t0) / dt - k) > _GRID_RTOL:
             raise ValueError(f"{source}:{lineno}: time {t:g} is off the sampling grid, "
                              f"expected {t0 + k * dt:g} ({basis} dt={dt:g})")
-        k += 1
         yield values
-        if k == count:
+        if k == last:
             if _continues(rows):
                 log.warning(PAST_HORIZON_WARNING)
             return
+        k += 1
     if k == 0:
         raise ValueError(f"{source}: no samples")
 
@@ -325,7 +321,7 @@ def load_trace(path, dt_expected: float | None = None) -> Word:
     Errors are ValueErrors naming ``<source>:<line>``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        return word_of(*_read(fh, str(path), dt_expected, None), dt_expected)
+        return word_of(*read_prefix(fh, str(path), dt_expected), dt_expected)
 
 
 def word_of(names: list[str], rows: Iterable[list[float]], dt: float | None = None) -> Word:

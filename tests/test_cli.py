@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -326,6 +327,15 @@ class TestOfflineInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith("twtl: error: unrecognized arguments: --conservative-eta\n")
+
+
+@pytest.mark.parametrize("command", ["check", "rho", "eta", "oracle", "monitor"])
+def test_every_command_checks_the_header_before_a_row(files, capsys, tmp_path, command):
+    trace = tmp_path / "t.csv"
+    trace.write_text("time,y\n0,5.0\n1,oops\n")
+    got = run(capsys, command, "--formula", files["formula"], "--config", files["config"],
+              "--trace", str(trace))
+    assert got == (2, "", f"twtl: error: {trace}: header lacks signals ['x']\n")
 
 
 @pytest.mark.parametrize("command", ["check", "rho", "eta", "oracle", "monitor"])
@@ -734,6 +744,31 @@ class TestMonitorCommand:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
+    @pytest.mark.parametrize("out", ["same", "link", "stream"])
+    def test_out_that_is_the_trace_exits_2_and_keeps_it(self, files, capsys, monkeypatch,
+                                                         tmp_path, out):
+        # long enough that records would be written before the trace is read to its end
+        (tmp_path / "long.twtl").write_text("[H^2 A]^[0,3000]\n")
+        trace = tmp_path / "t.csv"
+        text = "time,x\n" + "".join(f"{t},5.0\n" for t in range(3003))
+        trace.write_text(text)
+        argv = ["monitor", "--formula", str(tmp_path / "long.twtl"), "--config", files["config"]]
+        if out == "link":
+            (tmp_path / "link.csv").symlink_to(trace)
+        path = str(tmp_path / "link.csv") if out == "link" else str(trace)
+        with open(trace, encoding="utf-8", newline="") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            source = ["--stream"] if out == "stream" else ["--trace", str(trace)]
+            got = run(capsys, *argv, *source, "--out", path)
+        assert got == (2, "", f"twtl: error: --out {path} is the file the trace is read from\n")
+        assert trace.read_text() == text
+
+    def test_closed_stdin_exits_2(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        got = run(capsys, "monitor", "--formula", files["formula"], "--config", files["config"],
+                  "--stream")
+        assert got == (2, "", "twtl: error: cannot read stream: stdin is closed\n")
+
     def test_out_in_missing_directory(self, files, capsys, tmp_path):
         out_path = tmp_path / "nodir" / "x.csv"
         rc, out, err = run(capsys, "monitor", "--formula", files["formula"],
@@ -832,6 +867,37 @@ class TestCaseStudyCommand:
         assert err == f"twtl: error: cannot write {blocker / 'sub'}: Not a directory\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["parse", "--formula", "F"], 2),
+    *(([command, "--formula", "F", "--config", "C", "--trace", "T"], 2)
+      for command in ("check", "rho", "eta", "oracle", "monitor")),
+    (["casestudy", "--out", "D"], 2),
+    (["monitor", "--formula", "F", "--config", "C", "--trace", "T", "--out", "O"], 0),
+], ids=["parse", "check", "rho", "eta", "oracle", "monitor", "casestudy", "monitor-out"])
+def test_closed_stdout(files, capsys, monkeypatch, tmp_path, argv, code):
+    """Python's stdout is None when the process starts with it closed: a print fails, once."""
+    names = {"F": files["formula"], "C": files["config"], "T": files["trace"],
+             "D": str(tmp_path / "cs"), "O": str(tmp_path / "m.csv")}
+    monkeypatch.setattr("sys.stdout", None)
+    rc = main([names.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert (rc, err) == (code, "twtl: error: cannot write stdout: Bad file descriptor\n"
+                         if code else "")
+    if code == 0:
+        assert (tmp_path / "m.csv").read_text().startswith("t,rho_lo")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_closed_stdout_of_a_process_exits_2_with_one_line(files):
+    src = os.path.dirname(os.path.dirname(twtl.__file__))
+    argv = [sys.executable, "-m", "twtl.cli", "check", "--formula", files["formula"],
+            "--config", files["config"], "--trace", files["trace"]]
+    proc = subprocess.run(["/bin/sh", "-c", '"$@" >&-', "sh", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, "twtl: error: cannot write stdout: Bad file descriptor\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, target", [
@@ -855,3 +921,100 @@ def test_failed_write_exits_2_with_one_line(files, tmp_path, buffered, argv, tar
                               stderr=subprocess.PIPE, env=env, timeout=60)
     assert (proc.returncode, proc.stderr.decode()) == (
         2, f"twtl: error: cannot write {target}: No space left on device\n")
+
+
+class TestFuzz:
+    """Seeded mutations of a valid formula, config and trace, run through every command.
+
+    Each case draws a trace's samples and edits one of the three texts 1-4
+    times with a token from `TOKENS` (some cases edit nothing), and runs each
+    command in-process. Whatever the input, a command exits with one of its
+    codes, no exception but argparse's exit escapes, exit 2 prints one error
+    line, and --stream prints what --trace prints. Where the input is valid,
+    check agrees with oracle, and monitor ends on check's values.
+    """
+
+    FORMULA = "[H^1 A & !H^0 B]^[0,3] . (H^1 B | [H^0 !A]^[1,2])\n"  # horizon 6
+    CONFIG = ('{"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 4.0, "min": 0.0, "max": 8.0},'
+              '\n "B": {"signal": "y", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0}}}\n')
+    VALUES = (-0.0, 3.5, 4.0, 5.0, 6.0, 7.5, 9.0, 1e308)  # of a trace's samples
+    TOKENS = ["nan", "inf", "-inf", "1e308", "-0", "\x00", "\ufeff", '"', "'", "[", "]", "(",
+              ")", "^", "&", "|", "!", ".", ",", "H", "1", "9", "-", "\n", " ", "{", "}", ":",
+              "#", "e"]
+    CODES = {"parse": {0, 2}, "check": {0, 1, 2}, "rho": {0, 2}, "eta": {0, 2},
+             "oracle": {0, 2}, "monitor": {0, 2, 3}}
+
+    @classmethod
+    def mutate(cls, rng, text: str) -> str:
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            j, token = min(len(text), i + rng.randint(0, 3)), rng.choice(cls.TOKENS)
+            text = text[:i] + rng.choice((token, token + text[i:j], "")) + text[j:]
+        return text
+
+    @staticmethod
+    def values(line: str) -> tuple[str, str, str]:
+        """The verdict, rho and eta of a line `sat rho=R eta=E` that check or oracle prints."""
+        sat, r, e = line.split(" ")
+        return sat, r.removeprefix("rho="), e.removeprefix("eta=").rstrip("\n")
+
+    @classmethod
+    def run(cls, capsys, monkeypatch, argv, stdin=None):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's, on a usage error
+            assert exc.code == 2
+            rc = 2
+        out, err = capsys.readouterr()
+        assert rc in cls.CODES[argv[0]], (argv, err)
+        if rc == 2:
+            assert [line.startswith("twtl: error: ") for line in err.splitlines()].count(True) == 1
+        return rc, out, err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mutated_inputs(self, capsys, monkeypatch, tmp_path, seed):
+        from test_acceptance import TOL
+
+        rng = random.Random(seed)
+        compared = {"oracle": 0, "monitor": 0}
+        for case in range(150):
+            dt = rng.choice((1.0, 1.0, 0.5))
+            trace = "time,x,y\n" + "".join(
+                f"{k * dt:g},{rng.choice(self.VALUES):g},{rng.choice(self.VALUES):g}\n"
+                for k in range(round(6 / dt) + 1))
+            texts = [self.FORMULA, self.CONFIG, trace]
+            if rng.random() < 0.75:
+                k = rng.choice((0, 1, 2, 2))
+                texts[k] = self.mutate(rng, texts[k])
+            # fresh names: reopening a file for writing can cost far more than creating one
+            paths = [str(tmp_path / f"{case}{name}") for name in ("f.twtl", "c.json", "t.csv")]
+            for path, text in zip(paths, texts):
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            common = ["--formula", paths[0], "--config", paths[1], "--dt", f"{dt:g}"]
+            self.run(capsys, monkeypatch, ["parse", *common])
+            got = {command: self.run(capsys, monkeypatch, [command, *common, "--trace", paths[2]])
+                   for command in ("check", "rho", "eta", "oracle")}
+            extra = rng.choice(([], [], ["--format", "jsonl"], ["--tau", f"{dt:g},{6 * dt:g}"]))
+            argv = ["monitor", *common, *extra]
+            by_file = self.run(capsys, monkeypatch, [*argv, "--trace", paths[2]])
+            by_stream = self.run(capsys, monkeypatch, [*argv, "--stream"], texts[2])
+            assert by_stream == (by_file[0], by_file[1], by_file[2].replace(paths[2], "stream"))
+            if got["check"][0] == 2:
+                continue
+            sat, r, e = self.values(got["check"][1])
+            osat, orho, oeta = self.values(got["oracle"][1])
+            assert sat == osat and abs(float(r) - float(orho)) <= TOL
+            assert got["rho"][1] == f"{r}\n"
+            if e:
+                assert abs(float(e) - float(oeta)) <= TOL and got["eta"][1] == f"{e}\n"
+            else:  # left out: an atom has no min/max
+                assert oeta == e and got["eta"][0] == 2
+            compared["oracle"] += 1
+            if by_file[0] == 0 and not extra:
+                last = by_file[1].splitlines()[-1].split(",")
+                assert last[1:5] == [r, r, e, e]
+                compared["monitor"] += 1
+        assert compared["oracle"] >= 30 and compared["monitor"] >= 15, compared
