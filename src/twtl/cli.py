@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
 from .monitor import MonitorState, StepResult, formula_signals, results_at, unbounded_atoms
 from .semantics import EvalConfig, Evaluator, eta, rho
-from .trace import PredicateTable, read_prefix, word_of
+from .trace import _GRID_RTOL, PredicateTable, read_prefix, word_of
 
 log = logging.getLogger("twtl")
 
@@ -296,11 +296,9 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
     at = None
     if taus is not None:
         at = set()
-        for tau in taus:  # each must be a sample time
-            try:
-                k = steps(tau - t0, dt)
-            except ValueError:
-                k = -1
+        for tau in taus:  # each must be a sample time, on the grid as a row's time is
+            s = (tau - t0) / dt
+            k = round(s) if math.isfinite(s) and abs(s - round(s)) <= _GRID_RTOL else -1
             if not 0 <= k <= h:
                 raise ValueError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
                                  f"k in 0..{h}")

@@ -378,9 +378,13 @@ def horizon(f: Formula, dt: float = 1.0) -> float:
 
 
 def steps(duration: float, dt: float) -> int:
-    """Convert a time duration to a sample-step count; duration must sit on the grid."""
+    """Convert a time duration to a sample-step count; duration must sit on the grid.
+
+    The tolerance is relative to the duration: a nonzero duration far below
+    dt is off the grid, not 0 steps.
+    """
     s = duration / dt
-    if not (math.isfinite(s) and abs(s - round(s)) <= 1e-9):
+    if not (math.isfinite(s) and abs(s - round(s)) <= 1e-9 * abs(s)):
         raise ValueError(f"duration {duration} is not a multiple of dt={dt}")
     return round(s)
 

@@ -10,47 +10,60 @@ too short for its subformula yields the bottom value (`rho_bot`, or -1).
 `&` and `|` call a conjunction and a disjunction of two values; for `eta`
 they return the same bits as `agm_and` and `agm_or` over a list of the two,
 without building one. The splits of a `Concat` and the starts of a `Within`
-are folded left to right into the disjunction, so no list of values is
-built either. Satisfaction stops a conjunction at -1 and a disjunction at 1.
+are folded into the disjunction, left to right unless the order changes no
+bits (below), so no list of values is built either. Satisfaction stops a
+conjunction at -1 and a disjunction at 1.
 A fold's accumulator is one float with no count: `finish` is given the
 window's, j - i splits of a `Concat` on [i, j] or b - a + 1 starts of a
 `[.]^[a,b]`, exact as each is folded, skipped or added in a run (below).
 
-A `Concat` on [i, j] takes the best of its splits t in [i, j). When its rhs
-reads at most p steps after its start, a split t < j - p reads the rhs
-window [t+1, t+1+p] whatever j is, so the recursion keeps one sweep per
+A `Concat` on [i, j] takes the best of its splits t in [i, j), each the
+conjunction of lhs on [i, t] and rhs on [t+1, j]. Every node has a low
+length (see compile_formula): on a shorter window its value is at most its
+semantics' `low`, bottom for bool and rho and 0.0 for eta. A split whose
+lhs or rhs window is shorter than that side's low length is so at most
+`low` too. A semantics' `skip` tests whether values at most a bound leave
+the accumulator as it is: for the max folds of bool and rho once it is at
+least the bound; for eta's AGM disjunction once it has folded a value >= 0
+and the bound is <= 0. Once it allows `low`, the window's count adds those
+splits without evaluating either side. A max keeps its bits whatever the
+order of its values (of equal values only 0.0 and -0.0 differ in bits, and
+a split whose lhs is too short is at most `low` < 0), so bool and rho fold
+the splits that fit first and those whose lhs is too short last; eta folds
+every split in order and gains once its fold has met a value >= 0. On a
+chain of one-sample holds, nested to the left or to the right, every window
+but one per node is too short, and bool and rho fold one split per node
+(for rho, while no margin lies below rho_bot).
+
+When rhs reads at most p steps after its start, a split t < j - p reads the
+rhs window [t+1, t+1+p] whatever j is, so the recursion keeps one sweep per
 node, start and bound: the splits folded so far and their accumulator. A
 window extends the sweep by the splits its end adds, in a loop, and then
 folds the at most p splits whose rhs is shorter. Over ascending ends a
 window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
-end starts it again at i. Any other rhs has no such splits, and each
-window folds all of its own. When rhs pins a length (a hold, a `Within`,
-or an `&` or `|` of two pinned children, see below), its last splits leave
-it too short: they fold conj(lhs, bottom) without evaluating rhs. Each is
-at most conj(top, bottom), where a semantics' `top` is a value no other
-exceeds. A semantics' `skip` tests whether values at most such a bound
-leave the accumulator as it is, so that the window's count adds them
-without evaluating lhs either: for the max folds of bool and rho once the
-accumulator is at least the bound; for eta's AGM disjunction once it has
-folded a value >= 0 and the bound is <= 0, as conj(x, -1) <= -0.5 (see
-below). Else, when lhs reaches r steps, the splits t >= i + r read lhs on
-[i, i+r]: they are one value, and a semantics' `repeat` adds the run of
-them at once, with the bits of folding it value by value.
+end starts it again. Any other rhs has no such splits, and each window
+folds all of its own. When rhs pins a length (a hold, a `Within`, or an
+`&` or `|` of two pinned children, see below), its last splits leave it
+bottom: when the count cannot add them, they fold conj(lhs, bottom)
+without evaluating rhs. When lhs reaches r steps, the splits t >= i + r
+read lhs on [i, i+r]: they are one value, and a semantics' `repeat` adds
+the run of them at once, with the bits of folding it value by value.
 
 An evaluator compiles its one formula once, when it is built, into a
-post-order table of nodes (kind, children, pinned length, reach, `Within`
-start offset, hold), and the recursion runs over node indices. A window is
-keyed on the samples it reads. `H^d` and `[.]^[a,b]` read no sample after
-i + d and i + b (in steps), their pinned length: a shorter window is
-bottom, not memoized, and a longer one is cut to that length. An `&` or
-`|` of two pinned children pins the shorter of their lengths: a shorter
-window leaves both children bottom, and conj(bottom, bottom) and
-disj(bottom, bottom) are bottom, bit for bit, in every semantics (a min or
-a max of equal values; eta's (-1 + -1) / 2 and 1 - (2 * 2) ** 0.5). A `!`
-pins nothing, as -bottom is not bottom, and neither does a `Concat`, whose
-split with one short side is conj(bottom, x). An `&`, `|` or `!` whose
-children all read a bounded length reads no sample after the longest of
-them, so a longer window is cut there too.
+post-order table of nodes (kind, children, pinned length, reach, low
+length, `Within` start offset, hold), and the recursion runs over node
+indices. A window is keyed on the samples it reads. `H^d` and `[.]^[a,b]`
+read no sample after i + d and i + b (in steps), their pinned length: a
+shorter window is bottom, not memoized, and a longer one is cut to that
+length. An `&` or `|` of two pinned children pins the shorter of their
+lengths: a shorter window leaves both children bottom, and
+conj(bottom, bottom) and disj(bottom, bottom) are bottom, bit for bit, in
+every semantics (a min or a max of equal values; eta's (-1 + -1) / 2 and
+1 - (2 * 2) ** 0.5). A `!` pins nothing, as -bottom is not bottom, and
+neither does a `Concat`, whose split with one short side is
+conj(bottom, x). An `&`, `|` or `!` whose children all read a bounded
+length reads no sample after the longest of them, so a longer window is
+cut there too.
 
 An evaluator's word grows by `append`, one sample at a time; samples at
 indices >= n, the number observed, are open. Every operator is monotone
@@ -84,9 +97,12 @@ length: `tail` memoizes it once per node, bound and length.
 
 The splits t >= n-1 of a frontier `Concat` window [i, j] read rhs on such
 windows, of at most j-1-t steps, so each is at most conj(top, the tail of
-rhs). Once the fold has reached n-1 and stored its sweeps there, the
-window adds them by count when `skip` allows it for that bound, and the
-open sweep of the fit splits among them is the accumulator as it stands.
+rhs), where a semantics' `top` is a value no other exceeds. Once the fold
+has reached n-1 (a max fold, at the earliest after the first split it
+folds) and stored its sweeps there, the window adds them, and the splits
+whose lhs is too short, by count when `skip` allows it for both bounds;
+the open sweep of the fit splits among them is the accumulator as it
+stands.
 With rho's lower bound, whose open samples take rho_bot, it mostly can: a
 step then asks lhs for none of those splits. The upper bound rarely can,
 and still folds them one by one.
@@ -276,6 +292,10 @@ class _Semantics:
     name: str
     margin: str  # the PredicateSpec method that gives an atom's margin at one sample value
     bottom: Callable[[EvalConfig], float]  # value of a window too short to fit
+    # a value that no node exceeds on a window shorter than its low length
+    # (see compile_formula): bottom where conj is a min and disj a max, 0.0
+    # for eta, whose conj of a value <= 0 and disj of values <= 0 are <= 0
+    low: Callable[[EvalConfig], float]
     # a value no other exceeds, so conj(x, v) <= conj(top, v) for every value x:
     # inf where conj is a min, 1 for eta's values in [-1, 1] and its monotone conj
     top: float
@@ -344,18 +364,18 @@ def _max_repeat(acc: float, v: float, m: int) -> float:
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
-_BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, math.inf, _min2, _max2, -math.inf,
-                   _max2, _same,
+_BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, lambda cfg: -1.0, math.inf, _min2,
+                   _max2, -math.inf, _max2, _same,
                    lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
                    -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
-_RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, math.inf, _min2, _max2,
-                  -math.inf, _max2, _same, _min_hold,
+_RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, lambda cfg: cfg.rho_bot,
+                  math.inf, _min2, _max2, -math.inf, _max2, _same, _min_hold,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
                   _max_skip, _max_repeat, -math.inf, math.inf, True)
-_ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, 1.0, _agm_and2, _agm_or2,
-                  _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
+_ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, lambda cfg: 0.0, 1.0, _agm_and2,
+                  _agm_or2, _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip,
                   _agm_or_repeat)
@@ -366,35 +386,47 @@ def compile_formula(f: Formula, dt: float) -> list[tuple]:
 
     The order and the child indices are those of `formula.postorder`, so
     compiling does not recurse.
-    A node is a tuple (kind, lhs, rhs, pin, reach, offset, hold): the Formula
-    class; the indices of its children, or None (a Not's or a Within's only
-    child is lhs); its pinned length, a shorter window being bottom: the
-    steps after a window's start that a hold or a Within reads, or for an
-    And or Or of two pinned children the shorter of their pins (else None);
-    its reach, the most steps after a window's start that it reads: a hold's
-    or a Within's pin, or for an And, Or or Not whose children all have a
-    reach the longest of theirs (else None: to the window's end); a Within's
-    first start, in steps after the window's start (else 0); and a hold's
-    HoldAtom (else None).
+    A node is a tuple (kind, lhs, rhs, pin, reach, low, offset, hold): the
+    Formula class; the indices of its children, or None (a Not's or a
+    Within's only child is lhs); its pinned length, a shorter window being
+    bottom: the steps after a window's start that a hold or a Within reads,
+    or for an And or Or of two pinned children the shorter of their pins
+    (else None); its reach, the most steps after a window's start that it
+    reads: a hold's or a Within's pin, or for an And, Or or Not whose
+    children all have a reach the longest of theirs (else None: to the
+    window's end); its low length, a shorter window being at most the
+    semantics' `low`; a Within's first start, in steps after the window's
+    start (else 0); and a hold's HoldAtom (else None).
+
+    The low length is a hold's or a Within's pin; for L . R, low(L) +
+    low(R) + 1, as each split of a shorter window leaves lhs or rhs shorter
+    than its own; for an And the larger of its children's, as a conjunction
+    with a value at most `low` is at most `low`; for an Or the smaller, as a
+    disjunction of two such values is; and 0 for a Not, as -bottom is not
+    bottom. A pin is at most the low length, and the low length at most the
+    reach.
     """
     nodes: list[tuple] = []
     for g, lhs, rhs in postorder(f):
         kind = type(g)
         if kind is HoldAtom:
-            nodes.append((kind, None, None, g.d, g.d, 0, g))
+            nodes.append((kind, None, None, g.d, g.d, g.d, 0, g))
         elif kind is Within:
             b = steps(g.b, dt)
-            nodes.append((kind, lhs, None, b, b, steps(g.a, dt), None))
+            nodes.append((kind, lhs, None, b, b, b, steps(g.a, dt), None))
         elif kind is Not:
-            nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, None))
+            nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, 0, None))
         else:
-            pin = reach = None
-            if kind is not Concat:
-                _, _, _, pa, a, *_ = nodes[lhs]
-                _, _, _, pb, b, *_ = nodes[rhs]
+            _, _, _, pa, a, la, *_ = nodes[lhs]
+            _, _, _, pb, b, lb, *_ = nodes[rhs]
+            if kind is Concat:
+                pin = reach = None
+                low = la + lb + 1
+            else:
                 reach = None if a is None or b is None else max(a, b)
                 pin = None if pa is None or pb is None else min(pa, pb)
-            nodes.append((kind, lhs, rhs, pin, reach, 0, None))
+                low = max(la, lb) if kind is And else min(la, lb)
+            nodes.append((kind, lhs, rhs, pin, reach, low, 0, None))
     return nodes
 
 
@@ -471,7 +503,7 @@ class Evaluator:
         counts as one."""
         out = {}
         for sem, run in self._runs.items():
-            memo = sum(len(d) for _, _, *dicts in run.slots for d in dicts)
+            memo = sum(len(d) for _, _, _, *dicts in run.slots for d in dicts)
             memo += sum(len(tails) for tails in run.tails.values())
             out[sem.name] = {"memo": memo, "inserted": memo + run.dropped, "folded": run.folded}
         return out
@@ -522,20 +554,19 @@ class _Recursion:
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.skip, self.repeat, self.maxfold = sem.skip, sem.repeat, sem.maxfold
-        self.bottom, self.top = sem.bottom(ev.cfg), sem.top
-        self.short = sem.conj(sem.top, self.bottom)  # no split whose rhs is too short is above it
+        self.bottom, self.low, self.top = sem.bottom(ev.cfg), sem.low(ev.cfg), sem.top
         # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
         # is its column's key and the pads of its lower and upper bound, the
-        # margins an unobserved sample takes; and (pin or 0, reach, final,
-        # frontier, unobserved), its pinned length and reach (see
-        # compile_formula) and its memos, keyed as in value(). Each hold's
-        # atom must be in the table and have the extremes of its own margins
-        # (for eta, its bounds), whatever the conservative_eta flag: so an
-        # evaluation raises also when its folds add every hold that reads the
-        # atom without evaluating them.
+        # margins an unobserved sample takes; and (pin or 0, reach, low,
+        # final, frontier, unobserved), its pinned length, reach and low
+        # length (see compile_formula) and its memos, keyed as in value().
+        # Each hold's atom must be in the table and have the extremes of its
+        # own margins (for eta, its bounds), whatever the conservative_eta
+        # flag: so an evaluation raises also when its folds add every hold
+        # that reads the atom without evaluating them.
         self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
-        for kind, lhs, rhs, pin, reach, offset, hold in ev._nodes:
+        for kind, lhs, rhs, pin, reach, low, offset, hold in ev._nodes:
             if hold is not None:
                 spec = ev.table[hold.atom]
                 sem.extremes(spec, ev.cfg, False)
@@ -543,7 +574,7 @@ class _Recursion:
                 hold = ((sem.margin, hold.atom, hold.negated),
                         (-hi, -lo) if hold.negated else (lo, hi))
             self.nodes.append((kind, lhs, rhs, offset, hold))
-            self.slots.append((pin or 0, reach, {}, {}, {}))
+            self.slots.append((pin or 0, reach, low, {}, {}, {}))
         # sweeps, (t, acc): a Concat's splits or a Within's starts before t
         # folded into acc. Final, keyed (node, start), when every value folded
         # reads only observed samples; else open, keyed (node, start, upper)
@@ -563,7 +594,7 @@ class _Recursion:
         """
         self.n = n
         for slot in self.slots:
-            frontier = slot[3]
+            frontier = slot[4]
             if frontier:
                 self.dropped += len(frontier)
                 frontier.clear()
@@ -596,7 +627,7 @@ class _Recursion:
         A miss is evaluated here and memoized at the one exit, so each
         nesting level of the formula costs one Python frame.
         """
-        pin, reach, memo, frontier, unobserved = self.slots[k]
+        pin, reach, _, memo, frontier, unobserved = self.slots[k]
         if reach is not None:
             # too short for every completion; tested before a hold's padding,
             # which would otherwise lift eta's lower bound above -1
@@ -644,18 +675,29 @@ class _Recursion:
         elif kind is Concat and i == j:
             got = self.bottom
         elif kind is Concat:
+            # A split t reads lhs on [i, t] and rhs on [t+1, j]. The splits
+            # t < i + low of lhs and t >= j - low of rhs leave a side shorter
+            # than its low length: each is at most self.low, and the window's
+            # count adds them once skip allows it. A max fold, whose order
+            # changes no bits, folds the others first, from begin on; eta
+            # folds every split in order.
             # When rhs reaches p steps, every split t < j - p reads rhs on
             # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
             # of [i, j-1] and t = j-1-p. One sweep per start folds them across
             # ends, and the splits t < n-1-p, which read only observed
             # samples, across steps. The at most p splits after them, and
             # every split of an rhs without a reach, are folded per window.
-            # The last pin splits leave rhs too short: it is bottom.
-            pin, p, _, _, _ = self.slots[rhs]
+            pin, p, low = self.slots[rhs][:3]
+            begin = i
+            if self.maxfold:
+                begin += self.slots[lhs][2]
+                if begin > j:
+                    begin = j
             fit = i if p is None or j - p < i else j - p
-            short = i if j - pin < i else j - pin
-            t, acc = i, self.start
-            keep = fit > i
+            short = j - low if j - low > begin else begin  # rhs is too short from here on
+            bottoms = j - pin if j - pin > short else short  # and bottom from here on
+            t, acc = begin, self.start
+            keep = fit > begin
             if keep:
                 state = self.open_sweeps.get((k, i, upper)) if j >= n else None
                 if state is None or state[0] > fit:
@@ -666,12 +708,17 @@ class _Recursion:
             conj, fold = self.conj, self.fold
             conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
             # The splits t >= n-1 of a frontier window read rhs on no sample:
-            # the fold bounds them as one once it reaches cut (see below)
+            # the fold bounds them as one once it reaches cut (see below). A
+            # max fold, whose first split fits, tries it after that split at
+            # the earliest. At cut == short every split left is too short,
+            # and the count below would add them as well
             ends, cut = (fit, short), j + 1
             if j >= n:
-                if t < short and n - 1 < short:
-                    cut = n - 1 if t < n - 1 else t
+                cut = n - 1 if t < n - 1 else t + 1 if self.maxfold else t
+                if cut <= short:
                     ends = (cut, fit, short) if cut < fit else (fit, cut, short)
+                else:
+                    cut = j + 1
                 if keep and t < n - 1 - p:
                     ends = (n - 1 - p, *ends)
             for end in ends:
@@ -687,15 +734,16 @@ class _Recursion:
                     else:
                         self.open_sweeps[k, i, upper] = t, acc
                     keep = end < fit
-                if t >= cut:
+                if cut <= t < j:
                     # each split from t on is at most conj(top, the tail of
-                    # rhs up to j-1-t steps, or its reach). The sweep is
-                    # stored above: when the fold may add these splits
-                    # without evaluating lhs, so may the open sweep those
-                    # before fit. Tried only when some skip is possible, so
-                    # that a fold that can skip nothing computes no tail
+                    # rhs up to j-1-t steps, or its reach), and each before
+                    # begin at most self.low. The sweep is stored above: when
+                    # the fold may add these splits without evaluating lhs,
+                    # so may the open sweep those before fit. Tried only when
+                    # some skip is possible, so that a fold that can skip
+                    # nothing computes no tail
                     cut = j + 1
-                    if self.skip(acc, self.bottom):
+                    if self.skip(acc, self.low):
                         hi = conj(self.top, self.tail(rhs, j - 1 - t, upper))
                         if self.skip(acc, hi):
                             if keep:
@@ -703,26 +751,40 @@ class _Recursion:
                                 keep = False
                             self.folded -= j - t
                             t = j
-            # each is conj(lhs, bottom) <= self.short: the fold may add them
-            # without evaluating lhs
-            if t < j and not self.skip(acc, self.short):
-                # when lhs reaches r steps, the splits t >= i + r read it on
-                # [i, i+r]: they are one value, folded as one run
-                r = self.slots[lhs][1]
-                same = j if r is None or i + r > j else i + r
-                bottom = self.bottom
-                while t < j and acc != stop:
-                    v = value(lhs, i, t, upper)
-                    if v != conj_absorbing:
-                        v = conj(v, bottom)
-                    if t < same:
+            self.folded += t - first
+            # The splits left, those from t on and those before begin, leave
+            # a side too short. Unless the count adds them, they are folded:
+            # eta's in order, a max fold's in any order
+            if (t < j or i < begin) and not self.skip(acc, self.low):
+                for t, end in ((t, bottoms), (i, begin)):
+                    first = t
+                    while t < end and acc != stop:
+                        v = value(lhs, i, t, upper)
+                        if v != conj_absorbing:
+                            v = conj(v, value(rhs, t + 1, j, upper))
                         acc = fold(acc, v)
                         t += 1
-                    else:
-                        acc = self.repeat(acc, v, j - t)
-                        self.folded -= j - t - 1
-                        t = j
-            self.folded += t - first
+                    self.folded += t - first
+                # the splits from bottoms on are conj(lhs, bottom): when lhs
+                # reaches r steps, the splits t >= i + r read it on [i, i+r]:
+                # they are one value, folded as one run
+                t = bottoms
+                if t < j and not self.skip(acc, self.low):
+                    r = self.slots[lhs][1]
+                    same = j if r is None or i + r > j else i + r
+                    first, bottom = t, self.bottom
+                    while t < j and acc != stop:
+                        v = value(lhs, i, t, upper)
+                        if v != conj_absorbing:
+                            v = conj(v, bottom)
+                        if t < same:
+                            acc = fold(acc, v)
+                            t += 1
+                        else:
+                            acc = self.repeat(acc, v, j - t)
+                            self.folded -= j - t - 1
+                            t = j
+                    self.folded += t - first
             got = self.finish(acc, j - i)
         else:
             # a Within: the best start. The starts t < n - r, where lhs

@@ -9,8 +9,11 @@ CPython 3.12, so both digests hold on every CPython. The population:
 
 - the case-study monitor's steps, both traces, both `conservative_eta` modes;
 - offline values on the whole word and on a grid of windows, for three
-  concatenated `Within`s (H = 47) and a chain of 40 one-sample holds;
-- monitor steps of `[H^2 A]^[0,25] . [H^2 B]^[0,25]`;
+  concatenated `Within`s (H = 47), a left- and a right-nested chain of 40
+  one-sample holds, and a `.` whose rhs is a `.`, with margins beyond
+  `rho_bot` and `rho_top`;
+- monitor steps of `[H^2 A]^[0,25] . [H^2 B]^[0,25]`, and of the right-nested
+  chain and the `.` whose rhs is a `.`;
 - monitor steps of 120 seeded random formulas heavy in `.` and `Within`,
   with margins beyond `rho_bot` and `rho_top` and samples beyond the atoms'
   bounds, alternating the `conservative_eta` modes.
@@ -36,8 +39,12 @@ TABLE = PredicateTable.from_dict({"atoms": {
     "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0},
 }})
 
-RHO_BOOL = "c6f53fb64a74da933aa2046e769e992ca9f6e73aaab68f6f0d53381fc1849682"
-ETA = "4d98ba349a99a572fc36f4ce563d1c7cdbaf8d0a901b15a18bd35eb35cb85d59"
+# H^0 A . (H^0 A . (... . H^0 A)): each `.`'s rhs is the rest of the chain
+RIGHT_CHAIN = "H^0 A . (" * 39 + "H^0 A" + ")" * 39
+RHS_CONCAT = "[H^1 A]^[0,4] . ((H^0 B | H^2 !A) . [H^0 A . H^1 B]^[1,5])"
+
+RHO_BOOL = "562f37fb62d6948ac4d99d98badbd7bea749670574ed197ac980fbbbfa718b02"
+ETA = "9b68a9083121a1b109054ed4944b6b55544dd45d95f9e2a08bcc0feb5b83bccf"
 
 
 def _word(seed: int, n: int) -> Word:
@@ -59,17 +66,22 @@ def digests() -> tuple[str, str]:
     for word in (nominal_trajectory(), tight_trajectory()):
         for conservative in (False, True):
             monitor(build_formula(), build_table(), word, conservative)
-    for seed, text in enumerate(("[H^2 A]^[0,15] . [H^2 B]^[0,15] . [H^2 A]^[0,15]",
-                                 " . ".join(["H^0 A"] * 40))):
+    narrow = EvalConfig(rho_bot=-2.0, rho_top=1.5)
+    for seed, (text, cfg) in enumerate((
+            ("[H^2 A]^[0,15] . [H^2 B]^[0,15] . [H^2 A]^[0,15]", EvalConfig()),
+            (" . ".join(["H^0 A"] * 40), EvalConfig()),
+            (RIGHT_CHAIN, narrow), (RHS_CONCAT, narrow))):
         f = parse(text)
         word = _word(seed, 48)
-        ev = Evaluator(word, f, TABLE)
+        ev = Evaluator(word, f, TABLE, cfg)
         windows = [(0, word.n - 1)] + [(i, j) for i in range(0, word.n, 5)
                                        for j in range(i, word.n, 3)]
         for i, j in windows:
             rho_bool.update(repr((i, j, ev.bool_sat(i, j), ev.rho(i, j))).encode())
             eta.update(repr((i, j, ev.eta(i, j))).encode())
     monitor(parse("[H^2 A]^[0,25] . [H^2 B]^[0,25]"), TABLE, _word(2, 52))
+    monitor(parse(RIGHT_CHAIN), TABLE, _word(4, 40), False, narrow)
+    monitor(parse(RHS_CONCAT), TABLE, _word(5, 16), True, narrow)
     rng = random.Random(12)
     gen = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,
                     weights=(2.0, 1.0, 1.0, 1.0, 4.0, 2.5))

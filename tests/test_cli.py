@@ -69,7 +69,8 @@ class TestParseCommand:
 
     @pytest.mark.parametrize("text, dt, duration", [
         ("H^2 A", "1e308", "inf"), ("[H^2 A]^[0,3]", "0.7", "3.0"),
-    ], ids=["overflow", "off-grid"])
+        ("[H^0 A]^[0,8]", "1e10", "8.0"),
+    ], ids=["overflow", "off-grid", "far-below-dt"])
     def test_horizon_without_steps_exits_2_without_config(self, capsys, tmp_path, text, dt,
                                                           duration):
         (tmp_path / "f.twtl").write_text(text)
@@ -530,6 +531,18 @@ class TestMonitorCommand:
         lines = out.splitlines()
         assert rc == 0
         assert [row.split(",")[0] for row in lines[1:]] == ["2", "5"]
+
+    def test_tau_on_the_grid_of_a_trace_whose_first_time_has_float_noise(self, files, capsys,
+                                                                         tmp_path):
+        # 3 * 0.1 is 0.30000000000000004: --tau 0.3 lies on the trace's grid
+        # by the rule its rows' times follow, at step 0
+        (tmp_path / "t.csv").write_text(f"time,x\n{3 * 0.1!r},5\n1.3,5\n2.3,5\n")
+        (tmp_path / "h.twtl").write_text("H^2 A\n")
+        rc, out, err = run(capsys, "monitor", "--formula", str(tmp_path / "h.twtl"),
+                           "--config", files["config"], "--trace", str(tmp_path / "t.csv"),
+                           "--tau", "0.3,2.3")
+        assert (rc, err) == (0, "")
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0.3", "2.3"]
 
     def test_tau_evaluates_only_at_tau(self, files, capsys, monkeypatch, tmp_path):
         states = []

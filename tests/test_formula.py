@@ -210,13 +210,21 @@ class TestHorizon:
         assert horizon(parse("H^4 A"), dt=0.5) == 2.0
         assert horizon(parse("H^1 A . H^1 B"), dt=0.5) == 1.5
 
-    def test_steps_grid(self):
-        assert steps(5.0, 0.5) == 10
-        assert steps(0.0, 1.0) == 0
-        # off the grid, or not finite (1 / 1e-320 overflows)
-        for duration, dt in ((1.3, 0.5), (1.0, 1e-320), (math.inf, 1.0), (math.nan, 1.0)):
-            with pytest.raises(ValueError):
+    @pytest.mark.parametrize("duration, dt, want", [
+        (5.0, 0.5, 10), (0.0, 1.0, 0), (0.3, 0.1, 3), (0.7, 0.1, 7), (1e6, 0.1, 10_000_000),
+        (1.3, 0.5, None), (8.0, 3.0, None), (0.5, 1.0, None),
+        # not finite: 1 / 1e-320 overflows
+        (1.0, 1e-320, None), (math.inf, 1.0, None), (math.nan, 1.0, None),
+        # the tolerance is relative to the duration: a nonzero duration far
+        # below dt is off the grid, not 0 steps
+        (8.0, 1e10, None), (1e-9, 1.0, None), (1e-12, 1.0, None),
+    ])
+    def test_steps_grid(self, duration, dt, want):
+        if want is None:
+            with pytest.raises(ValueError, match="is not a multiple of dt"):
                 steps(duration, dt)
+        else:
+            assert steps(duration, dt) == want
 
 
 class TestFormat:

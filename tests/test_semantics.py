@@ -525,15 +525,16 @@ class TestWorkCounts:
             state.step({s: word.value(s, k) for s in word.signals})
         # both resume the final Within starts and Concat splits and memoize
         # the greatest value of a node on the windows that read no sample;
-        # rho skips the splits whose rhs is too short once its fold is at
-        # bottom, the splits whose rhs reads no sample once it is at the
-        # greatest rhs value, and joins the unobserved starts by one max; eta
-        # adds these by count once its fold has met a value >= 0 and they are
+        # rho folds a Concat's splits that leave neither side shorter than
+        # its low length first, skips the others once its fold is at bottom
+        # and the splits whose rhs reads no sample once it is at the greatest
+        # rhs value, and joins the unobserved starts by one max; eta adds
+        # these by count once its fold has met a value >= 0 and they are
         # <= 0; else a run of equal values (too-short splits whose lhs is cut
         # at its reach, unobserved starts whose lhs is cut at its reach or too
         # short) counts as one fold; an & window shorter than both operands'
         # pins is bottom, not memoized
-        assert state.stats() == {"rho": {"memo": 832, "inserted": 6_131, "folded": 7_016},
+        assert state.stats() == {"rho": {"memo": 595, "inserted": 4_454, "folded": 4_034},
                                  "eta": {"memo": 832, "inserted": 7_983, "folded": 12_839}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
@@ -543,8 +544,8 @@ class TestWorkCounts:
         ev.bool_sat(0, k - 1)
         ev.eta(0, k - 1)
         assert ev.stats() == {
-            "rho": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
-            "bool": {"memo": 19_901, "inserted": 19_901, "folded": 19_900},
+            "rho": {"memo": 399, "inserted": 399, "folded": 199},
+            "bool": {"memo": 200, "inserted": 200, "folded": 199},
             "eta": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
         }
 
@@ -569,12 +570,12 @@ class TestWorkCounts:
                 stats = ev.stats()[name]
                 counts[trace.__name__, name, upper] = stats["inserted"], stats["folded"]
         assert counts == {
-            ("nominal_trajectory", "rho", False): (2_384, 2_637),
-            ("nominal_trajectory", "rho", True): (4_459, 5_285),
+            ("nominal_trajectory", "rho", False): (1_867, 1_464),
+            ("nominal_trajectory", "rho", True): (3_064, 3_079),
             ("nominal_trajectory", "eta", False): (4_236, 6_825),
             ("nominal_trajectory", "eta", True): (4_459, 6_956),
-            ("tight_trajectory", "rho", False): (2_384, 2_637),
-            ("tight_trajectory", "rho", True): (4_459, 5_285),
+            ("tight_trajectory", "rho", False): (1_867, 1_464),
+            ("tight_trajectory", "rho", True): (3_064, 3_079),
             ("tight_trajectory", "eta", False): (4_109, 6_621),
             ("tight_trajectory", "eta", True): (4_459, 6_951),
         }
@@ -584,8 +585,8 @@ class TestWorkCounts:
         # rhs reaches 0 steps, so the final sweep of [0, j] ends at split n-1,
         # where the bounded splits begin. The sweep is stored before they are
         # added by count: else each step of rho's lower run would fold again
-        # every split after the last sweep stored, 1,077 in all as the upper
-        # run does
+        # every split after the last sweep stored, 94 in all. The splits
+        # t < 40 leave lhs too short: both runs fold them last and skip them
         f = parse("[H^0 P]^[0,40] . H^0 P")
         counts = {}
         for upper in (False, True):
@@ -595,12 +596,13 @@ class TestWorkCounts:
                 ev.append({"x": rng.uniform(-1.0, 1.0)})
                 ev.rho(0, 44, upper)
             counts[upper] = ev.stats()["rho"]
-        assert counts == {False: {"memo": 91, "inserted": 136, "folded": 131},
-                          True: {"memo": 91, "inserted": 175, "folded": 1_077}}
+        assert counts == {False: {"memo": 51, "inserted": 135, "folded": 88},
+                          True: {"memo": 51, "inserted": 135, "folded": 97}}
 
     def test_chain_splits_are_quadratic(self):
         # H^0 P . H^0 P . ... (200 holds) over 200 samples: each Concat's rhs
-        # pins length 0, so a start's splits are folded once across all ends
+        # pins length 0, so a start's splits are folded once across all ends.
+        # eta's folds are quadratic in k; bool's and rho's are linear (below)
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -618,8 +620,10 @@ class TestWorkCounts:
     def test_monitor_folds_grow_quadratically_in_the_horizon(self):
         # [H^2 A]^[0,M] . [H^2 B]^[0,M], stepped through its 2M + 2 samples with
         # both rho bounds at every step: a step folds O(M) values, so doubling
-        # M multiplies a trace's folds by about 4 (refolding every frontier
-        # Within start and observed split at each step multiplies it by 7.5)
+        # M multiplies a trace's folds by at most about 4 (refolding every
+        # frontier Within start and observed split at each step multiplies it
+        # by 7.5). Skipping the splits that leave a side shorter than its low
+        # length, each step folds O(1): 413 / 813 / 1,613 values
         folded = []
         for m in (25, 50, 100):
             f = parse(f"[H^2 A]^[0,{m}] . [H^2 B]^[0,{m}]")
@@ -654,9 +658,98 @@ class TestWorkCounts:
                     ev.append({"x": rng.uniform(0.0, 8.0)})
                     ev.eta(0, h, upper)
                 folded[upper].append(ev.stats()["eta"]["folded"])
-        assert folded == {False: [3_346, 12_306, 47_039], True: [4_302, 16_727, 65_952]}
+        assert folded == {False: [3_346, 12_306, 47_039], True: [4_327, 16_777, 66_052]}
         for run in folded.values():
             assert run[1] <= 4.5 * run[0] and run[2] <= 4.5 * run[1], run
+
+
+    CHAIN_COUNTS = {  # (memo, inserted, folded) of rho, bool and eta
+        ("left", 20): ((39, 39, 19), (39, 39, 19), (381, 381, 190)),
+        ("left", 40): ((79, 79, 39), (79, 79, 39), (1_561, 1_561, 780)),
+        ("left", 80): ((159, 159, 79), (159, 159, 79), (6_321, 6_321, 3_160)),
+        ("right", 20): ((39, 39, 19), (39, 39, 19), (39, 39, 19)),
+        ("right", 40): ((79, 79, 39), (79, 79, 39), (79, 79, 39)),
+        ("right", 80): ((159, 159, 79), (159, 159, 79), (159, 159, 79)),
+    }
+
+    @pytest.mark.parametrize("shape, k", CHAIN_COUNTS)
+    def test_chain_counts_are_linear(self, shape, k):
+        # H^0 P . ... . H^0 P with k holds, nested to the left or to the
+        # right, over k samples that satisfy P: each window but one per node
+        # is shorter than the node's low length, so each node folds one split
+        # that fits and adds the others by count. bool and rho fold k - 1
+        # splits, and so does eta on the right chain, whose one split that
+        # fits comes first; the left chain's comes last, and eta, whose fold
+        # meets a value >= 0 only there, folds k(k-1)/2
+        hold = "H^0 P"
+        text = (" . ".join([hold] * k) if shape == "left"
+                else f"{hold} . (" * (k - 1) + hold + ")" * (k - 1))
+        rng = random.Random(k)
+        xs = [rng.uniform(0.1, 1.0) for _ in range(k)]
+        ev = Evaluator(unit_word(*xs), parse(text), UNIT)
+        assert ev.rho(0, k - 1) == min(xs)
+        assert ev.bool_sat(0, k - 1)
+        assert ev.eta(0, k - 1) > 0.0
+        assert ev.stats() == {name: dict(zip(("memo", "inserted", "folded"), counts))
+                              for name, counts in zip(("rho", "bool", "eta"),
+                                                      self.CHAIN_COUNTS[shape, k])}
+
+
+class TestLowLengths:
+    """A node on a window shorter than its low length is at most its
+    semantics' `low`: bottom for bool and rho, 0.0 for eta."""
+
+    @pytest.mark.parametrize("text, low", [
+        ("H^3 A", 3),
+        ("[H^1 A]^[2,5]", 5),
+        ("!H^3 A", 0),
+        ("H^1 A . H^2 B", 4),
+        ("H^0 A . (H^1 A . H^0 B)", 3),
+        ("[H^0 A . H^0 B]^[0,2] . !H^1 A", 3),
+        ("H^1 A & H^3 B", 3),
+        ("H^1 A | H^3 B", 1),
+        ("(H^0 A . H^0 B) & !H^2 A", 1),
+        ("(H^0 A . H^1 B) | H^1 A", 1),
+    ])
+    def test_compiled_low_length(self, text, low):
+        assert compile_formula(parse(text), 1.0)[-1][5] == low
+
+    def test_shorter_windows_are_at_most_low(self):
+        # every node of seeded random formulas, heavy in . and Within, on
+        # every window of at most its low length, at both bounds of every
+        # prefix up to the whole word, with margins beyond rho_bot and rho_top.
+        # A node whose low length is too small shows too: no window of
+        # exactly that length exceeds low. So each kind of node with a low
+        # length, and each & and | whose operands' low lengths differ, must
+        # exceed low somewhere on a window of exactly its low length
+        gen = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,
+                        weights=(2.0, 1.0, 1.0, 1.0, 4.0, 2.5))
+        cfg = EvalConfig(rho_bot=-2.0, rho_top=1.5)
+        rng = random.Random(2024)
+        tight, checked = set(), 0
+        for _ in range(150):
+            f = random_formula(rng, ["A", "B"], gen, max_horizon=9)
+            h = steps(horizon(f, 1.0), 1.0)
+            xs = random_word(rng, {"x": (-6.0, 14.0)}, n=h + 1).signals["x"]
+            nodes = compile_formula(f, 1.0)
+            ev = Evaluator(Word(1.0, {"x": ()}), f, TABLE, cfg)
+            for x in xs:
+                ev.append({"x": x})
+                for sem in (_BOOL, _RHO, _ETA):
+                    ev._evaluate(sem, 0, h, False)
+                    run, low = ev._runs[sem], sem.low(cfg)
+                    for (k, (kind, lhs, rhs, _, _, ell, *_)), upper in itertools.product(
+                            enumerate(nodes), (False, True)):
+                        for i in range(h + 1):
+                            for j in range(i, i + ell):
+                                v = run.value(k, i, j, upper)
+                                assert v <= low, (format_formula(f), k, i, j, sem.name, upper)
+                                checked += 1
+                            if run.value(k, i, i + ell, upper) > low:
+                                differ = rhs is not None and nodes[lhs][5] != nodes[rhs][5]
+                                tight.add((kind, differ) if kind in (And, Or) else kind)
+        assert checked > 500_000
+        assert {HoldAtom, Within, Concat, (And, True), (Or, True)} <= tight, tight
 
 
 DEEP = {
