@@ -29,23 +29,36 @@ and the bound is <= 0. Once it allows `low`, the window's count adds those
 splits without evaluating either side. A max keeps its bits whatever the
 order of its values (of equal values only 0.0 and -0.0 differ in bits, and
 a split whose lhs is too short is at most `low` < 0), so bool and rho fold
-the splits that fit first and those whose lhs is too short last; eta folds
-every split in order and gains once its fold has met a value >= 0. On a
-chain of one-sample holds, nested to the left or to the right, every window
-but one per node is too short, and bool and rho fold one split per node
-(for rho, while no margin lies below rho_bot).
+the splits that fit both sides first and those whose lhs is too short last.
+An AGM disjunction that has folded a value >= 0, -0.0 included, finishes as
+the left-to-right sum of its positive values over the count, which values
+<= 0 leave as it is wherever they stand. So eta, on a fully observed window
+whose start has no in-order sweep, folds the splits that fit first, in order:
+if one of them is >= 0, the count adds the others, with the bits of the
+fold of every split. If every one is < 0, the product depends on every
+value and their order, and the window folds every split in order from i,
+as does every later window of its start; so does every other eta window,
+which gains once its fold has met a value >= 0. On a chain of one-sample
+holds, nested to the left or to the right, every window but one per node
+is too short, and bool and rho fold one split per node (for rho, while no
+margin lies below rho_bot), and so does eta where every sample satisfies
+the chain.
 
 When rhs reads at most p steps after its start, a split t < j - p reads the
 rhs window [t+1, t+1+p] whatever j is, so the recursion keeps one sweep per
 node, start and bound: the splits folded so far and their accumulator. A
 window extends the sweep by the splits its end adds, in a loop, and then
 folds the at most p splits whose rhs is shorter. Over ascending ends a
-window so costs O(p + 1) splits, not O(j - i); a window below the sweep's
-end starts it again. Any other rhs has no such splits, and each window
-folds all of its own. When rhs pins a length (a hold, a `Within`, or an
-`&` or `|` of two pinned children, see below), its last splits leave it
-bottom: when the count cannot add them, they fold conj(lhs, bottom)
-without evaluating rhs. When lhs reaches r steps, the splits t >= i + r
+window so costs O(p + 1) splits, not O(j - i). A final sweep (below) keeps
+the accumulator after each split, so a window below its end reads its
+state there: eta's fitting splits ask lhs for its long windows before its
+fallback asks for the short ones. A window below the end of an open sweep
+starts from the final one. eta's fitting splits have final sweeps of their
+own. Any other rhs has no such splits, and each window folds all of its
+own. When rhs pins a length (a hold, a `Within`, or an `&` or `|` of two
+pinned children, see below), its last splits leave it bottom: when the
+count cannot add them, they fold conj(lhs, bottom) without evaluating
+rhs. When lhs reaches r steps, the splits t >= i + r
 read lhs on [i, i+r]: they are one value, and a semantics' `repeat` adds
 the run of them at once, with the bits of folding it value by value.
 
@@ -500,7 +513,9 @@ class Evaluator:
         values. A split or start that a sweep or a memo already holds is not
         folded again, one that a fold skips (it leaves the accumulator as it
         is) is not counted, and a run of equal values that `repeat` adds
-        counts as one."""
+        counts as one. eta's splits that fit both sides, folded first, are
+        counted too: where all of them are < 0, the window folds them again
+        with every other split, in order."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, _, *dicts in run.slots for d in dicts)
@@ -575,11 +590,16 @@ class _Recursion:
                         (-hi, -lo) if hold.negated else (lo, hi))
             self.nodes.append((kind, lhs, rhs, offset, hold))
             self.slots.append((pin or 0, reach, low, {}, {}, {}))
-        # sweeps, (t, acc): a Concat's splits or a Within's starts before t
-        # folded into acc. Final, keyed (node, start), when every value folded
-        # reads only observed samples; else open, keyed (node, start, upper)
-        self.sweeps: dict[tuple, tuple] = {}
+        # sweeps of a Concat's splits or a Within's starts. Final, keyed (node,
+        # start), when every value folded reads only observed samples: a
+        # Within's (t, acc), its starts before t folded into acc, and a
+        # Concat's list of accumulators, the start and then one after each
+        # split folded from its first. Else open, keyed (node, start, upper),
+        # (t, acc). `fits` holds eta's final sweeps of a Concat's fitting
+        # splits, which it folds first while their start has no other sweep
+        self.sweeps: dict[tuple, tuple | list] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
+        self.fits: dict[tuple, list] = {}
         # (node, upper) -> the greatest value of the node on the windows that
         # read no sample, by the length of the longest of them (see tail())
         self.tails: dict[tuple, list[float]] = {}
@@ -679,8 +699,12 @@ class _Recursion:
             # t < i + low of lhs and t >= j - low of rhs leave a side shorter
             # than its low length: each is at most self.low, and the window's
             # count adds them once skip allows it. A max fold, whose order
-            # changes no bits, folds the others first, from begin on; eta
-            # folds every split in order.
+            # changes no bits, folds the others, the fitting splits, first,
+            # from begin on. So does eta on a final window, unless every
+            # fitting split is < 0 (below) or its start has an in-order
+            # sweep: a window of the start fell back, or folded its splits
+            # in order before, and the sweep lets this one resume there.
+            # Else eta folds every split in order.
             # When rhs reaches p steps, every split t < j - p reads rhs on
             # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
             # of [i, j-1] and t = j-1-p. One sweep per start folds them across
@@ -688,70 +712,98 @@ class _Recursion:
             # samples, across steps. The at most p splits after them, and
             # every split of an rhs without a reach, are folded per window.
             pin, p, low = self.slots[rhs][:3]
-            begin = i
+            fit = i if p is None or j - p < i else j - p
+            begin, sweeps = i + self.slots[lhs][2], self.sweeps
             if self.maxfold:
-                begin += self.slots[lhs][2]
                 if begin > j:
                     begin = j
-            fit = i if p is None or j - p < i else j - p
-            short = j - low if j - low > begin else begin  # rhs is too short from here on
-            bottoms = j - pin if j - pin > short else short  # and bottom from here on
-            t, acc = begin, self.start
-            keep = fit > begin
-            if keep:
-                state = self.open_sweeps.get((k, i, upper)) if j >= n else None
-                if state is None or state[0] > fit:
-                    state = self.sweeps.get((k, i))
-                if state is not None and state[0] <= fit:  # else j is below the sweep: restart
-                    t, acc = state
-            first = t
+            elif j < n and i < begin < j - low and (k, i) not in sweeps:
+                sweeps = self.fits
+            else:
+                begin = i
             conj, fold = self.conj, self.fold
             conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
-            # The splits t >= n-1 of a frontier window read rhs on no sample:
-            # the fold bounds them as one once it reaches cut (see below). A
-            # max fold, whose first split fits, tries it after that split at
-            # the earliest. At cut == short every split left is too short,
-            # and the count below would add them as well
-            ends, cut = (fit, short), j + 1
-            if j >= n:
-                cut = n - 1 if t < n - 1 else t + 1 if self.maxfold else t
-                if cut <= short:
-                    ends = (cut, fit, short) if cut < fit else (fit, cut, short)
-                else:
-                    cut = j + 1
-                if keep and t < n - 1 - p:
-                    ends = (n - 1 - p, *ends)
-            for end in ends:
-                while t < end and acc != stop:
-                    v = value(lhs, i, t, upper)
-                    if v != conj_absorbing:
-                        v = conj(v, value(rhs, t + 1, j, upper))
-                    acc = fold(acc, v)
-                    t += 1
+            while True:
+                short = j - low if j - low > begin else begin  # rhs is too short from here on
+                bottoms = j - pin if j - pin > short else short  # and bottom from here on
+                t, acc = begin, self.start
+                keep, accs = fit > begin, None
                 if keep:
-                    if t <= n - 1 - p:  # every split folded reads only observed samples
-                        self.sweeps[k, i] = t, acc
+                    state = self.open_sweeps.get((k, i, upper)) if j >= n else None
+                    if state is not None and state[0] <= fit:
+                        t, acc = state
                     else:
+                        accs = sweeps.get((k, i))
+                        if accs is not None:  # a window below its end reads its state there
+                            t = begin + len(accs) - 1
+                            if t > fit:
+                                t = fit
+                            acc = accs[t - begin]
+                first = t
+                # The splits t >= n-1 of a frontier window read rhs on no
+                # sample: the fold bounds them as one once it reaches cut (see
+                # below). A max fold, whose first split fits, tries it after
+                # that split at the earliest. At cut >= short every split it
+                # would bound is too short, which the count below adds anyway
+                ends, cut = (fit, short), j + 1
+                if j >= n:
+                    cut = n - 1 if t < n - 1 else t + 1 if self.maxfold else t
+                    if cut < short:
+                        ends = (cut, fit, short) if cut < fit else (fit, cut, short)
+                    else:
+                        cut = j + 1
+                if keep:  # the fit splits before end read only observed samples
+                    end = fit if j < n else n - 1 - p
+                    if t < end and acc != stop:
+                        # the final sweep keeps its accumulator after each
+                        # split; a new one starts at begin
+                        if accs is None:
+                            accs = sweeps[k, i] = [acc]
+                        while t < end and acc != stop:
+                            v = value(lhs, i, t, upper)
+                            if v != conj_absorbing:
+                                v = conj(v, value(rhs, t + 1, j, upper))
+                            acc = fold(acc, v)
+                            accs.append(acc)
+                            t += 1
+                keep = keep and j >= n  # the open sweep, of a frontier window
+                for end in ends:
+                    while t < end and acc != stop:
+                        v = value(lhs, i, t, upper)
+                        if v != conj_absorbing:
+                            v = conj(v, value(rhs, t + 1, j, upper))
+                        acc = fold(acc, v)
+                        t += 1
+                    if keep:
                         self.open_sweeps[k, i, upper] = t, acc
-                    keep = end < fit
-                if cut <= t < j:
-                    # each split from t on is at most conj(top, the tail of
-                    # rhs up to j-1-t steps, or its reach), and each before
-                    # begin at most self.low. The sweep is stored above: when
-                    # the fold may add these splits without evaluating lhs,
-                    # so may the open sweep those before fit. Tried only when
-                    # some skip is possible, so that a fold that can skip
-                    # nothing computes no tail
-                    cut = j + 1
-                    if self.skip(acc, self.low):
-                        hi = conj(self.top, self.tail(rhs, j - 1 - t, upper))
-                        if self.skip(acc, hi):
-                            if keep:
-                                self.open_sweeps[k, i, upper] = fit, acc
-                                keep = False
-                            self.folded -= j - t
-                            t = j
-            self.folded += t - first
+                        keep = end < fit
+                    if cut <= t < j:
+                        # each split from t on is at most conj(top, the tail
+                        # of rhs up to j-1-t steps, or its reach), and each
+                        # before begin at most self.low. The sweep is stored
+                        # above: when the fold may add these splits without
+                        # evaluating lhs, so may the open sweep those before
+                        # fit. Tried only when some skip is possible, so that
+                        # a fold that can skip nothing computes no tail
+                        cut = j + 1
+                        if self.skip(acc, self.low):
+                            hi = conj(self.top, self.tail(rhs, j - 1 - t, upper))
+                            if self.skip(acc, hi):
+                                if keep:
+                                    self.open_sweeps[k, i, upper] = fit, acc
+                                    keep = False
+                                self.folded -= j - t
+                                t = j
+                self.folded += t - first
+                if sweeps is self.sweeps or self.skip(acc, self.low):
+                    break
+                # eta's fitting splits are all < 0: its product depends on
+                # every value and their order, so the window folds all of its
+                # splits in order from i, and so does each later window of
+                # this start, whose in-order sweep starts here
+                self.fits.pop((k, i), None)
+                sweeps, begin = self.sweeps, i
+                sweeps[k, i] = [self.start]
             # The splits left, those from t on and those before begin, leave
             # a side too short. Unless the count adds them, they are folded:
             # eta's in order, a max fold's in any order

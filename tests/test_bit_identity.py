@@ -11,12 +11,17 @@ CPython 3.12, so both digests hold on every CPython. The population:
 - offline values on the whole word and on a grid of windows, for three
   concatenated `Within`s (H = 47), a left- and a right-nested chain of 40
   one-sample holds, and a `.` whose rhs is a `.`, with margins beyond
-  `rho_bot` and `rho_top`;
+  `rho_bot` and `rho_top`; and the same grid of the left chain over a word
+  whose every sample satisfies its atom, where `eta`'s fitting splits decide
+  most windows;
 - monitor steps of `[H^2 A]^[0,25] . [H^2 B]^[0,25]`, and of the right-nested
   chain and the `.` whose rhs is a `.`;
 - monitor steps of 120 seeded random formulas heavy in `.` and `Within`,
   with margins beyond `rho_bot` and `rho_top` and samples beyond the atoms'
-  bounds, alternating the `conservative_eta` modes.
+  bounds, alternating the `conservative_eta` modes, and then their offline
+  values on every window, longest first from each start, where most `eta`
+  windows that fold their fitting splits first fall back to the fold of
+  every split in order.
 
 Run as a script, this module prints the digests of the `twtl` it imports.
 """
@@ -39,17 +44,19 @@ TABLE = PredicateTable.from_dict({"atoms": {
     "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0},
 }})
 
+# ((H^0 A . H^0 A) . ...) . H^0 A: each `.`'s lhs is the rest of the chain
+LEFT_CHAIN = " . ".join(["H^0 A"] * 40)
 # H^0 A . (H^0 A . (... . H^0 A)): each `.`'s rhs is the rest of the chain
 RIGHT_CHAIN = "H^0 A . (" * 39 + "H^0 A" + ")" * 39
 RHS_CONCAT = "[H^1 A]^[0,4] . ((H^0 B | H^2 !A) . [H^0 A . H^1 B]^[1,5])"
 
-RHO_BOOL = "562f37fb62d6948ac4d99d98badbd7bea749670574ed197ac980fbbbfa718b02"
-ETA = "9b68a9083121a1b109054ed4944b6b55544dd45d95f9e2a08bcc0feb5b83bccf"
+RHO_BOOL = "39b266b185225ed8490fc2d7a0152427db12342f0f3a6b416285a66ef662358d"
+ETA = "8b7d7f36294fd2a08f8e7a1dab30779e781f953aae434c079c2960ddb7c5ed27"
 
 
-def _word(seed: int, n: int) -> Word:
+def _word(seed: int, n: int, lo: float = 0.0, hi: float = 8.0) -> Word:
     rng = random.Random(seed)
-    return Word(1.0, {"x": tuple(rng.uniform(0.0, 8.0) for _ in range(n))})
+    return Word(1.0, {"x": tuple(rng.uniform(lo, hi) for _ in range(n))})
 
 
 def digests() -> tuple[str, str]:
@@ -63,22 +70,23 @@ def digests() -> tuple[str, str]:
             rho_bool.update(repr((r.t, r.rho.lo, r.rho.hi, str(r.verdict_rho))).encode())
             eta.update(repr((r.t, r.eta.lo, r.eta.hi, str(r.verdict_eta))).encode())
 
+    def offline(f, word, cfg, windows):
+        ev = Evaluator(word, f, TABLE, cfg)
+        for i, j in windows:
+            rho_bool.update(repr((i, j, ev.bool_sat(i, j), ev.rho(i, j))).encode())
+            eta.update(repr((i, j, ev.eta(i, j))).encode())
+
     for word in (nominal_trajectory(), tight_trajectory()):
         for conservative in (False, True):
             monitor(build_formula(), build_table(), word, conservative)
     narrow = EvalConfig(rho_bot=-2.0, rho_top=1.5)
+    grid = [(0, 47)] + [(i, j) for i in range(0, 48, 5) for j in range(i, 48, 3)]
     for seed, (text, cfg) in enumerate((
             ("[H^2 A]^[0,15] . [H^2 B]^[0,15] . [H^2 A]^[0,15]", EvalConfig()),
-            (" . ".join(["H^0 A"] * 40), EvalConfig()),
-            (RIGHT_CHAIN, narrow), (RHS_CONCAT, narrow))):
-        f = parse(text)
-        word = _word(seed, 48)
-        ev = Evaluator(word, f, TABLE, cfg)
-        windows = [(0, word.n - 1)] + [(i, j) for i in range(0, word.n, 5)
-                                       for j in range(i, word.n, 3)]
-        for i, j in windows:
-            rho_bool.update(repr((i, j, ev.bool_sat(i, j), ev.rho(i, j))).encode())
-            eta.update(repr((i, j, ev.eta(i, j))).encode())
+            (LEFT_CHAIN, EvalConfig()), (RIGHT_CHAIN, narrow), (RHS_CONCAT, narrow))):
+        offline(parse(text), _word(seed, 48), cfg, grid)
+    # every sample satisfies A: eta's fitting splits decide its windows
+    offline(parse(LEFT_CHAIN), _word(4, 48, 4.0, 6.0), EvalConfig(), grid)
     monitor(parse("[H^2 A]^[0,25] . [H^2 B]^[0,25]"), TABLE, _word(2, 52))
     monitor(parse(RIGHT_CHAIN), TABLE, _word(4, 40), False, narrow)
     monitor(parse(RHS_CONCAT), TABLE, _word(5, 16), True, narrow)
@@ -91,6 +99,7 @@ def digests() -> tuple[str, str]:
         h = MonitorState(f, TABLE, cfg).horizon_steps
         word = random_word(rng, {"x": (-6.0, 14.0)}, n=h + 1)
         monitor(f, TABLE, word, case % 2 == 1, cfg)
+        offline(f, word, cfg, [(i, j) for i in range(h + 1) for j in range(h, i - 1, -1)])
     return rho_bool.hexdigest(), eta.hexdigest()
 
 

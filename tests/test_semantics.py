@@ -533,8 +533,11 @@ class TestWorkCounts:
         # <= 0; else a run of equal values (too-short splits whose lhs is cut
         # at its reach, unobserved starts whose lhs is cut at its reach or too
         # short) counts as one fold; an & window shorter than both operands'
-        # pins is bottom, not memoized
-        assert state.stats() == {"rho": {"memo": 595, "inserted": 4_454, "folded": 4_034},
+        # pins is bottom, not memoized. The rhs bound is tried only where a
+        # split that fits is left. On the chain, eta folds each node's one
+        # fitting split first; where it is < 0, it folds every split again
+        # in order
+        assert state.stats() == {"rho": {"memo": 575, "inserted": 4_434, "folded": 4_014},
                                  "eta": {"memo": 832, "inserted": 7_983, "folded": 12_839}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
@@ -546,7 +549,7 @@ class TestWorkCounts:
         assert ev.stats() == {
             "rho": {"memo": 399, "inserted": 399, "folded": 199},
             "bool": {"memo": 200, "inserted": 200, "folded": 199},
-            "eta": {"memo": 39_801, "inserted": 39_801, "folded": 19_900},
+            "eta": {"memo": 39_801, "inserted": 39_801, "folded": 20_098},
         }
 
     def test_lower_bound_adds_unobserved_splits_by_count(self):
@@ -570,12 +573,12 @@ class TestWorkCounts:
                 stats = ev.stats()[name]
                 counts[trace.__name__, name, upper] = stats["inserted"], stats["folded"]
         assert counts == {
-            ("nominal_trajectory", "rho", False): (1_867, 1_464),
-            ("nominal_trajectory", "rho", True): (3_064, 3_079),
+            ("nominal_trajectory", "rho", False): (1_857, 1_454),
+            ("nominal_trajectory", "rho", True): (3_054, 3_069),
             ("nominal_trajectory", "eta", False): (4_236, 6_825),
             ("nominal_trajectory", "eta", True): (4_459, 6_956),
-            ("tight_trajectory", "rho", False): (1_867, 1_464),
-            ("tight_trajectory", "rho", True): (3_064, 3_079),
+            ("tight_trajectory", "rho", False): (1_857, 1_454),
+            ("tight_trajectory", "rho", True): (3_054, 3_069),
             ("tight_trajectory", "eta", False): (4_109, 6_621),
             ("tight_trajectory", "eta", True): (4_459, 6_951),
         }
@@ -658,15 +661,15 @@ class TestWorkCounts:
                     ev.append({"x": rng.uniform(0.0, 8.0)})
                     ev.eta(0, h, upper)
                 folded[upper].append(ev.stats()["eta"]["folded"])
-        assert folded == {False: [3_346, 12_306, 47_039], True: [4_327, 16_777, 66_052]}
+        assert folded == {False: [3_346, 12_306, 47_039], True: [4_302, 16_727, 65_952]}
         for run in folded.values():
             assert run[1] <= 4.5 * run[0] and run[2] <= 4.5 * run[1], run
 
 
     CHAIN_COUNTS = {  # (memo, inserted, folded) of rho, bool and eta
-        ("left", 20): ((39, 39, 19), (39, 39, 19), (381, 381, 190)),
-        ("left", 40): ((79, 79, 39), (79, 79, 39), (1_561, 1_561, 780)),
-        ("left", 80): ((159, 159, 79), (159, 159, 79), (6_321, 6_321, 3_160)),
+        ("left", 20): ((39, 39, 19), (39, 39, 19), (39, 39, 19)),
+        ("left", 40): ((79, 79, 39), (79, 79, 39), (79, 79, 39)),
+        ("left", 80): ((159, 159, 79), (159, 159, 79), (159, 159, 79)),
         ("right", 20): ((39, 39, 19), (39, 39, 19), (39, 39, 19)),
         ("right", 40): ((79, 79, 39), (79, 79, 39), (79, 79, 39)),
         ("right", 80): ((159, 159, 79), (159, 159, 79), (159, 159, 79)),
@@ -677,10 +680,9 @@ class TestWorkCounts:
         # H^0 P . ... . H^0 P with k holds, nested to the left or to the
         # right, over k samples that satisfy P: each window but one per node
         # is shorter than the node's low length, so each node folds one split
-        # that fits and adds the others by count. bool and rho fold k - 1
-        # splits, and so does eta on the right chain, whose one split that
-        # fits comes first; the left chain's comes last, and eta, whose fold
-        # meets a value >= 0 only there, folds k(k-1)/2
+        # that fits and adds the others by count. bool, rho and eta fold
+        # k - 1 splits; on the left chain, that split comes last, and eta
+        # folds it first too
         hold = "H^0 P"
         text = (" . ".join([hold] * k) if shape == "left"
                 else f"{hold} . (" * (k - 1) + hold + ")" * (k - 1))
@@ -693,6 +695,30 @@ class TestWorkCounts:
         assert ev.stats() == {name: dict(zip(("memo", "inserted", "folded"), counts))
                               for name, counts in zip(("rho", "bool", "eta"),
                                                       self.CHAIN_COUNTS[shape, k])}
+
+    # eta's (memo, inserted, folded) on the left chain of k holds over a word
+    # that violates P at every sample
+    VIOLATED_CHAIN_COUNTS = {20: (381, 381, 208), 40: (1_561, 1_561, 818),
+                             80: (6_321, 6_321, 3_238)}
+
+    @pytest.mark.parametrize("k", VIOLATED_CHAIN_COUNTS)
+    def test_left_chain_falls_back_once_per_node(self, k):
+        # every eta window of the chain is < 0, so every fitting split is:
+        # each node's first window folds its one fitting split, falls back
+        # and folds every split in order, and so does each later window of
+        # its start. That is the k(k-1)/2 folds of the in-order fold, once
+        # per start across ends, and the k - 2 fitting splits of the nodes
+        # whose lhs has a low length > 0. A node's later windows end below
+        # the sweep its first one left, and read its state there: starting
+        # the sweep again would fold 361 / 1,521 / 6,241 values
+        rng = random.Random(k)
+        xs = [-rng.uniform(0.1, 1.0) for _ in range(k)]
+        ev = Evaluator(unit_word(*xs), parse(" . ".join(["H^0 P"] * k)), UNIT)
+        assert ev.rho(0, k - 1) == min(xs)
+        assert not ev.bool_sat(0, k - 1)
+        assert ev.eta(0, k - 1) < 0.0
+        assert ev.stats()["eta"] == dict(zip(("memo", "inserted", "folded"),
+                                             self.VIOLATED_CHAIN_COUNTS[k]))
 
 
 class TestLowLengths:
@@ -876,13 +902,18 @@ class TestResumedFolds:
     PIN_BELOW_REACH = "[H^1 P | H^3 !P]^[0,6]"
     # a Concat whose rhs reads to its window's end: the splits whose rhs reads
     # no sample are bounded by the greatest such rhs value. P | !P is >= 0 on
-    # an observed sample, so eta's lower fold meets a value >= 0 before them
-    NO_REACH = "(H^0 P | H^0 !P) . ((H^0 P | H^0 !P) . [H^0 P | H^0 !P]^[0,1])"
+    # an observed sample, so eta's lower fold meets a value >= 0 before them.
+    # The rhs has a low length of 1 at a horizon of 4, so splits that fit are
+    # left at the frontier, where the bound is tried
+    NO_REACH = "(H^0 P | H^0 !P) . ((H^0 P | H^0 !P) . (H^0 P | H^2 !P))"
+    # a rhs whose low length, 2, leaves only too-short splits at the frontier:
+    # the count adds them, and the bound is not tried
+    SHORT_AT_FRONTIER = "(H^0 P | H^0 !P) . ((H^0 P | H^0 !P) . [H^0 P | H^0 !P]^[0,1])"
     FORMULAS = ("[H^2 P]^[0,5]", "[H^0 P | H^2 !P]^[0,5]", "[H^1 P . H^0 P]^[2,5]",
                 "(H^0 P | H^3 !P) . [H^0 !P]^[0,3]", "(H^0 P . [H^0 !P]^[0,3]) . H^1 P",
                 "[H^0 !P . H^0 P]^[0,4] . H^3 !P", "H^1 P . (H^0 !P & H^2 P)",
                 "H^0 !P . ([H^0 P]^[0,2] | H^3 P)", "[H^1 P & H^3 !P]^[1,5]", PIN_BELOW_REACH,
-                NO_REACH)
+                NO_REACH, SHORT_AT_FRONTIER)
 
     @staticmethod
     def fold(f, i, j, conj, disj, bottom, lhs, rhs=None):
@@ -964,6 +995,7 @@ class TestResumedFolds:
                         assert value(i, j) == want(i, j), (text, name, n, i, j, upper)
         assert {(self.PIN_BELOW_REACH, False), (self.PIN_BELOW_REACH, True)} <= ran
         assert {(self.NO_REACH, "rho"), (self.NO_REACH, "eta")} <= bounded
+        assert not {(self.SHORT_AT_FRONTIER, "rho"), (self.SHORT_AT_FRONTIER, "eta")} & bounded
 
     # the splits of [0, j] whose rhs reads no sample lie among its fit splits
     # when j >= n + 1, and eta's lower fold has met a value >= 0 before them:
