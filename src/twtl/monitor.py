@@ -237,12 +237,13 @@ def results_at(state: MonitorState, samples: Iterable[Mapping[str, float]],
     """Feed `samples` to `state` and yield its result after sample k for each k in `at`.
 
     `at` ascends (default: every sample); an index repeated yields the same
-    result again. Every sample up to the horizon is checked, also where
-    nothing is yielded; a sample past the horizon ends the run with a
-    warning.
+    result again. Each index must be an int in 0..H, H the horizon in steps,
+    else a ValueError names it; an index that the samples end before yields
+    nothing. Every sample up to the horizon is checked, also where nothing
+    is yielded; a sample past the horizon ends the run with a warning.
     """
     marks = None if at is None else iter(at)
-    mark = None if marks is None else next(marks, None)
+    mark = None if marks is None else _result_index(next(marks, None), state.horizon_steps)
     for sample in samples:
         if state.finalized:
             log.warning(PAST_HORIZON_WARNING)
@@ -255,4 +256,19 @@ def results_at(state: MonitorState, samples: Iterable[Mapping[str, float]],
             if mark < k:  # an evaluator cannot go back to a shorter prefix
                 raise ValueError(f"result index {mark} after sample {k}: indices must ascend")
             yield state.result()
-            mark = next(marks, None)
+            mark = _result_index(next(marks, None), state.horizon_steps)
+
+
+def _result_index(mark, h: int) -> int | None:
+    """mark (None when `at` is exhausted), checked as an index of results_at."""
+    if mark is None:
+        return None
+    if type(mark) is not int:
+        reason = "is not an int"
+    elif mark < 0:
+        reason = "is negative"
+    elif mark > h:
+        reason = f"lies past the horizon of {h} steps"
+    else:
+        return mark
+    raise ValueError(f"result index {mark!r} {reason}")

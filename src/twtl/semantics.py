@@ -58,9 +58,11 @@ own. Any other rhs has no such splits, and each window folds all of its
 own. When rhs pins a length (a hold, a `Within`, or an `&` or `|` of two
 pinned children, see below), its last splits leave it bottom: when the
 count cannot add them, they fold conj(lhs, bottom) without evaluating
-rhs. When lhs reaches r steps, the splits t >= i + r
-read lhs on [i, i+r]: they are one value, and a semantics' `repeat` adds
-the run of them at once, with the bits of folding it value by value.
+rhs. Those among them whose lhs window is shorter than lhs's pin are
+conj(bottom, bottom), which is bottom (below): one value, which a semantics'
+`repeat` adds as one run, with the bits of folding it value by value and
+without evaluating lhs. When lhs reaches r steps, the splits t >= i + r
+read lhs on [i, i+r]: they are one value too, and one run.
 
 An evaluator compiles its one formula once, when it is built, into a
 post-order table of nodes (kind, children, pinned length, reach, low
@@ -97,6 +99,23 @@ open samples, keyed (i, j, upper); `append` drops them and the sweeps whose
 splits read an open sample, so the online monitor evaluates again only the
 frontier at each step. Holds read margin columns that grow with the word,
 shared by the evaluator's runs: a sample's margin is computed once per column.
+
+A `Within` window [i, j] whose lhs reaches r steps reads lhs on [t, t+r]
+at each start t <= j - r, a window that is final where t < n - r and whose
+value does not depend on j. One row per `Within` node holds those values
+by start, each computed once, and a window folds its slice of the row in
+one call of the semantics' `fold_row`: builtin max for bool and rho, which
+keeps the first of equal values as their fold does, and eta's disjunction
+in one loop. The row serves fully observed windows from the second that
+reads the node on. The first folds its starts one by one, so a node read
+by one window, as most are under bool and rho, pays nothing for it; so
+does a frontier window, whose sweep (below) already holds all but the few
+starts that the steps since made final, and a window that resumes such a
+sweep. In a fully observed window the starts whose lhs window is shorter
+than lhs's pin are bottom: one run, which `repeat` adds, or which the fold
+skips where it leaves the accumulator as it is. So offline eta over a
+violating word asks lhs for each start once, not once per window that
+holds it.
 
 A frontier window still folds what is final in it only once. A `Concat`
 whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
@@ -143,7 +162,6 @@ cross-check the offline values.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -157,9 +175,10 @@ class EvalConfig:
     """Evaluation parameters.
 
     rho_bot scores a window too short for its subformula, and an unobserved
-    sample's margin is taken to lie in [rho_bot, rho_top]. An observed margin
-    m outside that range is kept: a hold over m and unobserved samples gets
-    [min(m, rho_bot), min(m, rho_top)].
+    sample's margin is taken to lie in [rho_bot, rho_top]; either may be
+    infinite. An observed margin m outside that range is kept: a hold over m
+    and unobserved samples gets [min(m, rho_bot), min(m, rho_top)]. dt, the
+    sampling step, must be finite and > 0.
     """
 
     rho_bot: float = -10.0
@@ -169,8 +188,8 @@ class EvalConfig:
     def __post_init__(self):
         if not (self.rho_bot < 0 < self.rho_top):
             raise ValueError("require rho_bot < 0 < rho_top")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt < math.inf:  # false for nan too
+            raise ValueError("dt must be finite and > 0")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -205,6 +224,21 @@ def _agm_or_fold(acc: float, v: float) -> float:
     return acc + v if v > 0.0 else acc
 
 
+def _agm_or_row(acc: float, values: Sequence[float]) -> float:
+    # _agm_or_fold over values left to right, in one call
+    for v in values:
+        if not _AGM_LO <= v <= _AGM_HI:
+            raise _agm_range_error("agm_or", v)
+        if acc < 0.0:
+            if v < 0.0:
+                acc *= 1.0 - v
+                continue
+            acc = 0.0
+        if v > 0.0:
+            acc += v
+    return acc
+
+
 def _agm_or_repeat(acc: float, v: float, m: int) -> float:
     # m folds of v: the first may leave the product; values <= 0 never change the sum
     if not m:
@@ -237,7 +271,7 @@ def agm_or(values: Iterable[float]) -> float:
     """AGM disjunction: geometric blend when all negative, mean of positive parts otherwise."""
     if not isinstance(values, (list, tuple)):
         values = list(values)
-    return _agm_or_finish(functools.reduce(_agm_or_fold, values, _AGM_OR_START), len(values))
+    return _agm_or_finish(_agm_or_row(_AGM_OR_START, values), len(values))
 
 
 def agm_and(values: Sequence[float]) -> float:
@@ -334,6 +368,9 @@ class _Semantics:
     # the accumulator after folding one value m times; finish gives the bits
     # of m calls of fold
     repeat: Callable[[float, float, int], float]
+    # the accumulator after folding a non-empty list of values left to right,
+    # in one call: the bits of one fold call per value
+    fold_row: Callable[[float, Sequence[float]], float]
     # values that decide a conjunction and a disjunction (and a disjunction's
     # accumulator) whatever else they meet, or None
     conj_absorbing: float | None = None
@@ -374,6 +411,12 @@ def _max_repeat(acc: float, v: float, m: int) -> float:
     return _max2(acc, v) if m else acc
 
 
+def _max_row(acc: float, values: Sequence[float]) -> float:
+    # max() keeps the first of equal values, as _max2 does
+    v = max(values)
+    return v if v > acc else acc
+
+
 # Boolean satisfaction is 1 or -1, and satisfied when positive. Its holds
 # take the sign of rho's margins after a negated hold has flipped them: a
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
@@ -381,17 +424,17 @@ _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, lambda cfg: -1.0, math
                    _max2, -math.inf, _max2, _same,
                    lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
-                   -1.0, 1.0, True)
+                   _max_row, -1.0, 1.0, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, lambda cfg: cfg.rho_bot,
                   math.inf, _min2, _max2, -math.inf, _max2, _same, _min_hold,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
-                  _max_skip, _max_repeat, -math.inf, math.inf, True)
+                  _max_skip, _max_repeat, _max_row, -math.inf, math.inf, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, lambda cfg: 0.0, 1.0, _agm_and2,
                   _agm_or2, _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
                   lambda spec, cfg, conservative:
                   (-1.0, 1.0) if conservative else spec.eta_extremes(), _agm_or_skip,
-                  _agm_or_repeat)
+                  _agm_or_repeat, _agm_or_row)
 
 
 def compile_formula(f: Formula, dt: float) -> list[tuple]:
@@ -513,9 +556,10 @@ class Evaluator:
         values. A split or start that a sweep or a memo already holds is not
         folded again, one that a fold skips (it leaves the accumulator as it
         is) is not counted, and a run of equal values that `repeat` adds
-        counts as one. eta's splits that fit both sides, folded first, are
-        counted too: where all of them are < 0, the window folds them again
-        with every other split, in order."""
+        counts as one. A `Within` start folded from its node's row counts as
+        one value, as one folded by itself does. eta's splits that fit both
+        sides, folded first, are counted too: where all of them are < 0, the
+        window folds them again with every other split, in order."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, _, *dicts in run.slots for d in dicts)
@@ -568,12 +612,14 @@ class _Recursion:
         self.conj, self.disj, self.hold = sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
-        self.skip, self.repeat, self.maxfold = sem.skip, sem.repeat, sem.maxfold
+        self.skip, self.repeat, self.fold_row = sem.skip, sem.repeat, sem.fold_row
+        self.maxfold = sem.maxfold
         self.bottom, self.low, self.top = sem.bottom(ev.cfg), sem.low(ev.cfg), sem.top
         # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
         # is its column's key and the pads of its lower and upper bound, the
-        # margins an unobserved sample takes; and (pin or 0, reach, low,
-        # final, frontier, unobserved), its pinned length, reach and low
+        # margins an unobserved sample takes, and a Within's is its lhs's pin
+        # (or 0) and reach, which each of its windows reads; and (pin or 0, reach,
+        # low, final, frontier, unobserved), its pinned length, reach and low
         # length (see compile_formula) and its memos, keyed as in value().
         # Each hold's atom must be in the table and have the extremes of its
         # own margins (for eta, its bounds), whatever the conservative_eta
@@ -588,6 +634,8 @@ class _Recursion:
                 lo, hi = sem.extremes(spec, ev.cfg, ev.conservative_eta)
                 hold = ((sem.margin, hold.atom, hold.negated),
                         (-hi, -lo) if hold.negated else (lo, hi))
+            elif kind is Within:
+                hold = self.slots[lhs][:2]
             self.nodes.append((kind, lhs, rhs, offset, hold))
             self.slots.append((pin or 0, reach, low, {}, {}, {}))
         # sweeps of a Concat's splits or a Within's starts. Final, keyed (node,
@@ -600,6 +648,10 @@ class _Recursion:
         self.sweeps: dict[tuple, tuple | list] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
         self.fits: dict[tuple, list] = {}
+        # per node, a Within's row: None until a window reads the node, ()
+        # after the first, then its first start s and the values of lhs on
+        # [t, t+r] for t from s on, where lhs reaches r steps, each final
+        self.rows: list[tuple | None] = [None] * len(ev._nodes)
         # (node, upper) -> the greatest value of the node on the windows that
         # read no sample, by the length of the longest of them (see tail())
         self.tails: dict[tuple, list[float]] = {}
@@ -817,14 +869,21 @@ class _Recursion:
                         acc = fold(acc, v)
                         t += 1
                     self.folded += t - first
-                # the splits from bottoms on are conj(lhs, bottom): when lhs
-                # reaches r steps, the splits t >= i + r read it on [i, i+r]:
-                # they are one value, folded as one run
+                # the splits from bottoms on are conj(lhs, bottom): those
+                # t < i + pin, where lhs pins a length, leave it bottom too,
+                # and conj(bottom, bottom) is bottom; when lhs reaches r
+                # steps, the splits t >= i + r read it on [i, i+r]. Each of
+                # the two is one value, folded as one run
                 t = bottoms
                 if t < j and not self.skip(acc, self.low):
-                    r = self.slots[lhs][1]
+                    pin, r = self.slots[lhs][:2]
                     same = j if r is None or i + r > j else i + r
                     first, bottom = t, self.bottom
+                    if t < i + pin:
+                        end = i + pin if i + pin < j else j
+                        acc = self.repeat(acc, bottom, end - t)
+                        self.folded -= end - t - 1
+                        t = end
                     while t < j and acc != stop:
                         v = value(lhs, i, t, upper)
                         if v != conj_absorbing:
@@ -839,42 +898,71 @@ class _Recursion:
                     self.folded += t - first
             got = self.finish(acc, j - i)
         else:
-            # a Within: the best start. The starts t < n - r, where lhs
-            # reaches r steps, read lhs on [t, t+r], observed: one sweep per
-            # window folds them across steps. The starts t >= n read no
-            # sample, and one memo per length holds the greatest of their values.
+            # a Within: the best start. Where lhs reaches r steps, a start
+            # t <= j - r reads lhs on [t, t+r], final where t < n - r: a row
+            # per node holds those values by start, each computed once, and a
+            # final window folds its slice of the row in one call. One sweep
+            # per frontier window folds them across steps. The other starts
+            # are folded one by one, up to those that read no sample (t >= n)
+            # or, in a final window, leave lhs shorter than its pin.
             fold, stop = self.fold, self.disj_absorbing
             t, acc = i + offset, self.start
-            r = self.slots[lhs][1]
-            resume = r is not None and t < n - r
-            if resume:  # a final window needs its sweep no more
+            pin, r = hold  # lhs's
+            end = t if r is None else (j if j < n else n - 1) + 1 - r
+            first = t
+            if t < end:  # a frontier window's sweep, which a final one needs no more
                 state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
                 if state is not None:
                     t, acc = state
-            first = t
-            if resume and j >= n:
-                end = n - r
-                while t < end and acc != stop:
-                    acc = fold(acc, value(lhs, t, j, upper))
-                    t += 1
-                self.sweeps[k, i] = t, acc
-            end = n if j >= n else j + 1
+                    first = t
+                # the row: None until a window reads the node, () after the
+                # first, then its first start and its values (names reused:
+                # each local costs every call of value)
+                col = self.rows[k]
+                if j < n and state is None and col is not None:
+                    if not col or not col[0] <= t <= col[0] + len(col[1]):
+                        col = self.rows[k] = (t, [])
+                    begin, col = col
+                    if t < begin + len(col):  # the starts the row holds, in one call
+                        acc = self.fold_row(acc, col[t - begin:end - begin])
+                        t = begin + len(col) if begin + len(col) < end else end
+                    while t < end and acc != stop:  # the starts after it, computed once
+                        v = value(lhs, t, j, upper)
+                        col.append(v)
+                        acc = fold(acc, v)
+                        t += 1
+                else:
+                    # the first window to read the node folds its starts one
+                    # by one, so a node read by one window, as most are under
+                    # bool and rho, pays nothing for its row; and so does a
+                    # frontier window, whose sweep holds all but the few
+                    # starts that the steps since made final, and a final
+                    # window that resumes such a sweep
+                    if col is None:
+                        self.rows[k] = ()
+                    while t < end and acc != stop:
+                        acc = fold(acc, value(lhs, t, j, upper))
+                        t += 1
+                if j >= n:
+                    self.sweeps[k, i] = t, acc
+            end = n if j >= n else j + 1 - pin
             while t < end and acc != stop:
                 acc = fold(acc, value(lhs, t, j, upper))
                 t += 1
-            if t <= j and acc != stop:  # the starts t >= n
-                # the greatest lhs value of those starts, whose longest lhs
-                # window has j - t steps: under a max fold, their best. They
-                # run from the longest window to the shortest, so the first
-                # of equal values is kept as a left-to-right fold keeps it
-                hi = self.tail(lhs, j - t, upper)
-                if self.maxfold:
+            if t <= j and acc != stop:
+                # the starts left are bottom in a final window. In a frontier
+                # one they read no sample, and hi, the tail of lhs up to j - t
+                # steps, is the greatest of their values: under a max fold,
+                # their best. They run from the longest window to the
+                # shortest, so the first of equal values is kept as a
+                # left-to-right fold keeps it
+                hi = self.tail(lhs, j - t, upper) if j >= n else self.bottom
+                if self.maxfold and j >= n:
                     acc = self.disj(acc, hi)
                 elif not self.skip(acc, hi):
                     # the starts t <= j - r read lhs's unobserved window of r
                     # steps and the starts t > j - pin too short a window:
                     # each of the two is one value, folded as one run
-                    pin = self.slots[lhs][0]
                     if r is not None and t <= j - r:
                         acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
                         self.folded -= j - r - t

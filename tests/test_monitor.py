@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -277,11 +278,11 @@ class TestResultsAt:
         with pytest.raises(ValueError, match="ascend"):
             next(results)
 
-    @pytest.mark.parametrize("at, times", [(None, [0.0, 1.0]), ([1, 5], [1.0]), ([5], [])],
-                             ids=["every", "one_past", "all_past"])
+    @pytest.mark.parametrize("at, times", [(None, [0.0, 1.0]), ([1], [1.0]), ([0], [0.0])],
+                             ids=["every", "last", "first"])
     def test_a_sample_past_the_horizon_ends_the_results(self, caplog, at, times):
         # H^1 A reads samples 0 and 1: sample 2 warns once and ends the run,
-        # sample 3 is never read, and an index past the horizon yields nothing
+        # and sample 3 is never read, whatever the results asked for
         state, read = MonitorState(parse("H^1 A"), TABLE), []
 
         def samples():
@@ -293,6 +294,24 @@ class TestResultsAt:
             assert [r.t for r in results_at(state, samples(), at)] == times
         assert caplog.messages == [PAST_HORIZON_WARNING]
         assert state.observed == 2 and read == [5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize("at, message", [
+        ([-1], "result index -1 is negative"),
+        ([1.5], "result index 1.5 is not an int"),
+        ([1.0], "result index 1.0 is not an int"),
+        ([True], "result index True is not an int"),
+        ([3], "result index 3 lies past the horizon of 2 steps"),
+        ([0, 2, 3], "result index 3 lies past the horizon of 2 steps"),
+    ])
+    def test_rejects_an_index_outside_the_horizon_by_name(self, at, message):
+        state = MonitorState(parse("H^2 A"), TABLE)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(results_at(state, ({"x": 5.0} for _ in range(3)), at))
+
+    def test_an_index_after_the_last_sample_yields_nothing(self):
+        # within the horizon, but the trace ends first
+        state = MonitorState(parse("H^2 A"), TABLE)
+        assert [r.t for r in results_at(state, ({"x": 5.0} for _ in range(2)), [0, 2])] == [0.0]
 
 
 class TestIncrementalEqualsBatch:
