@@ -26,10 +26,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formula import Formula, horizon, parse, steps
+from .formula import Formula, horizon, parse
 from .monitor import MonitorState, StepResult, results_at
 from .semantics import EvalConfig, Evaluator
-from .trace import NormalizationBounds, PredicateSpec, PredicateTable, Word
+from .trace import NormalizationBounds, PredicateSpec, PredicateTable, Word, sample_index
 
 FORMULA_TEXT = (
     "([H^4 Ax_lo & H^4 Ax_hi & H^4 Ay_lo & H^4 Ay_hi]^[0,8]"
@@ -113,7 +113,9 @@ def monitor_records(word: Word, f: Formula, table: PredicateTable,
     state = MonitorState(f, table, cfg, word.t0)
     at: list[int] = []
     for t in DEFAULT_TAUS:
-        k = steps(t - word.t0, cfg.dt)
+        k = sample_index(t, word.t0, cfg.dt)
+        if k is None:
+            raise ValueError(f"tau {t:g} is not a sample time {word.t0:g} + k*{cfg.dt:g}")
         if k >= word.n:
             break
         if k < 0:

@@ -38,10 +38,10 @@ import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .formula import TwtlSyntaxError, format_formula, horizon, parse_file, steps, validate
+from .formula import TwtlSyntaxError, format_formula, horizon, horizon_steps, parse_file, validate
 from .monitor import MonitorState, StepResult, formula_signals, results_at, unbounded_atoms
 from .semantics import EvalConfig, Evaluator, eta, rho
-from .trace import _GRID_RTOL, PredicateTable, read_prefix, word_of
+from .trace import PredicateTable, check_dt, read_prefix, sample_index, word_of
 
 log = logging.getLogger("twtl")
 
@@ -95,11 +95,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> float:
+def _positive(text: str) -> float:  # --dt's type; argparse names it for a non-number
     value = _finite(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+    try:
+        return check_dt(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}") from None
 
 
 def _times(text: str) -> list[float]:
@@ -211,7 +212,7 @@ def _same_file(path: str, lines: TextIO) -> bool:
 def _evaluate(args, evaluate):
     """evaluate's value on the trace's word up to f's horizon."""
     f, table, cfg = _load_inputs(args)
-    last = steps(horizon(f, cfg.dt), cfg.dt)
+    last = horizon_steps(f, cfg.dt)
     with _read_trace(args.trace, cfg.dt, last, formula_signals(f, table)) as (names, rows):
         word = word_of(names, rows, cfg.dt)
     return evaluate(word, f, table, cfg)
@@ -221,10 +222,9 @@ def _cmd_parse(args) -> int:
     f = _load_formula(args.formula)
     if args.config:
         _load_table(args.config, f, args.dt)
-    h = horizon(f, args.dt)
-    steps(h, args.dt)  # a horizon every command can evaluate has a step count
+    horizon_steps(f, args.dt)  # a horizon every command can evaluate has a step count
     print(format_formula(f))
-    print(f"horizon: {h:g}")
+    print(f"horizon: {horizon(f, args.dt):g}")
     return 0
 
 
@@ -293,16 +293,12 @@ def _step_rows(state: MonitorState, names: list[str], rows: Iterable[list[float]
         return
     dt, h = state.cfg.dt, state.horizon_steps
     state.t0 = t0 = first[0]  # records carry the trace's own times
-    at = None
-    if taus is not None:
-        at = set()
-        for tau in taus:  # each must be a sample time, on the grid as a row's time is
-            s = (tau - t0) / dt
-            k = round(s) if math.isfinite(s) and abs(s - round(s)) <= _GRID_RTOL else -1
-            if not 0 <= k <= h:
-                raise ValueError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, "
-                                 f"k in 0..{h}")
-            at.add(k)
+    at = None if taus is None else set()
+    for tau in taus or ():  # each must be a sample time, on the grid as a row's time is
+        k = sample_index(tau, t0, dt)
+        if k is None or not 0 <= k <= h:
+            raise ValueError(f"--tau {tau:g} is not a sample time {t0:g} + k*{dt:g}, k in 0..{h}")
+        at.add(k)
     samples = (dict(zip(names, row[1:])) for row in itertools.chain((first,), rows))
     yield from results_at(state, samples, None if at is None else sorted(at))
 

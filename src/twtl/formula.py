@@ -32,10 +32,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .trace import PredicateTable
+from .trace import PredicateTable, check_dt
 
 
 class TwtlSyntaxError(ValueError):
@@ -372,9 +370,12 @@ def _horizons(nodes: list[_Entry], dt: float) -> list[float]:
 
 def horizon(f: Formula, dt: float = 1.0) -> float:
     """Minimal word duration (in time units) needed to fully evaluate f."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    return _horizons(postorder(f), dt)[-1]
+    return _horizons(postorder(f), check_dt(dt))[-1]
+
+
+def horizon_steps(f: Formula, dt: float = 1.0) -> int:
+    """f's horizon in sample steps: the index of the last sample f reads."""
+    return steps(horizon(f, dt), dt)
 
 
 def steps(duration: float, dt: float) -> int:
@@ -398,15 +399,15 @@ class Diagnostic:
         return f"{self.severity}: {self.message}"
 
 
-def validate(f: Formula, table: "PredicateTable", dt: float = 1.0) -> list[Diagnostic]:
+def validate(f: Formula, table: PredicateTable, dt: float = 1.0) -> list[Diagnostic]:
     """Static checks: atom resolution, grid alignment, satisfiable windows.
 
-    Returns diagnostics instead of raising, in post-order; empty list means
-    clean. A within window too short for its inner horizon is legal (it just
-    evaluates to bottom) and yields a warning, not an error.
+    Returns diagnostics, in post-order; empty list means clean (a bad dt
+    raises). A within window too short for its inner horizon is legal (it
+    just evaluates to bottom) and yields a warning, not an error.
     """
     nodes = postorder(f)
-    hs = _horizons(nodes, dt)
+    hs = _horizons(nodes, check_dt(dt))
     out: list[Diagnostic] = []
     for g, lhs, _ in nodes:
         if type(g) is HoldAtom:

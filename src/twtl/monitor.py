@@ -30,14 +30,15 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .formula import Formula, HoldAtom, horizon, postorder, steps
+from .formula import Formula, HoldAtom, horizon_steps, postorder
 from .semantics import DEFAULT_CONFIG, EvalConfig, Evaluator
 from .trace import PAST_HORIZON_WARNING, PredicateTable, Word
 
 log = logging.getLogger("twtl")
 
-# an interval's bounds come from monotone kernels, but the C library's pow
-# need not round monotonically: a lower bound this little above is absorbed
+# an interval's bounds come from monotone kernels, but the C library's log1p
+# and expm1 need not round monotonically: a lower bound this little above is
+# absorbed
 _FP_SLACK = 1e-12
 
 
@@ -105,7 +106,7 @@ class Prefix:
 
 def make_prefix(word: Word, f: Formula, cfg: EvalConfig = DEFAULT_CONFIG) -> Prefix:
     """Wrap a word as a Prefix of f's horizon, truncating over-long words (warns)."""
-    hsteps = steps(horizon(f, cfg.dt), cfg.dt)
+    hsteps = horizon_steps(f, cfg.dt)
     if word.n > hsteps + 1:
         log.warning(PAST_HORIZON_WARNING)
         word = word.prefix(hsteps + 1)
@@ -189,7 +190,7 @@ class MonitorState:
                  conservative_eta: bool = False):
         self.cfg = cfg
         self.t0 = t0
-        self.horizon_steps = steps(horizon(f, cfg.dt), cfg.dt)
+        self.horizon_steps = horizon_steps(f, cfg.dt)
         self.signal_names = formula_signals(f, table)
         self.unbounded = unbounded_atoms(f, table)
         empty = Word(cfg.dt, {s: () for s in self.signal_names})

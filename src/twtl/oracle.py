@@ -33,19 +33,22 @@ def _samples(word: Word, cfg: EvalConfig) -> list[dict[str, float]]:
     return word_to_samples(word)
 
 
-# The sums fold left to right from 0.0: CPython's sum() of floats rounds
-# another way since 3.12.
+# The arithmetic sums fold left to right from 0.0: CPython's sum() of floats
+# rounds another way since 3.12. The geometric means, (prod(1 + v))^(1/n) - 1
+# and 1 - (prod(1 - v))^(1/n), are taken in the log domain, their log1p terms
+# summed by math.fsum, correctly rounded: a product of n factors in (1, 2]
+# overflows past about 1,000 terms, and 1 + v is 1.0 for |v| below 1.1e-16.
 def _agm_and(vals: list[float]) -> float:
-    """AGM conjunction: (prod(1 + v))^(1/n) - 1 if every v > 0, else sum(min(v, 0)) / n."""
+    """AGM conjunction: expm1(mean(log1p(v))) if every v > 0, else sum(min(v, 0)) / n."""
     if all(v > 0 for v in vals):
-        return math.prod(1 + v for v in vals) ** (1 / len(vals)) - 1
+        return math.expm1(math.fsum(math.log1p(v) for v in vals) / len(vals))
     return functools.reduce(lambda s, v: s + min(v, 0), vals, 0.0) / len(vals)
 
 
 def _agm_or(vals: list[float]) -> float:
-    """AGM disjunction: 1 - (prod(1 - v))^(1/n) if every v < 0, else sum(max(v, 0)) / n."""
+    """AGM disjunction: -expm1(mean(log1p(-v))) if every v < 0, else sum(max(v, 0)) / n."""
     if all(v < 0 for v in vals):
-        return 1 - math.prod(1 - v for v in vals) ** (1 / len(vals))
+        return -math.expm1(math.fsum(math.log1p(-v) for v in vals) / len(vals))
     return functools.reduce(lambda s, v: s + max(v, 0), vals, 0.0) / len(vals)
 
 

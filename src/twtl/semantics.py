@@ -35,7 +35,7 @@ the left-to-right sum of its positive values over the count, which values
 <= 0 leave as it is wherever they stand. So eta, on a fully observed window
 whose start has no in-order sweep, folds the splits that fit first, in order:
 if one of them is >= 0, the count adds the others, with the bits of the
-fold of every split. If every one is < 0, the product depends on every
+fold of every split. If every one is < 0, the log-sum depends on every
 value and their order, and the window folds every split in order from i,
 as does every later window of its start; so does every other eta window,
 which gains once its fold has met a value >= 0. On a chain of one-sample
@@ -74,11 +74,11 @@ length. An `&` or `|` of two pinned children pins the shorter of their
 lengths: a shorter window leaves both children bottom, and
 conj(bottom, bottom) and disj(bottom, bottom) are bottom, bit for bit, in
 every semantics (a min or a max of equal values; eta's (-1 + -1) / 2 and
-1 - (2 * 2) ** 0.5). A `!` pins nothing, as -bottom is not bottom, and
-neither does a `Concat`, whose split with one short side is
-conj(bottom, x). An `&`, `|` or `!` whose children all read a bounded
-length reads no sample after the longest of them, so a longer window is
-cut there too.
+-expm1((log1p(1) + log1p(1)) / 2), which the C library rounds to -1). A
+`!` pins nothing, as -bottom is not bottom, and neither does a `Concat`,
+whose split with one short side is conj(bottom, x). An `&`, `|` or `!`
+whose children all read a bounded length reads no sample after the
+longest of them, so a longer window is cut there too.
 
 An evaluator's word grows by `append`, one sample at a time; samples at
 indices >= n, the number observed, are open. Every operator is monotone
@@ -97,8 +97,8 @@ its length and bound only, keyed (j - i, upper). Both are final: a sample
 appended leaves them as they are. The frontier windows read observed and
 open samples, keyed (i, j, upper); `append` drops them and the sweeps whose
 splits read an open sample, so the online monitor evaluates again only the
-frontier at each step. Holds read margin columns that grow with the word,
-shared by the evaluator's runs: a sample's margin is computed once per column.
+frontier at each step. Holds read margin columns, shared by the evaluator's
+runs, that `append` extends: a sample's margin is computed once per column.
 
 A `Within` window [i, j] whose lhs reaches r steps reads lhs on [t, t+r]
 at each start t <= j - r, a window that is final where t < n - r and whose
@@ -162,12 +162,14 @@ cross-check the offline values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from math import expm1, fsum, log1p
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
-from .trace import PredicateSpec, PredicateTable, Word
+from .trace import PredicateSpec, PredicateTable, Word, check_dt, check_samples
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,7 @@ class EvalConfig:
     def __post_init__(self):
         if not (self.rho_bot < 0 < self.rho_top):
             raise ValueError("require rho_bot < 0 < rho_top")
-        if not 0 < self.dt < math.inf:  # false for nan too
-            raise ValueError("dt must be finite and > 0")
+        check_dt(self.dt)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -207,11 +208,15 @@ def _agm_range_error(name: str, *values: float) -> ValueError:
     return ValueError(f"{name}: value {v} outside [-1, 1]")
 
 
-# An AGM disjunction folds its values left to right into one float. While
-# every value is negative it is -prod(1 - v) <= -1, with the product's bits
-# (negation is exact in a product); once a value >= 0 is folded, the sum of
-# the positive parts from 0.0, the one summation order of every AGM mean.
-_AGM_OR_START = -1.0
+# The geometric branches take their means in the log domain, expm1 of the
+# mean of log1p terms, so that no product of n factors in (1, 2] overflows
+# and a term below the spacing of 1.0 is kept. An AGM disjunction folds its
+# values left to right into one float. While every value is negative it is
+# -S < 0, S the sum of the log1p(-v) left to right from 0.0 (negation is
+# exact, so -S has the sum's bits), and -inf before the first value; once a
+# value >= 0 is folded, the sum of the positive parts from 0.0, the one
+# summation order of every AGM mean's arithmetic branch.
+_AGM_OR_START = -math.inf
 
 
 def _agm_or_fold(acc: float, v: float) -> float:
@@ -219,7 +224,7 @@ def _agm_or_fold(acc: float, v: float) -> float:
         raise _agm_range_error("agm_or", v)
     if acc < 0.0:
         if v < 0.0:
-            return acc * (1.0 - v)
+            return (acc if acc > _AGM_OR_START else 0.0) - log1p(-v)
         acc = 0.0
     return acc + v if v > 0.0 else acc
 
@@ -231,7 +236,7 @@ def _agm_or_row(acc: float, values: Sequence[float]) -> float:
             raise _agm_range_error("agm_or", v)
         if acc < 0.0:
             if v < 0.0:
-                acc *= 1.0 - v
+                acc = (acc if acc > _AGM_OR_START else 0.0) - log1p(-v)
                 continue
             acc = 0.0
         if v > 0.0:
@@ -240,13 +245,14 @@ def _agm_or_row(acc: float, values: Sequence[float]) -> float:
 
 
 def _agm_or_repeat(acc: float, v: float, m: int) -> float:
-    # m folds of v: the first may leave the product; values <= 0 never change the sum
+    # m folds of v: the first may leave the log-sum; values <= 0 never change the sum
     if not m:
         return acc
     acc = _agm_or_fold(acc, v)
     if acc < 0.0:
+        term = log1p(-v)
         for _ in range(m - 1):
-            acc *= 1.0 - v
+            acc -= term
     elif v > 0.0:
         for _ in range(m - 1):
             acc += v
@@ -263,19 +269,21 @@ def _agm_or_finish(acc: float, n: int) -> float:
     if not n:
         raise ValueError("agm_or of an empty sequence")
     if acc < 0.0:
-        return _clamp_unit(1.0 - (-acc) ** (1.0 / n))
+        return _clamp_unit(-expm1(-acc / n))
     return _clamp_unit(acc / n)
 
 
 def agm_or(values: Iterable[float]) -> float:
-    """AGM disjunction: geometric blend when all negative, mean of positive parts otherwise."""
+    """AGM disjunction: -expm1(mean of log1p(-v)) when all negative, mean of positive parts
+    otherwise; the log1p terms are summed left to right, as the evaluator folds them."""
     if not isinstance(values, (list, tuple)):
         values = list(values)
     return _agm_or_finish(_agm_or_row(_AGM_OR_START, values), len(values))
 
 
 def agm_and(values: Sequence[float]) -> float:
-    """AGM conjunction: geometric blend when all positive, mean of negative parts otherwise."""
+    """AGM conjunction: expm1(mean of log1p(v)) when all positive, mean of negative parts
+    otherwise; the log1p terms are summed by math.fsum."""
     if not isinstance(values, (list, tuple)):
         values = list(values)
     return _agm_and_hold(values, 0.0, 0)
@@ -286,16 +294,15 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
     n = len(values) + m
     if not n:
         raise ValueError("agm_and of an empty sequence")
-    # one pass checks the range, multiplies the positive parts in math.prod's
-    # order and adds the others left to right from 0.0, as _agm_or_fold adds;
-    # a 0.0 or -0.0 added changes no sum that starts at 0.0
-    prod, neg, positive = 1.0, 0.0, True
+    # one pass checks the range and adds the parts <= 0 left to right from
+    # 0.0, as _agm_or_fold adds; a 0.0 or -0.0 added changes no sum that
+    # starts at 0.0. When every part is > 0, math.fsum adds their log1p,
+    # correctly rounded, so the mean of one term repeated is that term
+    neg, positive = 0.0, True
     for v in values:
         if not _AGM_LO <= v <= _AGM_HI:
             raise _agm_range_error("agm_and", v)
-        if v > 0.0:
-            prod *= 1.0 + v
-        else:
+        if v <= 0.0:
             neg += v
             positive = False
     if m:
@@ -305,22 +312,23 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
             for _ in range(m):
                 neg += pad
             positive = False
-        elif positive:  # the product is never read once a value <= 0 has been met
-            for _ in range(m):
-                prod *= 1.0 + pad
     if positive:
-        return _clamp_unit(prod ** (1.0 / n) - 1.0)
+        terms = map(log1p, values)
+        if m:
+            terms = itertools.chain(terms, itertools.repeat(log1p(pad), m))
+        return _clamp_unit(expm1(fsum(terms) / n))
     return _clamp_unit(neg / n)
 
 
 # agm_and and agm_or of two values, with the same checks and the same bits:
 # 0.0 plus the first part is exact, so the two parts summed once round as the
-# left-to-right sum from 0.0 does; a 0.0 for a missing part changes no sum.
+# left-to-right sum from 0.0 and math.fsum do; a 0.0 for a missing part
+# changes no sum.
 def _agm_and2(a: float, b: float) -> float:
     if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
         raise _agm_range_error("agm_and", a, b)
     if a > 0.0 and b > 0.0:
-        return _clamp_unit(((1.0 + a) * (1.0 + b)) ** 0.5 - 1.0)
+        return _clamp_unit(expm1((log1p(a) + log1p(b)) / 2))
     return _clamp_unit(((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2)
 
 
@@ -328,7 +336,7 @@ def _agm_or2(a: float, b: float) -> float:
     if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
         raise _agm_range_error("agm_or", a, b)
     if a < 0.0 and b < 0.0:
-        return _clamp_unit(1.0 - ((1.0 - a) * (1.0 - b)) ** 0.5)
+        return _clamp_unit(-expm1((log1p(-a) + log1p(-b)) / 2))
     return _clamp_unit(((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2)
 
 
@@ -493,7 +501,7 @@ class Evaluator:
     table; `bool_sat`, `rho` and `eta` evaluate it on a window [i, j].
     A sample appended keeps the windows that are final and drops the
     frontier (see the module notes). The runs of the three semantics share
-    one store of margin columns, which grow with the word.
+    one store of margin columns (see `_column`), which grow with the word.
     `conservative_eta` takes -1 and 1 instead of each atom's attainable
     normalized margins for the unobserved samples of an `eta` hold.
     """
@@ -507,7 +515,8 @@ class Evaluator:
         self.cfg = cfg
         self.conservative_eta = conservative_eta
         self._signals = {s: list(vals) for s, vals in word.signals.items()}
-        self._columns = _Columns(self._signals, table)
+        self._columns: dict[tuple, tuple] = {}  # (margin, atom, negated): margins, method, values
+        self._clamps: dict[str, PredicateSpec | None] = {}  # eta columns' atoms: spec until warned
         self._nodes = compile_formula(f, cfg.dt)
         self._runs: dict[_Semantics, _Recursion] = {}
 
@@ -524,16 +533,23 @@ class Evaluator:
     def append(self, sample: Mapping[str, float]) -> None:
         """Add one sample, a value of each of the word's signals, checked as a Word checks it.
 
-        A rejected sample changes nothing. The final windows are kept, and
-        the frontier is dropped, to be evaluated anew (see the module notes).
+        A rejected sample changes nothing. Each margin column grows by it, the
+        final windows are kept, and the frontier is dropped (see the module notes).
         """
         missing = [s for s in self._signals if s not in sample]
         if missing:
             raise ValueError(f"sample missing signals: {missing}")
-        word = Word(self.cfg.dt, {s: (float(sample[s]),) for s in self._signals})
-        for s, (v,) in word.signals.items():
+        row = check_samples({s: (float(sample[s]),) for s in self._signals})
+        for s, (v,) in row.items():
             self._signals[s].append(v)
         self.n += 1
+        for (_, _, negated), (col, of, values) in self._columns.items():
+            m = of(values[-1])
+            col.append(-m if negated else m)
+        for atom, spec in self._clamps.items():
+            if spec and not spec.bounds.lo <= self._signals[spec.signal][-1] <= spec.bounds.hi:
+                spec.warn_clamped(self._signals[spec.signal][-1:], self.n)
+                self._clamps[atom] = None
         for run in self._runs.values():
             run.advance(self.n)
 
@@ -545,6 +561,20 @@ class Evaluator:
 
     def eta(self, i: int, j: int, upper: bool = False) -> float:
         return self._evaluate(_ETA, i, j, upper)
+
+    def _column(self, margin: str, atom: str, negated: bool) -> list[float]:
+        """An atom's margins by a margin method, negated or not, at every sample observed, which
+        `append` extends; bool and rho share theirs. An atom's first `eta` column needs its bounds
+        and logs its clamp warning, counting the samples observed, once one lies outside them."""
+        got = self._columns.get((margin, atom, negated))
+        if got is None:
+            spec = self.table[atom]
+            values, of = self._signals[spec.signal], getattr(spec, margin)
+            if margin == "eta_margin_of" and atom not in self._clamps:
+                self._clamps[atom] = None if spec.warn_clamped(values, len(values)) else spec
+            col = [-of(v) for v in values] if negated else list(map(of, values))
+            got = self._columns[margin, atom, negated] = col, of, values
+        return got[0]
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per semantics run so far: memo entries held (windows, and the
@@ -568,38 +598,6 @@ class Evaluator:
         return out
 
 
-class _Columns(dict):
-    """One evaluator's margin columns, shared by its runs: (margin, atom, negated) -> column.
-
-    The key names a semantics' margin method, an atom, and whether the
-    margins are negated; bool and rho share theirs. A column holds the
-    margins of the samples observed when it last grew. Growing an `eta`
-    column logs the atom's clamp warning the first time a sample lies
-    outside its bounds, counting the samples observed by then.
-    """
-
-    def __init__(self, signals: dict[str, list[float]], table: PredicateTable):
-        super().__init__()
-        self.signals, self.table = signals, table
-        self.warned: set[str] = set()  # atoms whose clamping has been logged
-
-    def grow(self, margin: str, atom: str, negated: bool) -> list[float]:
-        """The column of (margin, atom, negated), extended to every sample observed."""
-        col = self.setdefault((margin, atom, negated), [])
-        spec = self.table[atom]
-        values = self.signals[spec.signal]
-        if len(col) < len(values):
-            if negated:
-                col += [-m for m in self.grow(margin, atom, False)[len(col):]]
-            else:
-                new = values[len(col):]
-                if (margin == "eta_margin_of" and atom not in self.warned
-                        and spec.warn_clamped(new, len(values))):
-                    self.warned.add(atom)
-                col += map(getattr(spec, margin), new)
-        return col
-
-
 class _Recursion:
     """The memoized window recursion of one semantics over one growing word.
 
@@ -608,7 +606,7 @@ class _Recursion:
     """
 
     def __init__(self, sem: _Semantics, ev: Evaluator):
-        self.n, self.columns = ev.n, ev._columns
+        self.n = ev.n
         self.conj, self.disj, self.hold = sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
         self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
@@ -616,24 +614,21 @@ class _Recursion:
         self.maxfold = sem.maxfold
         self.bottom, self.low, self.top = sem.bottom(ev.cfg), sem.low(ev.cfg), sem.top
         # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
-        # is its column's key and the pads of its lower and upper bound, the
+        # is its margin column and the pads of its lower and upper bound, the
         # margins an unobserved sample takes, and a Within's is its lhs's pin
         # (or 0) and reach, which each of its windows reads; and (pin or 0, reach,
         # low, final, frontier, unobserved), its pinned length, reach and low
         # length (see compile_formula) and its memos, keyed as in value().
-        # Each hold's atom must be in the table and have the extremes of its
-        # own margins (for eta, its bounds), whatever the conservative_eta
-        # flag: so an evaluation raises also when its folds add every hold
-        # that reads the atom without evaluating them.
+        # Each hold's column is made here, whatever the conservative_eta flag:
+        # so an evaluation raises for an atom not in the table, or without eta
+        # bounds, also when its folds add every hold of the atom unevaluated.
         self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
         for kind, lhs, rhs, pin, reach, low, offset, hold in ev._nodes:
             if hold is not None:
-                spec = ev.table[hold.atom]
-                sem.extremes(spec, ev.cfg, False)
-                lo, hi = sem.extremes(spec, ev.cfg, ev.conservative_eta)
-                hold = ((sem.margin, hold.atom, hold.negated),
-                        (-hi, -lo) if hold.negated else (lo, hi))
+                col = ev._column(sem.margin, hold.atom, hold.negated)
+                lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
+                hold = col, (-hi, -lo) if hold.negated else (lo, hi)
             elif kind is Within:
                 hold = self.slots[lhs][:2]
             self.nodes.append((kind, lhs, rhs, offset, hold))
@@ -724,10 +719,7 @@ class _Recursion:
         kind, lhs, rhs, offset, hold = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
-            column, pads = hold
-            col = self.columns.get(column)
-            if col is None or len(col) < n:
-                col = self.columns.grow(*column)
+            col, pads = hold
             if j < n:
                 got = self.hold(col[i:j + 1], 0.0, 0)
             elif i < n:  # an unobserved sample takes the pad of the bound asked for
@@ -849,7 +841,7 @@ class _Recursion:
                 self.folded += t - first
                 if sweeps is self.sweeps or self.skip(acc, self.low):
                     break
-                # eta's fitting splits are all < 0: its product depends on
+                # eta's fitting splits are all < 0: its log-sum depends on
                 # every value and their order, so the window folds all of its
                 # splits in order from i, and so does each later window of
                 # this start, whose in-order sweep starts here

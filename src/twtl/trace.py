@@ -177,6 +177,28 @@ class PredicateTable:
         return {"atoms": atoms}
 
 
+def check_dt(dt: float, where: str = "") -> float:
+    """dt, checked as every entry point checks a sampling step; an error starts with `where`."""
+    if not 0.0 < dt < math.inf:  # false for nan too
+        raise ValueError(f"{where}dt must be finite and > 0, got {dt}")
+    return dt
+
+
+def sample_index(t: float, t0: float, dt: float) -> int | None:
+    """k where time t is t0 + k*dt within |(t - t0)/dt - k| <= 1e-9; None off that grid."""
+    s = (t - t0) / dt
+    return round(s) if math.isfinite(s) and abs(s - round(s)) <= _GRID_RTOL else None
+
+
+def check_samples(signals: Mapping[str, Sequence[float]]) -> Mapping[str, Sequence[float]]:
+    """signals, checked by a word's rule for its samples: each is a finite number."""
+    for name, vals in signals.items():
+        for v in vals:
+            if not math.isfinite(v):
+                raise ValueError(f"signal {name}: non-finite sample {v}")
+    return signals
+
+
 def _number(name: str, entry: Mapping, key: str) -> float:
     """entry[key], which must be a finite JSON number (not a bool or a string), as a float."""
     v = entry[key]
@@ -198,8 +220,7 @@ class Word:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        check_dt(self.dt)
         if not self.signals:
             raise ValueError("word needs at least one signal")
         object.__setattr__(self, "signals",
@@ -207,10 +228,7 @@ class Word:
         lengths = {len(vals) for vals in self.signals.values()}
         if len(lengths) != 1:
             raise ValueError(f"signals have mismatched lengths: {sorted(lengths)}")
-        for name, vals in self.signals.items():
-            for v in vals:
-                if not math.isfinite(v):
-                    raise ValueError(f"signal {name}: non-finite sample {v}")
+        check_samples(self.signals)
 
     @property
     def n(self) -> int:
@@ -242,8 +260,8 @@ def read_prefix(lines: Iterable[str], source: str, dt: float | None = None,
     read. With one, a further non-blank line is not parsed: it logs the one
     warning that the trace continues past the horizon, and the rows end.
     """
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if dt is not None:
+        check_dt(dt)
     reader = csv.reader(lines)
     header = next(_split(reader, source), None)
     if header is None:
@@ -288,10 +306,10 @@ def _rows(reader, source: str, width: int, dt: float | None, last: int | None
         if k == 0:
             t0 = t
         elif dt is None:  # the first two rows fix dt
-            dt = t - t0
-            if not dt > 0:
+            if not t > t0:
                 raise ValueError(f"{source}:{lineno}: timestamps must be strictly increasing")
-        elif abs((t - t0) / dt - k) > _GRID_RTOL:
+            dt = check_dt(t - t0, f"{source}:{lineno}: ")  # t - t0 may overflow to inf
+        elif sample_index(t, t0, dt) != k:
             raise ValueError(f"{source}:{lineno}: time {t:g} is off the sampling grid, "
                              f"expected {t0 + k * dt:g} ({basis} dt={dt:g})")
         yield values

@@ -3,9 +3,10 @@
 A change that only makes evaluation cheaper must leave every bool, `rho` and
 `eta` value as it was. Two SHA-256 digests over the `repr` of values pin
 them: one over bool and `rho`, whose kernels are min, max and negation, and
-one over `eta`, whose AGM means add their parts left to right from 0.0 and
-take `pow`. No kernel calls `sum()`, whose rounding of floats changed in
-CPython 3.12, so both digests hold on every CPython. The population:
+one over `eta`, whose AGM means add their parts left to right from 0.0, or
+their log1p terms left to right or with `math.fsum` (correctly rounded),
+and take `expm1`. No kernel calls `sum()`, whose rounding of floats changed
+in CPython 3.12, so both digests hold on every CPython. The population:
 
 - the case-study monitor's steps, both traces, both `conservative_eta` modes;
 - offline values on the whole word and on a grid of windows, for three
@@ -51,7 +52,7 @@ RIGHT_CHAIN = "H^0 A . (" * 39 + "H^0 A" + ")" * 39
 RHS_CONCAT = "[H^1 A]^[0,4] . ((H^0 B | H^2 !A) . [H^0 A . H^1 B]^[1,5])"
 
 RHO_BOOL = "39b266b185225ed8490fc2d7a0152427db12342f0f3a6b416285a66ef662358d"
-ETA = "8b7d7f36294fd2a08f8e7a1dab30779e781f953aae434c079c2960ddb7c5ed27"
+ETA = "dba38918012004980cfb65037c0486c257529ede6586c656b2182be607836091"
 
 
 def _word(seed: int, n: int, lo: float = 0.0, hi: float = 8.0) -> Word:

@@ -735,6 +735,23 @@ class TestMonitorCommand:
             assert len(clamps) == warnings
         assert clamps[-1] == "atom A: 31 of 31 samples outside bounds [0, 8], clamping"
 
+    def test_long_hold_gives_its_margin_in_every_command(self, capsys, tmp_path):
+        # x = 0.9 is an eta margin of 0.45 at each of 2,001 samples: a product
+        # of the 2,001 factors 1.45 overflowed, and check printed eta=1
+        (tmp_path / "f.twtl").write_text("H^2000 P\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"atoms": {"P": {
+            "signal": "x", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0}}}))
+        (tmp_path / "t.csv").write_text("time,x\n" + "".join(f"{t},0.9\n" for t in range(2001)))
+        argv = ["--formula", str(tmp_path / "f.twtl"), "--config", str(tmp_path / "cfg.json"),
+                "--trace", str(tmp_path / "t.csv")]
+        for command in ("check", "oracle"):
+            rc, out, _ = run(capsys, command, *argv)
+            assert rc == 0 and out.startswith("sat rho=0.9 eta="), out
+            assert abs(float(out.split("eta=")[1]) - 0.45) <= 1e-9, out
+        rc, out, _ = run(capsys, "monitor", *argv)
+        _, _, _, eta_lo, eta_hi, *_ = out.splitlines()[-1].split(",")
+        assert rc == 0 and abs(float(eta_lo) - 0.45) <= 1e-9 and abs(float(eta_hi) - 0.45) <= 1e-9
+
     def test_closed_stdout_exits_141_quietly(self, files):
         src = os.path.dirname(os.path.dirname(twtl.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from twtl.casestudy import build_formula, build_table, nominal_trajectory, tight_trajectory
 from twtl.formula import (And, Concat, HoldAtom, Not, Or, Within, format_formula, horizon, parse,
                           steps)
-from twtl.monitor import MonitorState, make_prefix, rho_interval, singleton
+from twtl.monitor import MonitorState, Verdict, make_prefix, rho_interval, singleton
 from twtl.oracle import _agm_and, oracle_bool, oracle_eta, oracle_rho
 from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
                             _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, _Recursion,
@@ -134,13 +134,14 @@ class TestAgm:
 
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=12))
     def test_disjunction_accumulator_encodes_its_state_by_sign(self, values):
-        # <= -1 (minus the product of 1 - v) while every value folded is
-        # negative, and >= 0 (the sum of the positive parts) afterwards
+        # < 0 (minus the sum of log1p(-v), -inf before any value) while every
+        # value folded is negative, and >= 0 (the sum of the positive parts)
+        # afterwards
         acc = _AGM_OR_START
         for k, v in enumerate(values, 1):
             acc = _agm_or_fold(acc, v)
             if all(u < 0.0 for u in values[:k]):
-                assert acc <= -1.0
+                assert acc < 0.0
             else:
                 assert acc >= 0.0
 
@@ -400,35 +401,53 @@ class TestEta:
 
 
 class TestEtaGeometricFaults:
-    """Known faults of eta's geometric branches, which multiply factors in
-    (1, 2] in one float: the product overflows to inf past about 1,000
-    terms, and 1 + v rounds to 1.0 for |v| below about 1.1e-16. A mean in
-    the log domain would mend them, and these tests would then pass."""
+    """Faults of eta's geometric branches while they multiplied factors in
+    (1, 2] in one float: the product overflowed to inf past about 1,000
+    terms, and 1 + v rounded to 1.0 for |v| below about 1.1e-16. Their means
+    are now taken in the log domain, expm1 of the mean of log1p terms."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the product of 1 + v overflows")
     def test_conjunction_of_many_equal_terms_is_the_term(self):
         assert math.isclose(agm_and([0.999] * 1025), 0.999, rel_tol=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the product of 1 - v overflows")
     def test_disjunction_of_many_equal_terms_is_the_term(self):
         assert math.isclose(agm_or([-0.45] * 1911), -0.45, rel_tol=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the product of 1 + v overflows")
     def test_long_hold_is_its_margin(self):
-        # x = 0.9 is an eta margin of 0.45 at every sample: eta gives 1.0,
-        # and the oracle, which takes the same product, inf
+        # x = 0.9 is an eta margin of 0.45 at every sample: the product gave
+        # eta 1.0, and the oracle, which took the same product, inf
         word, f = unit_word(*[0.9] * 2001), parse("H^2000 P")
         assert math.isclose(eta(word, f, UNIT), 0.45, rel_tol=1e-12)
         assert math.isclose(oracle_eta(word, f, UNIT), 0.45, rel_tol=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="1 + v rounds to 1.0")
     def test_tiny_margin_keeps_rho_sign(self):
         word, f = unit_word(1e-17, 1e-17, 1e-17), parse("H^2 P")
         assert rho(word, f, UNIT) == 1e-17
         assert eta(word, f, UNIT) > 0.0
+
+    TERMS = (1e-300, 1e-200, 1e-100, 1e-17, 1e-16, 1e-15, 1e-10, 1e-5, 1e-3, 0.1, 1 / 3,
+             0.45, 0.5, 0.7, 0.9, 0.999, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1025, 1911, 7448, 10_000, 100_000])
+    def test_mean_of_equal_terms_is_the_term(self, n):
+        # agm_and sums its log1p terms with math.fsum, correctly rounded: a
+        # few ulps of the term. agm_or adds them left to right, as the
+        # evaluator folds a disjunction, with one rounding per term: its
+        # error grows with n, at most n units of 2**-53 relative to the term
+        for v in self.TERMS:
+            assert abs(agm_and([v] * n) - v) <= 4 * math.ulp(v), (n, v)
+            assert abs(agm_or([-v] * n) + v) <= n * 2 ** -53 * v + 4 * math.ulp(v), (n, v)
+
+    @pytest.mark.parametrize("x", [1e-17, -1e-17])
+    @pytest.mark.parametrize("text", ["H^2 P", "[H^0 P]^[0,2]", "H^0 P & H^1 P"])
+    def test_tiny_margins_keep_rho_sign(self, text, x):
+        # offline, and in the monitor's last interval, which is the offline value
+        word, f = unit_word(x, x, x), parse(text)
+        r, e = rho(word, f, UNIT), eta(word, f, UNIT)
+        assert r == x and math.copysign(1.0, e) == math.copysign(1.0, r) and e != 0.0
+        state = MonitorState(f, UNIT)
+        for k in range(state.horizon_steps + 1):
+            last = state.step({"x": x})
+        assert last.verdict_eta == last.verdict_rho != Verdict.INCONCLUSIVE
 
 
 class TestProperties:
@@ -537,7 +556,17 @@ class TestWorkCounts:
                 ev.rho(0, 4)
                 ev.eta(0, 4)
                 ev.eta(0, 4, upper=True)
-        # logged at the first evaluation after 2.0, counting the samples so far
+        # logged when 2.0 is appended, counting the samples so far
+        assert caplog.messages == ["atom P: 1 of 3 samples outside bounds [-1, 1], clamping"]
+
+    def test_clamping_is_logged_by_the_append_of_the_sample(self, caplog):
+        # an eta column is extended at each append, evaluated or not: the
+        # warning counts the samples up to the first one outside the bounds
+        ev = Evaluator(unit_word(0.5), parse("H^4 P"), UNIT)
+        ev.eta(0, 4)
+        with caplog.at_level("WARNING", logger="twtl"):
+            for x in (0.2, 2.0, -3.0, 0.1):
+                ev.append({"x": x})
         assert caplog.messages == ["atom P: 1 of 3 samples outside bounds [-1, 1], clamping"]
 
     def test_monitor_computes_each_margin_once_per_column(self, monkeypatch):
