@@ -1,14 +1,6 @@
 """Command-line front end.
 
-Subcommands::
-
-    twtl parse      parse/validate a formula, print canonical form + horizon
-    twtl check      Boolean verdict plus rho and eta for a complete trace
-    twtl rho        robustness only
-    twtl eta        AGM robustness only
-    twtl monitor    replay a trace (or stdin stream) through the online monitors
-    twtl casestudy  write the bundled planar-navigation scenario
-    twtl oracle     debug: unmemoized reference evaluators
+`twtl --help` lists the subcommands, each with its line in `_COMMANDS`.
 
 Exit codes: check 0 satisfied / 1 violated / 2 error; monitor 3 when the
 trace ends before the horizon ("inconclusive at end of trace"); 2 on any
@@ -337,13 +329,13 @@ def _cmd_casestudy(args) -> int:
     return 0
 
 
-# each command: its line in the top-level help (None: not listed), the function
-# that adds its options, and the function that runs it; in the usage's order
+# each command: its line in the top-level help, the function that adds its
+# options, and the function that runs it; in the usage's order
 _COMMANDS = {
     "parse": ("parse and validate a formula", _parse_options, _cmd_parse),
-    "check": (None, _add_common, _cmd_check),
-    "rho": (None, _add_common, _cmd_value),
-    "eta": (None, _add_common, _cmd_value),
+    "check": ("verdict, rho and eta of a complete trace", _add_common, _cmd_check),
+    "rho": ("robustness of a complete trace", _add_common, _cmd_value),
+    "eta": ("AGM robustness of a complete trace", _add_common, _cmd_value),
     "monitor": ("replay a trace through the online monitors", _monitor_options, _cmd_monitor),
     "casestudy": ("write the bundled navigation scenario", _casestudy_options, _cmd_casestudy),
     "oracle": ("debug: unmemoized reference evaluators", _add_common, _cmd_check),
@@ -359,9 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """
     ap = argparse.ArgumentParser(prog="twtl", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (listed, options, _) in _COMMANDS.items():
-        # a help keyword, even None, would list the command in the top-level help
-        options(sub.add_parser(name, help=listed) if listed else sub.add_parser(name))
+    for name, (line, options, _) in _COMMANDS.items():
+        options(sub.add_parser(name, help=line))
     return ap
 
 
@@ -409,8 +400,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # evaluation takes one Python frame per nesting level, about 980 levels
-        # at the default limit (parsing and validation do not recurse)
+        # evaluation raises the recursion limit for a deep formula, on CPython
+        # 3.10 only up to a cap that keeps the C stack from overflowing; the
+        # oracle raises nothing (parsing and validation do not recurse)
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:

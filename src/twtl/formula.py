@@ -22,9 +22,8 @@ are worked out from that offset only when one is raised.
 Nesting limits: the parser keeps explicit operand and operator stacks, and
 printing, `horizon`, `validate` and a formula's `==`, `hash()` and
 `repr()` loop over `postorder`, so none of them has a depth limit.
-Evaluation still recurses, one Python frame per nesting level: about 980
-levels at Python's default recursion limit; beyond that the `twtl`
-command exits 2 ("formula nested too deeply").
+Evaluation recurses, and raises the recursion limit by what a deep formula
+needs (see `semantics.Evaluator`); on CPython 3.10 only up to a cap.
 """
 
 from __future__ import annotations

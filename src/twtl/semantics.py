@@ -164,6 +164,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from math import expm1, fsum, log1p
 from typing import Callable, Iterable, Mapping, Sequence
@@ -450,7 +451,7 @@ def compile_formula(f: Formula, dt: float) -> list[tuple]:
 
     The order and the child indices are those of `formula.postorder`, so
     compiling does not recurse.
-    A node is a tuple (kind, lhs, rhs, pin, reach, low, offset, hold): the
+    A node is a tuple (kind, lhs, rhs, pin, reach, low, offset, hold, depth): the
     Formula class; the indices of its children, or None (a Not's or a
     Within's only child is lhs); its pinned length, a shorter window being
     bottom: the steps after a window's start that a hold or a Within reads,
@@ -460,7 +461,8 @@ def compile_formula(f: Formula, dt: float) -> list[tuple]:
     children all have a reach the longest of theirs (else None: to the
     window's end); its low length, a shorter window being at most the
     semantics' `low`; a Within's first start, in steps after the window's
-    start (else 0); and a hold's HoldAtom (else None).
+    start (else 0); a hold's HoldAtom (else None); and its depth, the nesting
+    levels of its subformula: 1 for a hold, else one more than its children's.
 
     The low length is a hold's or a Within's pin; for L . R, low(L) +
     low(R) + 1, as each split of a shorter window leaves lhs or rhs shorter
@@ -474,15 +476,15 @@ def compile_formula(f: Formula, dt: float) -> list[tuple]:
     for g, lhs, rhs in postorder(f):
         kind = type(g)
         if kind is HoldAtom:
-            nodes.append((kind, None, None, g.d, g.d, g.d, 0, g))
+            nodes.append((kind, None, None, g.d, g.d, g.d, 0, g, 1))
         elif kind is Within:
             b = steps(g.b, dt)
-            nodes.append((kind, lhs, None, b, b, b, steps(g.a, dt), None))
+            nodes.append((kind, lhs, None, b, b, b, steps(g.a, dt), None, nodes[lhs][8] + 1))
         elif kind is Not:
-            nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, 0, None))
+            nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, 0, None, nodes[lhs][8] + 1))
         else:
-            _, _, _, pa, a, la, *_ = nodes[lhs]
-            _, _, _, pb, b, lb, *_ = nodes[rhs]
+            _, _, _, pa, a, la, _, _, da = nodes[lhs]
+            _, _, _, pb, b, lb, _, _, db = nodes[rhs]
             if kind is Concat:
                 pin = reach = None
                 low = la + lb + 1
@@ -490,8 +492,23 @@ def compile_formula(f: Formula, dt: float) -> list[tuple]:
                 reach = None if a is None or b is None else max(a, b)
                 pin = None if pa is None or pb is None else min(pa, pb)
                 low = max(la, lb) if kind is And else min(la, lb)
-            nodes.append((kind, lhs, rhs, pin, reach, low, 0, None))
+            nodes.append((kind, lhs, rhs, pin, reach, low, 0, None, (da if da > db else db) + 1))
     return nodes
+
+
+# The recursion limit of an evaluation. value() takes at most two Python frames
+# per nesting level, and _SLACK more cover the semantics' own calls and the C
+# calls that CPython 3.10 and 3.11 count against the limit. A formula that needs
+# at most _HEADROOM runs on the caller's limit, as any call does; a deeper one
+# raises the limit by what the caller's frames leave short, and puts it back
+# after. The limit is the process's: threads that evaluate deep formulas at the
+# same time can restore each other's, so such a program should raise it first,
+# which leaves an evaluation nothing to raise. CPython 3.10 runs each Python call
+# on the C stack, where a main thread with the default 8 MB stack crashed at
+# about 14,900 frames of value(): _MAX_LIMIT keeps the limit under half of that,
+# and a deeper formula raises RecursionError.
+_SLACK, _HEADROOM = 100, 200
+_MAX_LIMIT = 7_000 if sys.version_info < (3, 11) else sys.maxsize
 
 
 class Evaluator:
@@ -519,6 +536,7 @@ class Evaluator:
         self._clamps: dict[str, PredicateSpec | None] = {}  # eta columns' atoms: spec until warned
         self._nodes = compile_formula(f, cfg.dt)
         self._runs: dict[_Semantics, _Recursion] = {}
+        self._frames = 2 * self._nodes[-1][8] + _SLACK  # the frames an evaluation may take
 
     def _evaluate(self, sem: _Semantics, i: int, j: int, upper: bool) -> float:
         if not self.n:
@@ -528,6 +546,18 @@ class Evaluator:
         run = self._runs.get(sem)
         if run is None:
             run = self._runs[sem] = _Recursion(sem, self)
+        frames = self._frames
+        if frames > _HEADROOM:  # a deep formula: count the caller's frames too
+            frame, limit = sys._getframe(), sys.getrecursionlimit()
+            while frame is not None:
+                frames += 1
+                frame = frame.f_back
+            if frames > limit and limit < _MAX_LIMIT:
+                sys.setrecursionlimit(frames if frames < _MAX_LIMIT else _MAX_LIMIT)
+                try:
+                    return run.value(len(self._nodes) - 1, i, j, upper)
+                finally:
+                    sys.setrecursionlimit(limit)
         return run.value(len(self._nodes) - 1, i, j, upper)
 
     def append(self, sample: Mapping[str, float]) -> None:
@@ -624,7 +654,7 @@ class _Recursion:
         # bounds, also when its folds add every hold of the atom unevaluated.
         self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
-        for kind, lhs, rhs, pin, reach, low, offset, hold in ev._nodes:
+        for kind, lhs, rhs, pin, reach, low, offset, hold, _ in ev._nodes:
             if hold is not None:
                 col = ev._column(sem.margin, hold.atom, hold.negated)
                 lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
@@ -691,8 +721,9 @@ class _Recursion:
     def value(self, k: int, i: int, j: int, upper: bool) -> float:
         """Node k on window [i, j]; on a prefix, the lower or the upper bound over completions.
 
-        A miss is evaluated here and memoized at the one exit, so each
-        nesting level of the formula costs one Python frame.
+        A miss is evaluated here and memoized at the one exit. A nesting level
+        of the formula costs at most two Python frames: this one and a fold
+        helper or `tail`, which `Evaluator` budgets for.
         """
         pin, reach, _, memo, frontier, unobserved = self.slots[k]
         if reach is not None:
@@ -714,8 +745,6 @@ class _Recursion:
         got = memo.get(key)
         if got is not None:
             return got
-        # plain loops, not comprehensions: a comprehension would turn these
-        # locals into closure cells, paid for on every call
         kind, lhs, rhs, offset, hold = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
@@ -739,22 +768,15 @@ class _Recursion:
         elif kind is Concat and i == j:
             got = self.bottom
         elif kind is Concat:
-            # A split t reads lhs on [i, t] and rhs on [t+1, j]. The splits
-            # t < i + low of lhs and t >= j - low of rhs leave a side shorter
-            # than its low length: each is at most self.low, and the window's
-            # count adds them once skip allows it. A max fold, whose order
-            # changes no bits, folds the others, the fitting splits, first,
-            # from begin on. So does eta on a final window, unless every
-            # fitting split is < 0 (below) or its start has an in-order
-            # sweep: a window of the start fell back, or folded its splits
-            # in order before, and the sweep lets this one resume there.
-            # Else eta folds every split in order.
-            # When rhs reaches p steps, every split t < j - p reads rhs on
-            # [t+1, t+1+p] whatever j is: the fit splits of [i, j] are those
-            # of [i, j-1] and t = j-1-p. One sweep per start folds them across
-            # ends, and the splits t < n-1-p, which read only observed
-            # samples, across steps. The at most p splits after them, and
-            # every split of an rhs without a reach, are folded per window.
+            # A split t reads lhs on [i, t] and rhs on [t+1, j] (see the
+            # module notes). The splits t < begin = i + low of lhs and t >=
+            # short = j - low of rhs leave a side too short, each at most
+            # self.low. A max fold folds the fitting splits between them
+            # first, and so does eta on a final window whose start has no
+            # in-order sweep (sweeps is self.fits); else eta folds every split
+            # in order. When rhs reaches p steps, the splits t < fit = j - p
+            # read rhs on [t+1, t+1+p] whatever j is: one sweep per start
+            # folds them across ends, and those t < n-1-p across steps.
             pin, p, low = self.slots[rhs][:3]
             fit = i if p is None or j - p < i else j - p
             begin, sweeps = i + self.slots[lhs][2], self.sweeps
@@ -765,8 +787,7 @@ class _Recursion:
                 sweeps = self.fits
             else:
                 begin = i
-            conj, fold = self.conj, self.fold
-            conj_absorbing, stop = self.conj_absorbing, self.disj_absorbing
+            stop = self.disj_absorbing
             while True:
                 short = j - low if j - low > begin else begin  # rhs is too short from here on
                 bottoms = j - pin if j - pin > short else short  # and bottom from here on
@@ -783,7 +804,6 @@ class _Recursion:
                             if t > fit:
                                 t = fit
                             acc = accs[t - begin]
-                first = t
                 # The splits t >= n-1 of a frontier window read rhs on no
                 # sample: the fold bounds them as one once it reaches cut (see
                 # below). A max fold, whose first split fits, tries it after
@@ -803,21 +823,11 @@ class _Recursion:
                         # split; a new one starts at begin
                         if accs is None:
                             accs = sweeps[k, i] = [acc]
-                        while t < end and acc != stop:
-                            v = value(lhs, i, t, upper)
-                            if v != conj_absorbing:
-                                v = conj(v, value(rhs, t + 1, j, upper))
-                            acc = fold(acc, v)
-                            accs.append(acc)
-                            t += 1
+                        t, acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc, accs)
                 keep = keep and j >= n  # the open sweep, of a frontier window
                 for end in ends:
-                    while t < end and acc != stop:
-                        v = value(lhs, i, t, upper)
-                        if v != conj_absorbing:
-                            v = conj(v, value(rhs, t + 1, j, upper))
-                        acc = fold(acc, v)
-                        t += 1
+                    if t < end and acc != stop:
+                        t, acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc)
                     if keep:
                         self.open_sweeps[k, i, upper] = t, acc
                         keep = end < fit
@@ -831,14 +841,12 @@ class _Recursion:
                         # a fold that can skip nothing computes no tail
                         cut = j + 1
                         if self.skip(acc, self.low):
-                            hi = conj(self.top, self.tail(rhs, j - 1 - t, upper))
+                            hi = self.conj(self.top, self.tail(rhs, j - 1 - t, upper))
                             if self.skip(acc, hi):
                                 if keep:
                                     self.open_sweeps[k, i, upper] = fit, acc
                                     keep = False
-                                self.folded -= j - t
                                 t = j
-                self.folded += t - first
                 if sweeps is self.sweeps or self.skip(acc, self.low):
                     break
                 # eta's fitting splits are all < 0: its log-sum depends on
@@ -853,14 +861,8 @@ class _Recursion:
             # eta's in order, a max fold's in any order
             if (t < j or i < begin) and not self.skip(acc, self.low):
                 for t, end in ((t, bottoms), (i, begin)):
-                    first = t
-                    while t < end and acc != stop:
-                        v = value(lhs, i, t, upper)
-                        if v != conj_absorbing:
-                            v = conj(v, value(rhs, t + 1, j, upper))
-                        acc = fold(acc, v)
-                        t += 1
-                    self.folded += t - first
+                    if t < end and acc != stop:
+                        acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc)[1]
                 # the splits from bottoms on are conj(lhs, bottom): those
                 # t < i + pin, where lhs pins a length, leave it bottom too,
                 # and conj(bottom, bottom) is bottom; when lhs reaches r
@@ -869,78 +871,55 @@ class _Recursion:
                 t = bottoms
                 if t < j and not self.skip(acc, self.low):
                     pin, r = self.slots[lhs][:2]
-                    same = j if r is None or i + r > j else i + r
-                    first, bottom = t, self.bottom
                     if t < i + pin:
                         end = i + pin if i + pin < j else j
-                        acc = self.repeat(acc, bottom, end - t)
-                        self.folded -= end - t - 1
+                        acc = self.repeat(acc, self.bottom, end - t)
+                        self.folded += 1
                         t = end
-                    while t < j and acc != stop:
+                    same = j if r is None or i + r > j else i + r
+                    if t < same and acc != stop:  # rhs gives bottom at once
+                        t, acc = self.fold_splits(lhs, rhs, i, t, same, j, upper, acc)
+                    if t < j and acc != stop:
                         v = value(lhs, i, t, upper)
-                        if v != conj_absorbing:
-                            v = conj(v, bottom)
-                        if t < same:
-                            acc = fold(acc, v)
-                            t += 1
-                        else:
-                            acc = self.repeat(acc, v, j - t)
-                            self.folded -= j - t - 1
-                            t = j
-                    self.folded += t - first
+                        if v != self.conj_absorbing:
+                            v = self.conj(v, self.bottom)
+                        acc = self.repeat(acc, v, j - t)
+                        self.folded += 1
             got = self.finish(acc, j - i)
         else:
-            # a Within: the best start. Where lhs reaches r steps, a start
-            # t <= j - r reads lhs on [t, t+r], final where t < n - r: a row
-            # per node holds those values by start, each computed once, and a
-            # final window folds its slice of the row in one call. One sweep
-            # per frontier window folds them across steps. The other starts
-            # are folded one by one, up to those that read no sample (t >= n)
-            # or, in a final window, leave lhs shorter than its pin.
-            fold, stop = self.fold, self.disj_absorbing
+            # a Within: the best start (see the module notes). Where lhs
+            # reaches r steps, the starts t <= j - r, final where t < n - r,
+            # come from the node's row in a final window and from its sweep in
+            # a frontier one; the others run up to those that read no sample
+            # (t >= n) or, in a final window, leave lhs shorter than its pin.
+            stop = self.disj_absorbing
             t, acc = i + offset, self.start
             pin, r = hold  # lhs's
             end = t if r is None else (j if j < n else n - 1) + 1 - r
-            first = t
             if t < end:  # a frontier window's sweep, which a final one needs no more
                 state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
                 if state is not None:
                     t, acc = state
-                    first = t
-                # the row: None until a window reads the node, () after the
-                # first, then its first start and its values (names reused:
-                # each local costs every call of value)
-                col = self.rows[k]
-                if j < n and state is None and col is not None:
-                    if not col or not col[0] <= t <= col[0] + len(col[1]):
-                        col = self.rows[k] = (t, [])
-                    begin, col = col
-                    if t < begin + len(col):  # the starts the row holds, in one call
-                        acc = self.fold_row(acc, col[t - begin:end - begin])
-                        t = begin + len(col) if begin + len(col) < end else end
-                    while t < end and acc != stop:  # the starts after it, computed once
-                        v = value(lhs, t, j, upper)
-                        col.append(v)
-                        acc = fold(acc, v)
-                        t += 1
-                else:
-                    # the first window to read the node folds its starts one
-                    # by one, so a node read by one window, as most are under
-                    # bool and rho, pays nothing for its row; and so does a
-                    # frontier window, whose sweep holds all but the few
-                    # starts that the steps since made final, and a final
-                    # window that resumes such a sweep
-                    if col is None:
+                row = self.rows[k]
+                if j < n and state is None and row is not None:
+                    if not row or not row[0] <= t <= row[0] + len(row[1]):
+                        row = self.rows[k] = (t, [])
+                    begin, row = row
+                    if t < begin + len(row):  # the starts the row holds, in one call
+                        acc = self.fold_row(acc, row[t - begin:end - begin])
+                        first, t = t, begin + len(row) if begin + len(row) < end else end
+                        self.folded += t - first
+                else:  # the first window, a frontier one or one that resumes a sweep: no row
+                    if row is None:
                         self.rows[k] = ()
-                    while t < end and acc != stop:
-                        acc = fold(acc, value(lhs, t, j, upper))
-                        t += 1
+                    row = None
+                if t < end and acc != stop:  # the starts after the row, which it gets
+                    t, acc = self.fold_starts(lhs, t, end, j, upper, acc, row)
                 if j >= n:
                     self.sweeps[k, i] = t, acc
             end = n if j >= n else j + 1 - pin
-            while t < end and acc != stop:
-                acc = fold(acc, value(lhs, t, j, upper))
-                t += 1
+            if t < end and acc != stop:
+                t, acc = self.fold_starts(lhs, t, end, j, upper, acc)
             if t <= j and acc != stop:
                 # the starts left are bottom in a final window. In a frontier
                 # one they read no sample, and hi, the tail of lhs up to j - t
@@ -957,19 +936,47 @@ class _Recursion:
                     # each of the two is one value, folded as one run
                     if r is not None and t <= j - r:
                         acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
-                        self.folded -= j - r - t
+                        self.folded += 1
                         t = j + 1 - r
-                    while t <= j - pin and acc != stop:
-                        acc = fold(acc, value(lhs, t, j, upper))
-                        t += 1
+                    if t <= j - pin and acc != stop:
+                        t, acc = self.fold_starts(lhs, t, j + 1 - pin, j, upper, acc)
                     if t <= j and acc != stop:
                         acc = self.repeat(acc, self.bottom, j + 1 - t)
-                        self.folded -= j - t
-                        t = j + 1
-            self.folded += t - first
+                        self.folded += 1
             got = self.finish(acc, j + 1 - i - offset)
         memo[key] = got
         return got
+
+    def fold_splits(self, lhs: int, rhs: int, i: int, t: int, end: int, j: int, upper: bool,
+                    acc: float, accs: list[float] | None = None) -> tuple[int, float]:
+        """Fold splits t..end-1 of a `Concat` window [i, j] into acc, in order, up to the
+        absorbing value; the next split and acc. accs, if a list, gets each accumulator."""
+        value, conj, fold = self.value, self.conj, self.fold
+        absorbing, stop, first = self.conj_absorbing, self.disj_absorbing, t
+        while t < end and acc != stop:
+            v = value(lhs, i, t, upper)
+            if v != absorbing:
+                v = conj(v, value(rhs, t + 1, j, upper))
+            acc = fold(acc, v)
+            if accs is not None:
+                accs.append(acc)
+            t += 1
+        self.folded += t - first
+        return t, acc
+
+    def fold_starts(self, lhs: int, t: int, end: int, j: int, upper: bool, acc: float,
+                    row: list[float] | None = None) -> tuple[int, float]:
+        """Fold starts t..end-1 of a `Within` window ending at j into acc, in order, up to
+        the absorbing value; the next start and acc. row, if a list, gets each value."""
+        value, fold, stop, first = self.value, self.fold, self.disj_absorbing, t
+        while t < end and acc != stop:
+            v = value(lhs, t, j, upper)
+            if row is not None:
+                row.append(v)
+            acc = fold(acc, v)
+            t += 1
+        self.folded += t - first
+        return t, acc
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

@@ -123,6 +123,9 @@ Command-line front end.
 positional arguments:
   {parse,check,rho,eta,monitor,casestudy,oracle}
     parse               parse and validate a formula
+    check               verdict, rho and eta of a complete trace
+    rho                 robustness of a complete trace
+    eta                 AGM robustness of a complete trace
     monitor             replay a trace through the online monitors
     casestudy           write the bundled navigation scenario
     oracle              debug: unmemoized reference evaluators
@@ -459,18 +462,6 @@ class TestOracleCommand:
             assert run(capsys, "check", *argv)[1:] == (f"{verdict} eta=\n", NOTICE)
 
 
-@pytest.mark.parametrize("text", [" & ".join(["H^0 A"] * 1000), "!" * 1000 + "H^0 A"],
-                         ids=["and-chain", "not-prefix"])
-def test_deep_formula_is_an_error(files, capsys, tmp_path, text):
-    deep = tmp_path / "deep.twtl"
-    deep.write_text(text + "\n")
-    rc, out, err = run(capsys, "check", "--formula", str(deep),
-                       "--config", files["config"], "--trace", files["trace"])
-    assert rc == 2
-    assert out == ""
-    assert err == "twtl: error: formula nested too deeply\n"
-
-
 DEEP = {
     "and-chain": " & ".join(["H^0 A"] * 10_000),
     "not-prefix": "!" * 10_000 + "H^0 A",
@@ -487,6 +478,48 @@ def test_deep_formula_parses(files, capsys, tmp_path, name):
     assert rc == 0
     assert err == ""
     assert out.splitlines()[-1] == ("horizon: 1" if name == "within" else "horizon: 0")
+
+
+# deep formulas that check evaluates at the default recursion limit, each with
+# the samples it reads: rho is the least margin of a chain's samples, and the
+# better of the first two for the Within nest
+CHECKED = {
+    "and-chain": (DEEP["and-chain"], 1),
+    "not-prefix": (DEEP["not-prefix"], 1),
+    "left-chain": (" . ".join(["H^0 A"] * 10_000), 10_000),
+    "right-chain": ("H^0 A . (" * 9_999 + "H^0 A" + ")" * 9_999, 10_000),
+    "within": (DEEP["within"], 2),
+}
+XS = [4.25 + (k * 37 % 101) / 50 for k in range(10_000)]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 caps the recursion limit")
+@pytest.mark.parametrize("name", CHECKED)
+def test_deep_formula_is_checked(files, capsys, tmp_path, name):
+    text, n = CHECKED[name]
+    (tmp_path / "deep.twtl").write_text(text + "\n")
+    (tmp_path / "deep.csv").write_text(
+        "time,x\n" + "".join(f"{k},{x}\n" for k, x in enumerate(XS[:n])))
+    limit = sys.getrecursionlimit()
+    rc, out, err = run(capsys, "check", "--formula", str(tmp_path / "deep.twtl"),
+                       "--config", files["config"], "--trace", str(tmp_path / "deep.csv"))
+    margin = (max if name == "within" else min)(XS[:n]) - 4.0
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"sat rho={margin:.12g} eta=")
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 11), reason="only CPython 3.10 caps the limit")
+def test_formula_past_the_cap_is_an_error(files, tmp_path):
+    # far past the depth at which a 3.10 main thread's C stack overflows
+    (tmp_path / "deep.twtl").write_text("!" * 100_000 + "H^0 A\n")
+    src = os.path.dirname(os.path.dirname(twtl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twtl.cli", "check", "--formula", str(tmp_path / "deep.twtl"),
+         "--config", files["config"], "--trace", files["trace"]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "twtl: error: formula nested too deeply\n")
 
 
 def test_hold_in_deep_parentheses_is_checked(files, capsys, tmp_path):

@@ -856,19 +856,26 @@ class TestLowLengths:
         assert {HoldAtom, Within, Concat, (And, True), (Or, True)} <= tight, tight
 
 
+# deep formulas, each rho = 1 on its samples: the chain and the even ! prefix
+# read sample 0, each nested Within the better of samples 0 and 1, and each
+# . chain one sample per hold
 DEEP = {
-    "and-chain": " & ".join(["H^0 A"] * 900),
-    "not-prefix": "!" * 900 + "H^0 A",
-    "within": "[" * 900 + "H^0 A" + "]^[0,1]" * 900,
+    "and-chain": (" & ".join(["H^0 A"] * 900), (5.0, 3.0, 6.0)),
+    "not-prefix": ("!" * 900 + "H^0 A", (5.0, 3.0, 6.0)),
+    "within": ("[" * 900 + "H^0 A" + "]^[0,1]" * 900, (5.0, 3.0, 6.0)),
+    "left-chain": (" . ".join(["H^0 A"] * 900), (5.0,) * 900),
+    "right-chain": ("H^0 A . (" * 899 + "H^0 A" + ")" * 899, (5.0,) * 900),
 }
 
 
-@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP)
-def test_deep_formula_evaluates_at_the_default_recursion_limit(text):
-    # the recursion costs one Python frame per nesting level: each formula
-    # is rho = 1 on x = 5, 3, 6 (the chain and the even ! prefix read sample
-    # 0, each nested Within the better of samples 0 and 1)
-    f, xs = parse(text), (5.0, 3.0, 6.0)
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formula_evaluates_at_the_default_recursion_limit(name):
+    # an evaluation raises the limit by the frames a deep formula needs, and
+    # puts it back. The monitor steps only the shapes of a short horizon: a
+    # . chain's is 899 steps, and a right chain's first step alone folds a
+    # cubic count of eta values
+    text, xs = DEEP[name]
+    f = parse(text)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -876,13 +883,36 @@ def test_deep_formula_evaluates_at_the_default_recursion_limit(text):
         assert bool_sat(word, f, TABLE)
         assert rho(word, f, TABLE) == 1.0
         assert eta(word, f, TABLE) > 0.0
-        state = MonitorState(f, TABLE)
-        for x in xs[:state.horizon_steps + 1]:
-            last = state.step({"x": x})
+        assert sys.getrecursionlimit() == 1000
+        if name in ("and-chain", "not-prefix", "within"):
+            state = MonitorState(f, TABLE)
+            for x in xs[:state.horizon_steps + 1]:
+                last = state.step({"x": x})
+            assert sys.getrecursionlimit() == 1000
+            assert last.rho == singleton(1.0)
+            assert last.eta.lo > 0.0
     finally:
         sys.setrecursionlimit(limit)
-    assert last.rho == singleton(1.0)
-    assert last.eta.lo > 0.0
+
+
+def test_recursion_limit_is_restored_when_an_evaluation_raises():
+    def failing(ms, pad, m):
+        raised.append(sys.getrecursionlimit())
+        raise ValueError("no hold")
+
+    text, xs = DEEP["right-chain"]
+    ev, limit, raised = Evaluator(Word(1.0, {"x": xs}), parse(text), TABLE), 1000, []
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(ValueError, match="no hold"):
+            ev._evaluate(dataclasses.replace(_RHO, hold=failing), 0, len(xs) - 1, False)
+        assert raised[0] > limit
+        assert sys.getrecursionlimit() == limit
+        assert ev.rho(0, len(xs) - 1) == 1.0
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 class TestFormulaIdentity:
