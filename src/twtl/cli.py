@@ -14,6 +14,10 @@ and eta exits 2. Set TWTL_LOG=DEBUG|INFO|... for logging.
 input, and main prints its message as the one `twtl: error:` line. The
 evaluating commands read the trace through one reader, which checks the
 header before it reads a row.
+
+Each command's own parser is built once per process, on the command's first
+call, and reused by later calls of `main` in the process; the full parser,
+which only help and errors need, is still built per call.
 """
 
 from __future__ import annotations
@@ -356,18 +360,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSERS: dict[str, argparse.ArgumentParser] = {}  # each command's own parser, once built
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of `twtl argv`, as the full parser would give them.
 
     A command's options are parsed by one parser of its own, named as the
-    full parser names its subparser, so a valid call builds one parser and
-    the command's help and errors are the same bytes. The full parser takes
-    every argv that names no command and every one that leaves arguments over.
+    full parser names its subparser, so the command's help and errors are
+    the same bytes. It is built on the command's first call in the process
+    and reused by every later one: parsing leaves a parser as it was. The
+    full parser is built per call, for every argv that names no command and
+    every one that leaves arguments over.
     """
     if argv and argv[0] in _COMMANDS:
         name = argv[0]
-        p = argparse.ArgumentParser(prog=f"twtl {name}")
-        _COMMANDS[name][1](p)
+        p = _PARSERS.get(name)
+        if p is None:
+            p = _PARSERS[name] = argparse.ArgumentParser(prog=f"twtl {name}")
+            _COMMANDS[name][1](p)
         args, rest = p.parse_known_args(argv[1:])
         if not rest:
             args.command = name
@@ -382,7 +393,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     is bad input, or a failure to read an input or write a file a command
     names: exit 2 with its message as the one error line. An OSError that
     escapes is a failed write to stdout: exit 141 for a closed pipe, else 2
-    with one error line.
+    with one error line. The command's parser is built on its first call in
+    the process and kept for later calls (see `_parse_args`).
     """
     level = os.environ.get("TWTL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -400,9 +412,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"twtl: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # evaluation raises the recursion limit for a deep formula, on CPython
-        # 3.10 only up to a cap that keeps the C stack from overflowing; the
-        # oracle raises nothing (parsing and validation do not recurse)
+        # evaluation, the oracle's too, raises the recursion limit for a deep
+        # formula, on CPython 3.10 only up to a cap that keeps the C stack from
+        # overflowing (parsing and validation do not recurse)
         print("twtl: error: formula nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:

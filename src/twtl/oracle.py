@@ -4,6 +4,9 @@ The evaluators here are literal, unmemoized transcriptions of the recursive
 semantics, written over materialized subword lists (Python slices) instead
 of index windows, so they share no code path with the semantics module.
 They are exponential-time; keep instances small (n <= 12, depth <= 5).
+A deep formula on a short word is cheap, though, so each evaluation raises
+the recursion limit by what the formula's depth needs, with a budget of its
+own (see `_within_budget`).
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from typing import Callable, Mapping
 
-from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, steps
+from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig
 from .trace import PredicateSpec, PredicateTable, Word
 
@@ -70,16 +74,20 @@ def _bool(samples: list, f: Formula, table: PredicateTable, dt: float) -> bool:
     if isinstance(f, Not):
         return not _bool(samples, f.sub, table, dt)
     if isinstance(f, Concat):
-        return any(_bool(samples[: t + 1], f.lhs, table, dt)
-                   and _bool(samples[t + 1:], f.rhs, table, dt)
-                   for t in range(len(samples) - 1))
+        for t in range(len(samples) - 1):
+            if (_bool(samples[: t + 1], f.lhs, table, dt)
+                    and _bool(samples[t + 1:], f.rhs, table, dt)):
+                return True
+        return False
     if isinstance(f, Within):
         bs = steps(f.b, dt)
         if len(samples) - 1 < bs:
             return False
         as_ = steps(f.a, dt)
-        return any(_bool(samples[t: bs + 1], f.sub, table, dt)
-                   for t in range(as_, bs + 1))
+        for t in range(as_, bs + 1):
+            if _bool(samples[t: bs + 1], f.sub, table, dt):
+                return True
+        return False
     raise TypeError(f"not a Formula: {f!r}")
 
 
@@ -105,8 +113,8 @@ def _rho(samples: list, f: Formula, table: PredicateTable, cfg: EvalConfig) -> f
         if len(samples) - 1 < bs:
             return cfg.rho_bot
         as_ = steps(f.a, cfg.dt)
-        return max(_rho(samples[t: bs + 1], f.sub, table, cfg)
-                   for t in range(as_, bs + 1))
+        return max([_rho(samples[t: bs + 1], f.sub, table, cfg)
+                    for t in range(as_, bs + 1)])
     raise TypeError(f"not a Formula: {f!r}")
 
 
@@ -137,14 +145,47 @@ def _eta(samples: list, f: Formula, margin: Callable[[Sample, HoldAtom], float],
     raise TypeError(f"not a Formula: {f!r}")
 
 
+# The recursion limit of a reference evaluation. The evaluators take at most
+# two Python frames per nesting level (a call, and the comprehension that makes
+# it), and _SLACK more cover a leaf's own calls and the C calls that CPython
+# 3.10 and 3.11 count against the limit. They recurse through loops and list
+# comprehensions only, never through a generator that a builtin such as any()
+# resumes: that recursion runs on the C stack, which on 3.11 overflows (a
+# crash, not a RecursionError) long before a raised limit is reached. An
+# evaluation raises the limit by what the caller's frames leave short, and puts
+# it back after. CPython 3.10 runs each Python call on the C stack, so there the
+# raise stops at _MAX_LIMIT, as the production evaluator's does, and a deeper
+# formula raises RecursionError.
+_SLACK = 100
+_MAX_LIMIT = 7_000 if sys.version_info < (3, 11) else sys.maxsize
+
+
+def _within_budget(evaluate: Callable, samples: list, f: Formula, *args):
+    """evaluate(samples, f, *args), under a recursion limit raised by what f's depth needs."""
+    depths: list[int] = []  # each subformula's nesting levels, in post-order
+    for _, lhs, rhs in postorder(f):
+        depths.append(1 + max(0 if lhs is None else depths[lhs],
+                              0 if rhs is None else depths[rhs]))
+    frames, frame, limit = 2 * depths[-1] + _SLACK, sys._getframe(), sys.getrecursionlimit()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    if frames <= limit or limit >= _MAX_LIMIT:
+        return evaluate(samples, f, *args)
+    sys.setrecursionlimit(min(frames, _MAX_LIMIT))
+    try:
+        return evaluate(samples, f, *args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def oracle_bool(word: Word, f: Formula, table: PredicateTable,
                 cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
-    return _bool(_samples(word, cfg), f, table, cfg.dt)
+    return _within_budget(_bool, _samples(word, cfg), f, table, cfg.dt)
 
 
 def oracle_rho(word: Word, f: Formula, table: PredicateTable,
                cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    return _rho(_samples(word, cfg), f, table, cfg)
+    return _within_budget(_rho, _samples(word, cfg), f, table, cfg)
 
 
 def oracle_eta(word: Word, f: Formula, table: PredicateTable,
@@ -167,4 +208,4 @@ def oracle_eta(word: Word, f: Formula, table: PredicateTable,
         m = spec.margin_of(min(max(sample[spec.signal], b.lo), b.hi)) / (b.hi - b.lo)
         return -m if hold.negated else m
 
-    return _eta(samples, f, margin, cfg.dt)
+    return _within_budget(_eta, samples, f, margin, cfg.dt)

@@ -1,12 +1,14 @@
 """Command lines that `twtl`'s own-parser path must parse as the full parser does.
 
 `cli._parse_args` parses a command's options with a parser of the command's
-own and falls back on the full parser, `cli._build_parser()`, for help and
-errors it cannot give. For every argv in `ARGVS` both must give the same
-namespace, exit code, stdout and stderr. `tests/test_cli.py` checks the
+own, built on the command's first call in the process and reused by the
+later ones, and falls back on the full parser, `cli._build_parser()`, for
+help and errors it cannot give. For every argv in `ARGVS` both must give the
+same namespace, exit code, stdout and stderr. `tests/test_cli.py` checks the
 table under pytest. Run as a script, with `src` on `PYTHONPATH`, this module
-checks it on any CPython without pytest, prints each argv that differs and
-exits 1 if one does:
+checks it on any CPython without pytest: twice in one process, the second
+time in reverse order, so that every argv meets a reused parser. It prints
+each argv that differs and exits 1 if one does:
 
     PYTHONPATH=src python tests/argv_table.py
 """
@@ -102,16 +104,17 @@ def full(argv: list[str]):
     return cli._build_parser().parse_args(argv)
 
 
-def differing() -> list[list[str]]:
-    """The argvs of the table that `cli._parse_args` parses otherwise than `full`."""
-    return [argv for argv in ARGVS if outcome(cli._parse_args, argv) != outcome(full, argv)]
+def differing(argvs: list[list[str]] = ARGVS) -> list[list[str]]:
+    """The argvs, in order, that `cli._parse_args` parses otherwise than `full`."""
+    return [argv for argv in argvs if outcome(cli._parse_args, argv) != outcome(full, argv)]
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"  # argparse wraps to the terminal's width
-    bad = differing()
-    for argv in bad:
-        print("differs:", argv)
-    print(f"{len(ARGVS) - len(bad)} of {len(ARGVS)} argvs parse as the full parser does "
-          f"(CPython {sys.version.split()[0]})")
-    sys.exit(1 if bad else 0)
+    passes = {"first": differing(), "second, reversed": differing(ARGVS[::-1])}
+    for name, bad in passes.items():
+        for argv in bad:
+            print("differs:", argv)
+        print(f"{len(ARGVS) - len(bad)} of {len(ARGVS)} argvs parse as the full parser does "
+              f"on the {name} pass (CPython {sys.version.split()[0]})")
+    sys.exit(1 if any(passes.values()) else 0)

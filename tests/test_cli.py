@@ -150,20 +150,27 @@ options:
         own = argv_table.outcome(cli._parse_args, argv)
         assert own == argv_table.outcome(argv_table.full, argv)
 
+    def test_reused_parsers_parse_as_the_full_parser(self, monkeypatch):
+        # the whole table in one process, from no parser built, then again in reverse
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        assert argv_table.differing() == []
+        assert argv_table.differing(argv_table.ARGVS[::-1]) == []
+
 
 FULL = ["twtl"] + [f"twtl {command}" for command in COMMANDS]
 
 
-@pytest.mark.parametrize("argv, code, progs", [
-    (["check", "FILES"], 0, ["twtl check"]),
-    (["monitor", "FILES", "--tau", "0,1"], 0, ["twtl monitor"]),
-    ([], 2, FULL),
-    (["bogus", "FILES"], 2, FULL),
-    (["che", "FILES"], 2, FULL),
-    (["check", "FILES", "extra"], 2, ["twtl check"] + FULL),
+@pytest.mark.parametrize("argv, code, first, again", [
+    (["check", "FILES"], 0, ["twtl check"], []),
+    (["monitor", "FILES", "--tau", "0,1"], 0, ["twtl monitor"], []),
+    ([], 2, FULL, FULL),
+    (["bogus", "FILES"], 2, FULL, FULL),
+    (["che", "FILES"], 2, FULL, FULL),
+    (["check", "FILES", "extra"], 2, ["twtl check"] + FULL, FULL),
 ], ids=["check", "monitor", "no-command", "unknown", "abbreviated", "left-over"])
-def test_parsers_built(files, capsys, monkeypatch, argv, code, progs):
-    """A valid one-shot command builds its own parser only; anything else builds the full one."""
+def test_parsers_built(files, capsys, monkeypatch, argv, code, first, again):
+    """A command builds its own parser on its first call in the process only; a call
+    that falls back on the full parser builds that one every time."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -172,13 +179,35 @@ def test_parsers_built(files, capsys, monkeypatch, argv, code, progs):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     paths = ["--formula", files["formula"], "--config", files["config"], "--trace", files["trace"]]
     argv = [a for arg in argv for a in (paths if arg == "FILES" else [arg])]
-    if code == 0:
-        assert run(capsys, *argv)[0] == 0
-    else:
-        assert exits(capsys, argv)[0] == code
-    assert built == progs
+    for progs in (first, again):
+        built.clear()
+        if code == 0:
+            assert run(capsys, *argv)[0] == 0
+        else:
+            assert exits(capsys, argv)[0] == code
+        assert built == progs
+
+
+@pytest.mark.parametrize("command, error", [
+    ("monitor", ["--stream"]), ("check", ["--dt", "0"]),
+], ids=["monitor-trace-and-stream", "check-bad-dt"])
+def test_usage_error_then_valid_call_print_as_fresh_processes(files, capsys, monkeypatch,
+                                                              command, error):
+    """The parser that reported a usage error parses the command's next call as a new one."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    src = os.path.dirname(os.path.dirname(twtl.__file__))
+    valid = [command, "--formula", files["formula"], "--config", files["config"],
+             "--trace", files["trace"]]
+    for argv, code in ((valid + error, 2), (valid, 0)):
+        fresh = subprocess.run([sys.executable, "-m", "twtl.cli", *argv], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        got = run(capsys, *argv) if code == 0 else exits(capsys, argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got[0] == code
 
 
 class TestCheckCommand:
@@ -460,6 +489,33 @@ class TestOracleCommand:
             argv = ["--formula", files["formula"], "--config", str(cfg), "--trace", str(trace)]
             assert run(capsys, "oracle", *argv) == (0, f"{verdict} eta=\n", NOTICE)
             assert run(capsys, "check", *argv)[1:] == (f"{verdict} eta=\n", NOTICE)
+
+    @pytest.mark.parametrize("text", [" & ".join(["H^0 A"] * 1_000), "!" * 1_000 + "H^0 A"],
+                             ids=["and-chain", "not-prefix"])
+    def test_deep_formula_prints_checks_line(self, capsys, tmp_path, text):
+        # past the default recursion limit: the oracle raises it by a budget of its own
+        (tmp_path / "deep.twtl").write_text(text + "\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"atoms": {"A": {
+            "signal": "x", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0}}}))
+        (tmp_path / "t.csv").write_text("time,x\n0,0.5\n")
+        argv = ["--formula", str(tmp_path / "deep.twtl"), "--config", str(tmp_path / "cfg.json"),
+                "--trace", str(tmp_path / "t.csv")]
+        limit = sys.getrecursionlimit()
+        assert run(capsys, "oracle", *argv) == (0, "sat rho=0.5 eta=0.25\n", "")
+        assert sys.getrecursionlimit() == limit
+        assert run(capsys, "check", *argv) == (0, "sat rho=0.5 eta=0.25\n", "")
+
+    @pytest.mark.skipif(sys.version_info >= (3, 11), reason="only CPython 3.10 caps the limit")
+    def test_formula_past_the_cap_is_an_error(self, files, tmp_path):
+        (tmp_path / "deep.twtl").write_text("!" * 100_000 + "H^0 A\n")
+        (tmp_path / "t.csv").write_text("time,x\n0,5.0\n")  # no sample past the horizon
+        src = os.path.dirname(os.path.dirname(twtl.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twtl.cli", "oracle", "--formula", str(tmp_path / "deep.twtl"),
+             "--config", files["config"], "--trace", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "twtl: error: formula nested too deeply\n")
 
 
 DEEP = {
