@@ -11,8 +11,7 @@ too short for its subformula yields the bottom value (`rho_bot`, or -1).
 they return the same bits as `agm_and` and `agm_or` over a list of the two,
 without building one. The splits of a `Concat` and the starts of a `Within`
 are folded into the disjunction, left to right unless the order changes no
-bits (below), so no list of values is built either. Satisfaction stops a
-conjunction at -1 and a disjunction at 1.
+bits (below), so no list of values is built either.
 A fold's accumulator is one float with no count: `finish` is given the
 window's, j - i splits of a `Concat` on [i, j] or b - a + 1 starts of a
 `[.]^[a,b]`, exact as each is folded, skipped or added in a run (below).
@@ -103,19 +102,17 @@ runs, that `append` extends: a sample's margin is computed once per column.
 A `Within` window [i, j] whose lhs reaches r steps reads lhs on [t, t+r]
 at each start t <= j - r, a window that is final where t < n - r and whose
 value does not depend on j. One row per `Within` node holds those values
-by start, each computed once, and a window folds its slice of the row in
-one call of the semantics' `fold_row`: builtin max for bool and rho, which
-keeps the first of equal values as their fold does, and eta's disjunction
-in one loop. The row serves fully observed windows from the second that
-reads the node on. The first folds its starts one by one, so a node read
-by one window, as most are under bool and rho, pays nothing for it; so
-does a frontier window, whose sweep (below) already holds all but the few
-starts that the steps since made final, and a window that resumes such a
-sweep. In a fully observed window the starts whose lhs window is shorter
-than lhs's pin are bottom: one run, which `repeat` adds, or which the fold
-skips where it leaves the accumulator as it is. So offline eta over a
-violating word asks lhs for each start once, not once per window that
-holds it.
+by start, each computed once. A fully observed window folds its slice of
+the row in one call of the semantics' `fold_row`: builtin max for bool and
+rho, which keeps the first of equal values as their fold does, and eta's
+disjunction in one loop; the starts past the row's end it folds one by
+one, and the row gets them. A frontier window, whose sweep (below) already
+holds all but the few starts that the steps since made final, reads no
+row, and neither does a window that resumes such a sweep. In a fully
+observed window the starts whose lhs window is shorter than lhs's pin are
+bottom: one run, which `repeat` adds, or which the fold skips where it
+leaves the accumulator as it is. So offline eta over a violating word asks
+lhs for each start once, not once per window that holds it.
 
 A frontier window still folds what is final in it only once. A `Concat`
 whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
@@ -380,10 +377,6 @@ class _Semantics:
     # the accumulator after folding a non-empty list of values left to right,
     # in one call: the bits of one fold call per value
     fold_row: Callable[[float, Sequence[float]], float]
-    # values that decide a conjunction and a disjunction (and a disjunction's
-    # accumulator) whatever else they meet, or None
-    conj_absorbing: float | None = None
-    disj_absorbing: float | None = None
     # the fold is disj from an accumulator that is the value so far (start
     # -inf, finish the identity), so folding a run of values apart and taking
     # disj of the two results gives the same bits as one left-to-right fold
@@ -433,12 +426,12 @@ _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, lambda cfg: -1.0, math
                    _max2, -math.inf, _max2, _same,
                    lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
-                   _max_row, -1.0, 1.0, True)
+                   _max_row, True)
 # rho reaches -inf or inf only with an infinite rho_bot or rho_top
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, lambda cfg: cfg.rho_bot,
                   math.inf, _min2, _max2, -math.inf, _max2, _same, _min_hold,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
-                  _max_skip, _max_repeat, _max_row, -math.inf, math.inf, True)
+                  _max_skip, _max_repeat, _max_row, True)
 _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, lambda cfg: 0.0, 1.0, _agm_and2,
                   _agm_or2, _AGM_OR_START, _agm_or_fold, _agm_or_finish, _agm_and_hold,
                   lambda spec, cfg, conservative:
@@ -639,7 +632,6 @@ class _Recursion:
         self.n = ev.n
         self.conj, self.disj, self.hold = sem.conj, sem.disj, sem.hold
         self.start, self.fold, self.finish = sem.start, sem.fold, sem.finish
-        self.conj_absorbing, self.disj_absorbing = sem.conj_absorbing, sem.disj_absorbing
         self.skip, self.repeat, self.fold_row = sem.skip, sem.repeat, sem.fold_row
         self.maxfold = sem.maxfold
         self.bottom, self.low, self.top = sem.bottom(ev.cfg), sem.low(ev.cfg), sem.top
@@ -673,9 +665,9 @@ class _Recursion:
         self.sweeps: dict[tuple, tuple | list] = {}
         self.open_sweeps: dict[tuple, tuple] = {}
         self.fits: dict[tuple, list] = {}
-        # per node, a Within's row: None until a window reads the node, ()
-        # after the first, then its first start s and the values of lhs on
-        # [t, t+r] for t from s on, where lhs reaches r steps, each final
+        # per node, a Within's row: None until a fully observed window reads
+        # the node, then its first start s and the values of lhs on [t, t+r]
+        # for t from s on, where lhs reaches r steps, each final
         self.rows: list[tuple | None] = [None] * len(ev._nodes)
         # (node, upper) -> the greatest value of the node on the windows that
         # read no sample, by the length of the longest of them (see tail())
@@ -758,13 +750,9 @@ class _Recursion:
         elif kind is Not:
             got = -value(lhs, i, j, not upper)
         elif kind is And:
-            got = value(lhs, i, j, upper)
-            if got != self.conj_absorbing:
-                got = self.conj(got, value(rhs, i, j, upper))
+            got = self.conj(value(lhs, i, j, upper), value(rhs, i, j, upper))
         elif kind is Or:
-            got = value(lhs, i, j, upper)
-            if got != self.disj_absorbing:
-                got = self.disj(got, value(rhs, i, j, upper))
+            got = self.disj(value(lhs, i, j, upper), value(rhs, i, j, upper))
         elif kind is Concat and i == j:
             got = self.bottom
         elif kind is Concat:
@@ -787,7 +775,6 @@ class _Recursion:
                 sweeps = self.fits
             else:
                 begin = i
-            stop = self.disj_absorbing
             while True:
                 short = j - low if j - low > begin else begin  # rhs is too short from here on
                 bottoms = j - pin if j - pin > short else short  # and bottom from here on
@@ -818,7 +805,7 @@ class _Recursion:
                         cut = j + 1
                 if keep:  # the fit splits before end read only observed samples
                     end = fit if j < n else n - 1 - p
-                    if t < end and acc != stop:
+                    if t < end:
                         # the final sweep keeps its accumulator after each
                         # split; a new one starts at begin
                         if accs is None:
@@ -826,7 +813,7 @@ class _Recursion:
                         t, acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc, accs)
                 keep = keep and j >= n  # the open sweep, of a frontier window
                 for end in ends:
-                    if t < end and acc != stop:
+                    if t < end:
                         t, acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc)
                     if keep:
                         self.open_sweeps[k, i, upper] = t, acc
@@ -861,7 +848,7 @@ class _Recursion:
             # eta's in order, a max fold's in any order
             if (t < j or i < begin) and not self.skip(acc, self.low):
                 for t, end in ((t, bottoms), (i, begin)):
-                    if t < end and acc != stop:
+                    if t < end:
                         acc = self.fold_splits(lhs, rhs, i, t, end, j, upper, acc)[1]
                 # the splits from bottoms on are conj(lhs, bottom): those
                 # t < i + pin, where lhs pins a length, leave it bottom too,
@@ -877,12 +864,10 @@ class _Recursion:
                         self.folded += 1
                         t = end
                     same = j if r is None or i + r > j else i + r
-                    if t < same and acc != stop:  # rhs gives bottom at once
+                    if t < same:  # rhs gives bottom at once
                         t, acc = self.fold_splits(lhs, rhs, i, t, same, j, upper, acc)
-                    if t < j and acc != stop:
-                        v = value(lhs, i, t, upper)
-                        if v != self.conj_absorbing:
-                            v = self.conj(v, self.bottom)
+                    if t < j:
+                        v = self.conj(value(lhs, i, t, upper), self.bottom)
                         acc = self.repeat(acc, v, j - t)
                         self.folded += 1
             got = self.finish(acc, j - i)
@@ -892,7 +877,6 @@ class _Recursion:
             # come from the node's row in a final window and from its sweep in
             # a frontier one; the others run up to those that read no sample
             # (t >= n) or, in a final window, leave lhs shorter than its pin.
-            stop = self.disj_absorbing
             t, acc = i + offset, self.start
             pin, r = hold  # lhs's
             end = t if r is None else (j if j < n else n - 1) + 1 - r
@@ -900,27 +884,24 @@ class _Recursion:
                 state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
                 if state is not None:
                     t, acc = state
-                row = self.rows[k]
-                if j < n and state is None and row is not None:
-                    if not row or not row[0] <= t <= row[0] + len(row[1]):
+                row = None  # a frontier window or one that resumes a sweep: no row
+                if j < n and state is None:
+                    row = self.rows[k]
+                    if row is None or not row[0] <= t <= row[0] + len(row[1]):
                         row = self.rows[k] = (t, [])
                     begin, row = row
                     if t < begin + len(row):  # the starts the row holds, in one call
                         acc = self.fold_row(acc, row[t - begin:end - begin])
                         first, t = t, begin + len(row) if begin + len(row) < end else end
                         self.folded += t - first
-                else:  # the first window, a frontier one or one that resumes a sweep: no row
-                    if row is None:
-                        self.rows[k] = ()
-                    row = None
-                if t < end and acc != stop:  # the starts after the row, which it gets
+                if t < end:  # the starts after the row, which it gets
                     t, acc = self.fold_starts(lhs, t, end, j, upper, acc, row)
                 if j >= n:
                     self.sweeps[k, i] = t, acc
             end = n if j >= n else j + 1 - pin
-            if t < end and acc != stop:
+            if t < end:
                 t, acc = self.fold_starts(lhs, t, end, j, upper, acc)
-            if t <= j and acc != stop:
+            if t <= j:
                 # the starts left are bottom in a final window. In a frontier
                 # one they read no sample, and hi, the tail of lhs up to j - t
                 # steps, is the greatest of their values: under a max fold,
@@ -938,9 +919,9 @@ class _Recursion:
                         acc = self.repeat(acc, value(lhs, t, j, upper), j + 1 - r - t)
                         self.folded += 1
                         t = j + 1 - r
-                    if t <= j - pin and acc != stop:
+                    if t <= j - pin:
                         t, acc = self.fold_starts(lhs, t, j + 1 - pin, j, upper, acc)
-                    if t <= j and acc != stop:
+                    if t <= j:
                         acc = self.repeat(acc, self.bottom, j + 1 - t)
                         self.folded += 1
             got = self.finish(acc, j + 1 - i - offset)
@@ -949,34 +930,28 @@ class _Recursion:
 
     def fold_splits(self, lhs: int, rhs: int, i: int, t: int, end: int, j: int, upper: bool,
                     acc: float, accs: list[float] | None = None) -> tuple[int, float]:
-        """Fold splits t..end-1 of a `Concat` window [i, j] into acc, in order, up to the
-        absorbing value; the next split and acc. accs, if a list, gets each accumulator."""
+        """Fold splits t..end-1 of a `Concat` window [i, j] into acc, in order; end and
+        acc. accs, if a list, gets each accumulator."""
         value, conj, fold = self.value, self.conj, self.fold
-        absorbing, stop, first = self.conj_absorbing, self.disj_absorbing, t
-        while t < end and acc != stop:
-            v = value(lhs, i, t, upper)
-            if v != absorbing:
-                v = conj(v, value(rhs, t + 1, j, upper))
-            acc = fold(acc, v)
+        self.folded += end - t
+        for t in range(t, end):
+            acc = fold(acc, conj(value(lhs, i, t, upper), value(rhs, t + 1, j, upper)))
             if accs is not None:
                 accs.append(acc)
-            t += 1
-        self.folded += t - first
-        return t, acc
+        return end, acc
 
     def fold_starts(self, lhs: int, t: int, end: int, j: int, upper: bool, acc: float,
                     row: list[float] | None = None) -> tuple[int, float]:
-        """Fold starts t..end-1 of a `Within` window ending at j into acc, in order, up to
-        the absorbing value; the next start and acc. row, if a list, gets each value."""
-        value, fold, stop, first = self.value, self.fold, self.disj_absorbing, t
-        while t < end and acc != stop:
+        """Fold starts t..end-1 of a `Within` window ending at j into acc, in order; end
+        and acc. row, if a list, gets each value."""
+        value, fold = self.value, self.fold
+        self.folded += end - t
+        for t in range(t, end):
             v = value(lhs, t, j, upper)
             if row is not None:
                 row.append(v)
             acc = fold(acc, v)
-            t += 1
-        self.folded += t - first
-        return t, acc
+        return end, acc
 
 
 def bool_sat(word: Word, f: Formula, table: PredicateTable,

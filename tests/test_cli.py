@@ -490,20 +490,24 @@ class TestOracleCommand:
             assert run(capsys, "oracle", *argv) == (0, f"{verdict} eta=\n", NOTICE)
             assert run(capsys, "check", *argv)[1:] == (f"{verdict} eta=\n", NOTICE)
 
-    @pytest.mark.parametrize("text", [" & ".join(["H^0 A"] * 1_000), "!" * 1_000 + "H^0 A"],
-                             ids=["and-chain", "not-prefix"])
-    def test_deep_formula_prints_checks_line(self, capsys, tmp_path, text):
-        # past the default recursion limit: the oracle raises it by a budget of its own
+    @pytest.mark.parametrize("text, x, line", [
+        (" & ".join(["H^0 A"] * 1_000), 0.5, "sat rho=0.5 eta=0.25"),
+        ("!" * 1_000 + "H^0 A", 0.5, "sat rho=0.5 eta=0.25"),
+        (" & ".join(["H^0 A"] * 1_000), -0.5, "unsat rho=-0.5 eta=-0.25"),
+    ], ids=["and-chain", "not-prefix", "violated-and-chain"])
+    def test_deep_formula_prints_checks_line(self, capsys, tmp_path, text, x, line):
+        # past the default recursion limit: the oracle raises it by a budget of its own.
+        # On the violated chain each of bool's conjunctions is -1, and evaluates both operands
         (tmp_path / "deep.twtl").write_text(text + "\n")
         (tmp_path / "cfg.json").write_text(json.dumps({"atoms": {"A": {
             "signal": "x", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0}}}))
-        (tmp_path / "t.csv").write_text("time,x\n0,0.5\n")
+        (tmp_path / "t.csv").write_text(f"time,x\n0,{x}\n")
         argv = ["--formula", str(tmp_path / "deep.twtl"), "--config", str(tmp_path / "cfg.json"),
                 "--trace", str(tmp_path / "t.csv")]
         limit = sys.getrecursionlimit()
-        assert run(capsys, "oracle", *argv) == (0, "sat rho=0.5 eta=0.25\n", "")
+        assert run(capsys, "oracle", *argv) == (0, line + "\n", "")
         assert sys.getrecursionlimit() == limit
-        assert run(capsys, "check", *argv) == (0, "sat rho=0.5 eta=0.25\n", "")
+        assert run(capsys, "check", *argv) == (0 if x > 0 else 1, line + "\n", "")
 
     @pytest.mark.skipif(sys.version_info >= (3, 11), reason="only CPython 3.10 caps the limit")
     def test_formula_past_the_cap_is_an_error(self, files, tmp_path):
@@ -567,7 +571,8 @@ def test_deep_formula_is_checked(files, capsys, tmp_path, name):
 
 @pytest.mark.skipif(sys.version_info >= (3, 11), reason="only CPython 3.10 caps the limit")
 def test_formula_past_the_cap_is_an_error(files, tmp_path):
-    # far past the depth at which a 3.10 main thread's C stack overflows
+    # far past the depth at which a 3.10 main thread's C stack overflows; the
+    # trace's 6 samples run past the formula's horizon of 0, which is warned first
     (tmp_path / "deep.twtl").write_text("!" * 100_000 + "H^0 A\n")
     src = os.path.dirname(os.path.dirname(twtl.__file__))
     proc = subprocess.run(
@@ -575,7 +580,8 @@ def test_formula_past_the_cap_is_an_error(files, tmp_path):
          "--config", files["config"], "--trace", files["trace"]],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "twtl: error: formula nested too deeply\n")
+        2, "", "twtl: WARNING: trace continues past the horizon; extra samples ignored\n"
+               "twtl: error: formula nested too deeply\n")
 
 
 def test_hold_in_deep_parentheses_is_checked(files, capsys, tmp_path):

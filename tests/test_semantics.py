@@ -607,8 +607,8 @@ class TestWorkCounts:
         # one by one, made rho fold 4,014 values and eta 12,839; an & window
         # shorter than both operands' pins is bottom, not memoized. The rhs
         # bound is tried only where a split that fits is left. On the chain,
-        # eta folds each node's one fitting split first; where it is < 0, it
-        # folds every split again in order
+        # bool does rho's work, and eta folds each node's one fitting split
+        # first; where it is < 0, it folds every split again in order
         assert state.stats() == {"rho": {"memo": 575, "inserted": 4_434, "folded": 3_870},
                                  "eta": {"memo": 832, "inserted": 7_983, "folded": 11_439}}
         k = 200
@@ -620,9 +620,26 @@ class TestWorkCounts:
         ev.eta(0, k - 1)
         assert ev.stats() == {
             "rho": {"memo": 399, "inserted": 399, "folded": 199},
-            "bool": {"memo": 200, "inserted": 200, "folded": 199},
+            "bool": {"memo": 399, "inserted": 399, "folded": 199},
             "eta": {"memo": 39_801, "inserted": 39_801, "folded": 20_098},
         }
+
+    def test_bool_does_rhos_work(self):
+        # bool folds min and max of 1 and -1 as rho folds its values, so while
+        # no margin lies below rho_bot its folds skip, resume and fill rows
+        # where rho's do, and every count is rho's
+        gen = GenConfig(max_depth=4, max_hold=2, max_window=5,
+                        weights=(2.0, 1.0, 1.0, 1.0, 4.0, 4.0))  # concat and within heavy
+        rng = random.Random(31)
+        for _ in range(150):
+            f = random_formula(rng, ["A", "B"], gen, max_horizon=12)
+            w = random_word(rng, {"x": (0.0, 8.0)}, n=rng.randint(1, 14))
+            ev = Evaluator(w, f, TABLE)
+            for i, j in itertools.combinations_with_replacement(range(w.n), 2):
+                ev.bool_sat(i, j)
+                ev.rho(i, j)
+            stats = ev.stats()
+            assert stats["bool"] == stats["rho"], format_formula(f)
 
     def test_lower_bound_adds_unobserved_splits_by_count(self):
         # each bound of each semantics in an evaluator of its own, stepped
@@ -1068,8 +1085,7 @@ class TestRuns:
                        - oracle_eta(w, f, TABLE, TestSweep.CFG)) <= TOL
         # a max fold folds a . window's splits from i + lhs's low length on,
         # which is at least its pin: only eta, which falls back to folding
-        # every split in order, meets the . run. bool's folds mostly stop at
-        # the first start that holds, before a row has one to give
+        # every split in order, meets the . run
         assert {("row", "rho"), ("row", "eta"), ("concat bottoms", "eta")} <= fired, fired
         assert {("within bottoms", name) for name in ("bool", "rho", "eta")} <= fired, fired
         assert not {("concat bottoms", "bool"), ("concat bottoms", "rho")} & fired, fired
