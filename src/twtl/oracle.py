@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
 from .semantics import DEFAULT_CONFIG, EvalConfig
-from .trace import PredicateSpec, PredicateTable, Word
+from .trace import PredicateSpec, PredicateTable, Word, check_word_dt
 
 log = logging.getLogger("twtl")
 
@@ -32,8 +32,7 @@ def word_to_samples(word: Word) -> list[dict[str, float]]:
 
 
 def _samples(word: Word, cfg: EvalConfig) -> list[dict[str, float]]:
-    if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
-        raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
+    check_word_dt(word, cfg.dt)
     return word_to_samples(word)
 
 

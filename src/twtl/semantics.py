@@ -167,7 +167,7 @@ from math import expm1, fsum, log1p
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import And, Concat, Formula, HoldAtom, Not, Or, Within, postorder, steps
-from .trace import PredicateSpec, PredicateTable, Word, check_dt, check_samples
+from .trace import PredicateSpec, PredicateTable, Word, check_dt, check_samples, check_word_dt
 
 
 @dataclass(frozen=True)
@@ -193,17 +193,26 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
-_AGM_LO, _AGM_HI = -1.0 - 1e-12, 1.0 + 1e-12  # the range an AGM argument must lie in
+# the range an argument of the public agm_and and agm_or must lie in. The
+# kernels below check nothing: every value the eta recursion hands them lies
+# in [-1, 1] by construction, from margins clamped to bounds with a finite span
+# (see NormalizationBounds), pads that obey the same bound, -1, 0 and 1, and
+# kernel results, which _clamp_unit keeps there
+_AGM_LO, _AGM_HI = -1.0 - 1e-12, 1.0 + 1e-12
 
 
 def _clamp_unit(v: float) -> float:
     return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
 
 
-def _agm_range_error(name: str, *values: float) -> ValueError:
-    """The error for the first of `values` outside [-1, 1]."""
-    v = next(v for v in values if not _AGM_LO <= v <= _AGM_HI)
-    return ValueError(f"{name}: value {v} outside [-1, 1]")
+def _agm_args(name: str, values: Iterable[float]) -> Sequence[float]:
+    """values as a list or tuple, each checked to lie in [-1, 1]."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    for v in values:
+        if not _AGM_LO <= v <= _AGM_HI:
+            raise ValueError(f"{name}: value {v} outside [-1, 1]")
+    return values
 
 
 # The geometric branches take their means in the log domain, expm1 of the
@@ -218,8 +227,6 @@ _AGM_OR_START = -math.inf
 
 
 def _agm_or_fold(acc: float, v: float) -> float:
-    if not _AGM_LO <= v <= _AGM_HI:
-        raise _agm_range_error("agm_or", v)
     if acc < 0.0:
         if v < 0.0:
             return (acc if acc > _AGM_OR_START else 0.0) - log1p(-v)
@@ -230,8 +237,6 @@ def _agm_or_fold(acc: float, v: float) -> float:
 def _agm_or_row(acc: float, values: Sequence[float]) -> float:
     # _agm_or_fold over values left to right, in one call
     for v in values:
-        if not _AGM_LO <= v <= _AGM_HI:
-            raise _agm_range_error("agm_or", v)
         if acc < 0.0:
             if v < 0.0:
                 acc = (acc if acc > _AGM_OR_START else 0.0) - log1p(-v)
@@ -274,17 +279,14 @@ def _agm_or_finish(acc: float, n: int) -> float:
 def agm_or(values: Iterable[float]) -> float:
     """AGM disjunction: -expm1(mean of log1p(-v)) when all negative, mean of positive parts
     otherwise; the log1p terms are summed left to right, as the evaluator folds them."""
-    if not isinstance(values, (list, tuple)):
-        values = list(values)
+    values = _agm_args("agm_or", values)
     return _agm_or_finish(_agm_or_row(_AGM_OR_START, values), len(values))
 
 
 def agm_and(values: Sequence[float]) -> float:
     """AGM conjunction: expm1(mean of log1p(v)) when all positive, mean of negative parts
     otherwise; the log1p terms are summed by math.fsum."""
-    if not isinstance(values, (list, tuple)):
-        values = list(values)
-    return _agm_and_hold(values, 0.0, 0)
+    return _agm_and_hold(_agm_args("agm_and", values), 0.0, 0)
 
 
 def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
@@ -292,24 +294,19 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
     n = len(values) + m
     if not n:
         raise ValueError("agm_and of an empty sequence")
-    # one pass checks the range and adds the parts <= 0 left to right from
-    # 0.0, as _agm_or_fold adds; a 0.0 or -0.0 added changes no sum that
-    # starts at 0.0. When every part is > 0, math.fsum adds their log1p,
-    # correctly rounded, so the mean of one term repeated is that term
+    # one pass adds the parts <= 0 left to right from 0.0, as _agm_or_fold
+    # adds; a 0.0 or -0.0 added changes no sum that starts at 0.0. When every
+    # part is > 0, math.fsum adds their log1p, correctly rounded, so the mean
+    # of one term repeated is that term
     neg, positive = 0.0, True
     for v in values:
-        if not _AGM_LO <= v <= _AGM_HI:
-            raise _agm_range_error("agm_and", v)
         if v <= 0.0:
             neg += v
             positive = False
-    if m:
-        if not _AGM_LO <= pad <= _AGM_HI:
-            raise _agm_range_error("agm_and", pad)
-        if pad <= 0.0:
-            for _ in range(m):
-                neg += pad
-            positive = False
+    if m and pad <= 0.0:
+        for _ in range(m):
+            neg += pad
+        positive = False
     if positive:
         terms = map(log1p, values)
         if m:
@@ -318,21 +315,17 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
     return _clamp_unit(neg / n)
 
 
-# agm_and and agm_or of two values, with the same checks and the same bits:
+# agm_and and agm_or of two values, with the same bits:
 # 0.0 plus the first part is exact, so the two parts summed once round as the
 # left-to-right sum from 0.0 and math.fsum do; a 0.0 for a missing part
 # changes no sum.
 def _agm_and2(a: float, b: float) -> float:
-    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
-        raise _agm_range_error("agm_and", a, b)
     if a > 0.0 and b > 0.0:
         return _clamp_unit(expm1((log1p(a) + log1p(b)) / 2))
     return _clamp_unit(((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2)
 
 
 def _agm_or2(a: float, b: float) -> float:
-    if not (_AGM_LO <= a <= _AGM_HI and _AGM_LO <= b <= _AGM_HI):
-        raise _agm_range_error("agm_or", a, b)
     if a < 0.0 and b < 0.0:
         return _clamp_unit(-expm1((log1p(-a) + log1p(-b)) / 2))
     return _clamp_unit(((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2)
@@ -427,7 +420,8 @@ _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, lambda cfg: -1.0, math
                    lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
                    _max_row, True)
-# rho reaches -inf or inf only with an infinite rho_bot or rho_top
+# rho reaches -inf or inf with an infinite rho_bot or rho_top, and where a margin
+# h(o) - sigma of finite numbers overflows
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, lambda cfg: cfg.rho_bot,
                   math.inf, _min2, _max2, -math.inf, _max2, _same, _min_hold,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
@@ -518,8 +512,7 @@ class Evaluator:
 
     def __init__(self, word: Word, f: Formula, table: PredicateTable,
                  cfg: EvalConfig = DEFAULT_CONFIG, conservative_eta: bool = False):
-        if abs(word.dt - cfg.dt) > 1e-9 * cfg.dt:
-            raise ValueError(f"word has dt={word.dt:g} but the config has dt={cfg.dt:g}")
+        check_word_dt(word, cfg.dt)
         self.n = word.n  # samples observed
         self.table = table
         self.cfg = cfg

@@ -8,8 +8,8 @@ config is a JSON object::
                      "min": 0.0, "max": 8.0}}}
 
 ``sigma``, ``min`` and ``max`` are finite JSON numbers. ``min``/``max`` are
-the per-signal normalization range [L, U]; they are optional, but given
-together, and required for AGM robustness.
+the per-signal normalization range [L, U], with L < U and a finite U - L;
+they are optional, but given together, and required for AGM robustness.
 """
 
 from __future__ import annotations
@@ -31,15 +31,19 @@ PAST_HORIZON_WARNING = "trace continues past the horizon; extra samples ignored"
 
 @dataclass(frozen=True)
 class NormalizationBounds:
-    """Per-signal range [lo, hi] used to map margins into [-1, 1]."""
+    """Per-signal range [lo, hi] used to map margins into [-1, 1].
+
+    A finite span hi - lo, which implies finite ends, is what keeps every
+    normalized margin and extreme in [-1, 1]: the AGM kernels check no value.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"normalization bounds require finite lo < hi, "
-                             f"got [{self.lo}, {self.hi}]")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"normalization bounds require finite lo < hi and a finite "
+                             f"hi - lo, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,11 @@ class PredicateTable:
                 for key, other in (("min", "max"), ("max", "min")):
                     if other not in entry:
                         raise ValueError(f"atom {name}: {key} given without {other}")
-                bounds = NormalizationBounds(_number(name, entry, "min"),
-                                             _number(name, entry, "max"))
+                lo, hi = _number(name, entry, "min"), _number(name, entry, "max")
+                try:
+                    bounds = NormalizationBounds(lo, hi)
+                except ValueError as exc:
+                    raise ValueError(f"atom {name}: {exc}") from None
             table.add(PredicateSpec(name, signal, entry["op"], _number(name, entry, "sigma"),
                                     bounds))
         return table
@@ -182,6 +189,12 @@ def check_dt(dt: float, where: str = "") -> float:
     if not 0.0 < dt < math.inf:  # false for nan too
         raise ValueError(f"{where}dt must be finite and > 0, got {dt}")
     return dt
+
+
+def check_word_dt(word: Word, dt: float) -> None:
+    """Raise unless a word's sampling step is a config's dt, within a relative 1e-9."""
+    if abs(word.dt - dt) > 1e-9 * dt:
+        raise ValueError(f"word has dt={word.dt:g} but the config has dt={dt:g}")
 
 
 def sample_index(t: float, t0: float, dt: float) -> int | None:

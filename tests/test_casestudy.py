@@ -55,6 +55,14 @@ def test_monitor_records_shrink_to_satisfied():
     assert recs[-1].rho.is_singleton()
 
 
+def test_monitor_records_end_with_the_word():
+    # the word's 12 samples end at t = 11: the taus from 15 on are left out
+    f, table, w = build_formula(), build_table(), nominal_trajectory()
+    recs = monitor_records(w.prefix(12), f, table, DEFAULT_CONFIG)
+    assert [r.t for r in recs] == [2.0, 10.0]
+    assert recs == monitor_records(w, f, table, DEFAULT_CONFIG)[:2]
+
+
 def test_monitor_records_reject_a_word_that_starts_after_a_tau():
     f, table, w = build_formula(), build_table(), nominal_trajectory()
     late = Word(w.dt, w.signals, t0=DEFAULT_TAUS[0] + 1.0)

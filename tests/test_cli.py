@@ -294,6 +294,21 @@ def test_malformed_config_exits_2(files, capsys, tmp_path, text):
     assert err.startswith(f"twtl: error: cannot load config {cfg}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["parse", "check", "rho", "eta", "monitor", "oracle"])
+def test_bounds_whose_span_overflows_exit_2(capsys, tmp_path, command):
+    # max - min overflows: without the span rule, check and oracle printed
+    # "unsat rho=-1e+308 eta=0" and monitor failed on a nan naming no atom
+    formula, cfg, trace = tmp_path / "f.twtl", tmp_path / "c.json", tmp_path / "t.csv"
+    formula.write_text("H^1 A\n")
+    cfg.write_text(json.dumps({"atoms": {"A": {"signal": "x", "op": ">=", "sigma": 1e308,
+                                               "min": -1e308, "max": 1e308}}}))
+    trace.write_text("time,x\n0,5\n1,5\n")
+    argv = [] if command == "parse" else ["--trace", str(trace)]
+    assert run(capsys, command, "--formula", str(formula), "--config", str(cfg), *argv) == (
+        2, "", f"twtl: error: cannot load config {cfg}: atom A: normalization bounds require "
+               f"finite lo < hi and a finite hi - lo, got [-1e+308, 1e+308]\n")
+
+
 BIG_FIELD = '"' + "9" * 200_000 + '"'  # over the csv module's field size limit
 
 

@@ -87,6 +87,12 @@ class TestPrefix:
         with pytest.raises(ValueError):
             Prefix(Word(1.0, {"x": (1.0, 2.0)}), horizon_steps=0)
 
+    def test_prefix_needs_a_horizon_and_a_sample(self):
+        with pytest.raises(ValueError, match="^horizon_steps must be >= 0$"):
+            Prefix(Word(1.0, {"x": (1.0,)}), horizon_steps=-1)
+        with pytest.raises(ValueError, match="^prefix needs at least one sample$"):
+            Prefix(Word(1.0, {"x": ()}), horizon_steps=3)
+
     def test_make_prefix_truncates_overlong(self, caplog):
         w = Word(1.0, {"x": tuple(float(k) for k in range(6))})
         with caplog.at_level("WARNING", logger="twtl"):
@@ -186,6 +192,10 @@ class TestEtaInterval:
 
 
 class TestMonitorState:
+    def test_result_before_any_sample(self):
+        with pytest.raises(ValueError, match="^no sample observed yet$"):
+            MonitorState(parse("[H^2 A]^[1,5]"), TABLE).result()
+
     def test_step_sequence_matches_batch(self):
         f = parse("[H^2 A]^[1,5]")
         xs = (5.0, 4.5, 4.2, 4.8, 5.0, 6.0)

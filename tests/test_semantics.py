@@ -74,13 +74,17 @@ class TestAgm:
         assert agm_and([0.0, 1.0]) == pytest.approx(0.0)
 
     def test_input_validation(self):
+        # the public functions check their input once; the kernels they call
+        # check nothing (see TestKernelInputs)
         for fn in (agm_or, agm_and):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{fn.__name__} of an empty sequence$"):
                 fn([])
-            with pytest.raises(ValueError):
-                fn([1.5])
-            with pytest.raises(ValueError):
-                fn([-1.0001])
+            for x in (1.5, -1.0001, 1.0 + 1e-11, math.inf, -math.inf, math.nan):
+                for values in ([x], [x, 0.5], [-0.5, x], [x, -x], (0.5, 0.5, x)):
+                    for arg in (values, iter(values)):
+                        with pytest.raises(ValueError) as got:
+                            fn(arg)
+                        assert str(got.value) == f"{fn.__name__}: value {x} outside [-1, 1]"
 
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
     def test_results_in_unit_range(self, values):
@@ -106,16 +110,6 @@ class TestAgm:
         for a, b in pairs:
             assert repr(_agm_and2(a, b)) == repr(agm_and([a, b])), (a, b)
             assert repr(_agm_or2(a, b)) == repr(agm_or([a, b])), (a, b)
-
-    def test_two_value_kernels_reject_what_the_list_functions_reject(self):
-        for x in (1.5, -1.0001, 1.0 + 1e-11, math.inf, -math.inf, math.nan):
-            for a, b in ((x, 0.5), (-0.5, x), (x, -x)):
-                for kernel, listed in ((_agm_and2, agm_and), (_agm_or2, agm_or)):
-                    with pytest.raises(ValueError) as want:
-                        listed([a, b])
-                    with pytest.raises(ValueError) as got:
-                        kernel(a, b)
-                    assert str(got.value) == str(want.value), (kernel, a, b)
 
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4),
            st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=1.0)),
@@ -185,15 +179,6 @@ class TestRepeat:
             want = self.finish(sem, functools.reduce(sem.fold, [v] * m, acc), after, n)
             assert self.finish(sem, sem.repeat(acc, v, m), after, n) == want, (v, m, after)
 
-    @pytest.mark.parametrize("v", [1.5, -1.0001, math.inf, math.nan])
-    def test_rejects_what_fold_rejects(self, v):
-        with pytest.raises(ValueError) as want:
-            _ETA.fold(_AGM_OR_START, v)
-        for m in (1, 17):
-            with pytest.raises(ValueError) as got:
-                _ETA.repeat(_AGM_OR_START, v, m)
-            assert str(got.value) == str(want.value)
-
 
 class TestPaddedHold:
     """A semantics' hold(ms, pad, m) aggregates ms + [pad] * m, bit for bit."""
@@ -207,14 +192,6 @@ class TestPaddedHold:
                 ([0.5], [-0.0], [0.0, 0.3], [0.2, -0.6, 0.7], [0.4, 0.9, 0.1]),
                 (-1.0, -0.5, -0.0, 0.0, 0.3, 1.0), (0, 1, 2, 17)):
             assert repr(sem.hold(ms, pad, m)) == repr(whole(ms + [pad] * m)), (ms, pad, m)
-
-    @pytest.mark.parametrize("pad", [1.5, -1.0001, math.inf, math.nan])
-    def test_eta_rejects_what_agm_and_rejects(self, pad):
-        with pytest.raises(ValueError) as want:
-            agm_and([0.5, pad])
-        with pytest.raises(ValueError) as got:
-            _ETA.hold([0.5], pad, 3)
-        assert str(got.value) == str(want.value)
 
 
 class TestBoolAndRho:
@@ -1089,6 +1066,69 @@ class TestRuns:
         assert {("row", "rho"), ("row", "eta"), ("concat bottoms", "eta")} <= fired, fired
         assert {("within bottoms", name) for name in ("bool", "rho", "eta")} <= fired, fired
         assert not {("concat bottoms", "bool"), ("concat bottoms", "rho")} & fired, fired
+
+
+class TestKernelInputs:
+    """Every value the eta recursion hands an AGM kernel lies in [-1, 1], and
+    none is nan: the kernels check none, as margins are clamped to bounds whose
+    span is finite, and pads, -1, 0, 1 and kernel results obey the same bound."""
+
+    # bounds near the float limit with sigma at one end: A's margins reach
+    # exactly 1 and B's exactly -1, at x >= 8e307
+    WIDE = PredicateTable.from_dict({"atoms": {
+        "A": {"signal": "x", "op": ">=", "sigma": -8e307, "min": -8e307, "max": 8e307},
+        "B": {"signal": "x", "op": "<=", "sigma": -8e307, "min": -8e307, "max": 8e307},
+    }})
+    CASES = ((TABLE, lambda rng: rng.uniform(-6.0, 14.0)),  # outside [0, 8] at both ends
+             (WIDE, lambda rng: rng.choice((-1e308, -8e307, 0.0, 8e307, 1e308,
+                                            rng.uniform(-1.0, 1.0) * 1e308))))
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """The names of the _ETA kernels called, each of whose value arguments is checked."""
+        called = set()
+
+        def checked(name, kernel, first):
+            # args[first:2] are values, or lists of them (a hold's margins,
+            # a row); the others are an accumulator or a count
+            def wrapper(*args):
+                called.add(name)
+                for arg in args[first:2]:
+                    for v in arg if isinstance(arg, list) else (arg,):
+                        assert -1.0 <= v <= 1.0, (name, args)  # false for nan too
+                return kernel(*args)
+            return wrapper
+
+        firsts = {"conj": 0, "disj": 0, "hold": 0, "fold": 1, "fold_row": 1, "repeat": 1}
+        monkeypatch.setattr("twtl.semantics._ETA", dataclasses.replace(
+            _ETA, **{name: checked(name, getattr(_ETA, name), first)
+                     for name, first in firsts.items()}))
+        return called
+
+    def test_offline_on_every_window(self, kernels):
+        rng = random.Random(3232)
+        for table, sample in self.CASES:
+            for _ in range(150):
+                f = random_formula(rng, ["A", "B"], TestSweep.GEN, max_horizon=9)
+                n = steps(horizon(f, 1.0), 1.0) + 1
+                ev = Evaluator(Word(1.0, {"x": tuple(sample(rng) for _ in range(n))}), f,
+                               table)
+                for i in range(n + 1):
+                    for j in range(i, n + 2):
+                        ev.eta(i, j, False)
+                        ev.eta(i, j, True)
+        assert kernels == {"conj", "disj", "fold", "fold_row", "repeat", "hold"}
+
+    @pytest.mark.parametrize("conservative", [False, True])
+    def test_monitor_steps(self, kernels, conservative):
+        rng = random.Random(3333)
+        for table, sample in self.CASES:
+            for _ in range(150):
+                f = random_formula(rng, ["A", "B"], TestSweep.GEN, max_horizon=9)
+                state = MonitorState(f, table, conservative_eta=conservative)
+                for _ in range(state.horizon_steps + 1):
+                    state.step({"x": sample(rng)})
+        assert {"conj", "disj", "fold", "repeat", "hold"} <= kernels
 
 
 class TestResumedFolds:

@@ -69,6 +69,14 @@ class TestPredicateSpec:
                 with pytest.raises(ValueError, match="require finite lo < hi"):
                     NormalizationBounds(lo, hi)
 
+    def test_bounds_need_a_finite_span(self):
+        # finite ends whose difference overflows would normalize every margin
+        # to 0 or nan, outside the range the AGM kernels assume
+        with pytest.raises(ValueError, match="require finite lo < hi and a finite hi - lo"):
+            NormalizationBounds(-1e308, 1e308)
+        assert PredicateSpec("A", "x", ">=", -8e307, NormalizationBounds(-8e307, 8e307)
+                             ).eta_extremes() == (0.0, 1.0)
+
     def test_bounds_required_for_eta(self):
         spec = PredicateSpec("A", "x", ">=", 1.0)
         with pytest.raises(ValueError, match="bounds"):
@@ -120,13 +128,18 @@ class TestPredicateTable:
         (one_atom(min=0.0), "atom A: min given without max"),
         (one_atom(max=8.0), "atom A: max given without min"),
         (one_atom(op="=="), "atom A: unsupported predicate op '=='"),
+        (one_atom(min=5.0, max=1.0), "atom A: normalization bounds require finite lo < hi and "
+                                     "a finite hi - lo, got [5.0, 1.0]"),
+        (one_atom(min=-1e308, max=1e308), "atom A: normalization bounds require finite lo < hi "
+                                          "and a finite hi - lo, got [-1e+308, 1e+308]"),
     ], ids=["top_level_list", "atoms_list", "entry_number", "no_signal", "no_op", "no_sigma",
             "signal_number", "signal_empty", "sigma_null", "sigma_bool", "sigma_string",
             "sigma_nan", "sigma_huge_int", "min_null", "max_string", "infinite_bounds",
-            "min_alone", "max_alone", "bad_op"])
+            "min_alone", "max_alone", "bad_op", "min_above_max", "span_overflows"])
     def test_malformed_config_names_the_atom(self, data, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             PredicateTable.from_dict(data)
+
 
 
 class TestWord:
@@ -166,6 +179,13 @@ class TestLoadTrace:
     def test_nonuniform_rejected(self, tmp_path):
         p = self.write(tmp_path, "time,x\n0,1\n1,2\n2.7,3\n")
         with pytest.raises(ValueError, match="non-uniform"):
+            load_trace(p)
+
+    def test_repeated_first_time_rejected_without_dt(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("time,x\n0,1\n0,2\n")
+        with pytest.raises(ValueError,
+                           match=r"dup\.csv:3: timestamps must be strictly increasing$"):
             load_trace(p)
 
     def test_dt_mismatch(self, tmp_path):
