@@ -153,6 +153,12 @@ at once, so a window asks lhs for one value per run and per length between
 the pin and the reach; only an eta run of positive values still costs one
 float addition per start.
 
+Every kernel of a semantics (see `_Semantics`) is a leaf: it calls no
+Python function, only operators and C builtins, and so do an atom's margin
+methods, `PredicateSpec.margin_of` and `eta_margin_of`. Each runs once per
+value, or per sample and column, at the bottom of the recursion, where one
+nested call costs about as much as the kernel's own work.
+
 The oracle module carries the unmemoized literal transcription used to
 cross-check the offline values.
 """
@@ -197,12 +203,11 @@ DEFAULT_CONFIG = EvalConfig()
 # kernels below check nothing: every value the eta recursion hands them lies
 # in [-1, 1] by construction, from margins clamped to bounds with a finite span
 # (see NormalizationBounds), pads that obey the same bound, -1, 0 and 1, and
-# kernel results, which _clamp_unit keeps there
+# kernel results, which each kernel clamps to [-1, 1] on the one side its
+# branch can leave: a mean of parts <= 0 only below -1, a mean of positive
+# parts or expm1 of a positive mean only above 1, and -expm1 of a
+# non-negative mean only below -1
 _AGM_LO, _AGM_HI = -1.0 - 1e-12, 1.0 + 1e-12
-
-
-def _clamp_unit(v: float) -> float:
-    return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
 
 
 def _agm_args(name: str, values: Iterable[float]) -> Sequence[float]:
@@ -248,16 +253,20 @@ def _agm_or_row(acc: float, values: Sequence[float]) -> float:
 
 
 def _agm_or_repeat(acc: float, v: float, m: int) -> float:
-    # m folds of v: the first may leave the log-sum; values <= 0 never change the sum
+    # m folds of v, the first as _agm_or_fold folds it: a value >= 0 leaves the
+    # log-sum, and values <= 0 never change the sum
     if not m:
         return acc
-    acc = _agm_or_fold(acc, v)
     if acc < 0.0:
-        term = log1p(-v)
-        for _ in range(m - 1):
-            acc -= term
-    elif v > 0.0:
-        for _ in range(m - 1):
+        if v < 0.0:
+            term = log1p(-v)
+            acc = (acc if acc > _AGM_OR_START else 0.0) - term
+            for _ in range(m - 1):
+                acc -= term
+            return acc
+        acc = 0.0
+    if v > 0.0:
+        for _ in range(m):
             acc += v
     return acc
 
@@ -272,8 +281,10 @@ def _agm_or_finish(acc: float, n: int) -> float:
     if not n:
         raise ValueError("agm_or of an empty sequence")
     if acc < 0.0:
-        return _clamp_unit(-expm1(-acc / n))
-    return _clamp_unit(acc / n)
+        v = -expm1(-acc / n)
+        return -1.0 if v < -1.0 else v
+    v = acc / n
+    return 1.0 if v > 1.0 else v
 
 
 def agm_or(values: Iterable[float]) -> float:
@@ -292,6 +303,16 @@ def agm_and(values: Sequence[float]) -> float:
 def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
     """agm_and of `values` followed by m copies of pad, with its bits, building no list."""
     n = len(values) + m
+    if n == 1 and not m:
+        # one value, as every final H^0 window holds: the general path's bits,
+        # as math.fsum of one term is that term, / 1 is exact, and 0.0 + v
+        # turns -0.0 into 0.0 as the running sum does
+        v = values[0]
+        if v > 0.0:
+            v = expm1(log1p(v))
+            return 1.0 if v > 1.0 else v
+        v = 0.0 + v
+        return -1.0 if v < -1.0 else v
     if not n:
         raise ValueError("agm_and of an empty sequence")
     # one pass adds the parts <= 0 left to right from 0.0, as _agm_or_fold
@@ -311,8 +332,10 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
         terms = map(log1p, values)
         if m:
             terms = itertools.chain(terms, itertools.repeat(log1p(pad), m))
-        return _clamp_unit(expm1(fsum(terms) / n))
-    return _clamp_unit(neg / n)
+        v = expm1(fsum(terms) / n)
+        return 1.0 if v > 1.0 else v
+    v = neg / n
+    return -1.0 if v < -1.0 else v
 
 
 # agm_and and agm_or of two values, with the same bits:
@@ -321,19 +344,29 @@ def _agm_and_hold(values: Sequence[float], pad: float, m: int) -> float:
 # changes no sum.
 def _agm_and2(a: float, b: float) -> float:
     if a > 0.0 and b > 0.0:
-        return _clamp_unit(expm1((log1p(a) + log1p(b)) / 2))
-    return _clamp_unit(((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2)
+        v = expm1((log1p(a) + log1p(b)) / 2)
+        return 1.0 if v > 1.0 else v
+    v = ((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2
+    return -1.0 if v < -1.0 else v
 
 
 def _agm_or2(a: float, b: float) -> float:
     if a < 0.0 and b < 0.0:
-        return _clamp_unit(-expm1((log1p(-a) + log1p(-b)) / 2))
-    return _clamp_unit(((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2)
+        v = -expm1((log1p(-a) + log1p(-b)) / 2)
+        return -1.0 if v < -1.0 else v
+    v = ((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2
+    return 1.0 if v > 1.0 else v
 
 
 @dataclass(frozen=True, eq=False)
 class _Semantics:
-    """The operations one semantics plugs into the window recursion."""
+    """The operations one semantics plugs into the window recursion.
+
+    Each kernel (conj, disj, fold, finish, hold, skip, repeat, fold_row) is a
+    leaf: it calls no Python function, only operators and C builtins. It runs
+    once per value at the bottom of the recursion, where a nested call would
+    cost as much as the kernel's own work.
+    """
 
     name: str
     margin: str  # the PredicateSpec method that gives an atom's margin at one sample value
@@ -403,7 +436,7 @@ def _max_skip(acc: float, hi: float) -> bool:
 
 def _max_repeat(acc: float, v: float, m: int) -> float:
     # a max keeps the first of equal values
-    return _max2(acc, v) if m else acc
+    return (v if v > acc else acc) if m else acc
 
 
 def _max_row(acc: float, values: Sequence[float]) -> float:
@@ -417,11 +450,11 @@ def _max_row(acc: float, values: Sequence[float]) -> float:
 # column of signs would make H^d !pi hold where pi's margin is exactly 0.
 _BOOL = _Semantics("bool", "margin_of", lambda cfg: -1.0, lambda cfg: -1.0, math.inf, _min2,
                    _max2, -math.inf, _max2, _same,
-                   lambda ms, pad, m: 1.0 if _min_hold(ms, pad, m) > 0.0 else -1.0,
+                   lambda ms, pad, m: 1.0 if min(ms) > 0.0 and (not m or pad > 0.0) else -1.0,
                    lambda spec, cfg, conservative: (-1.0, 1.0), _max_skip, _max_repeat,
                    _max_row, True)
-# rho reaches -inf or inf with an infinite rho_bot or rho_top, and where a margin
-# h(o) - sigma of finite numbers overflows
+# rho reaches -inf or inf only with an infinite rho_bot or rho_top: a margin
+# h(o) - sigma that overflows is rejected (see PredicateSpec.margin_of)
 _RHO = _Semantics("rho", "margin_of", lambda cfg: cfg.rho_bot, lambda cfg: cfg.rho_bot,
                   math.inf, _min2, _max2, -math.inf, _max2, _same, _min_hold,
                   lambda spec, cfg, conservative: (cfg.rho_bot, cfg.rho_top),
@@ -518,7 +551,8 @@ class Evaluator:
         self.cfg = cfg
         self.conservative_eta = conservative_eta
         self._signals = {s: list(vals) for s, vals in word.signals.items()}
-        self._columns: dict[tuple, tuple] = {}  # (margin, atom, negated): margins, method, values
+        self._columns: dict[tuple, tuple] = {}  # (margin, atom, negated): margins, method, signal
+        self._appended = False  # whether append has made the formula's margin_of columns
         self._clamps: dict[str, PredicateSpec | None] = {}  # eta columns' atoms: spec until warned
         self._nodes = compile_formula(f, cfg.dt)
         self._runs: dict[_Semantics, _Recursion] = {}
@@ -551,16 +585,25 @@ class Evaluator:
 
         A rejected sample changes nothing. Each margin column grows by it, the
         final windows are kept, and the frontier is dropped (see the module notes).
+        The sample's margins are computed before anything changes, in every
+        column and in a margin_of column of each hold, which the first append
+        makes: so a margin that overflows rejects the sample, also before any
+        evaluation has made its column.
         """
         missing = [s for s in self._signals if s not in sample]
         if missing:
             raise ValueError(f"sample missing signals: {missing}")
         row = check_samples({s: (float(sample[s]),) for s in self._signals})
+        if not self._appended:
+            for *_, hold, _ in self._nodes:
+                if hold is not None:
+                    self._column("margin_of", hold.atom, hold.negated)
+            self._appended = True
+        margins = [of(row[signal][0]) for _, of, signal in self._columns.values()]
         for s, (v,) in row.items():
             self._signals[s].append(v)
         self.n += 1
-        for (_, _, negated), (col, of, values) in self._columns.items():
-            m = of(values[-1])
+        for ((_, _, negated), (col, _, _)), m in zip(self._columns.items(), margins):
             col.append(-m if negated else m)
         for atom, spec in self._clamps.items():
             if spec and not spec.bounds.lo <= self._signals[spec.signal][-1] <= spec.bounds.hi:
@@ -589,7 +632,7 @@ class Evaluator:
             if margin == "eta_margin_of" and atom not in self._clamps:
                 self._clamps[atom] = None if spec.warn_clamped(values, len(values)) else spec
             col = [-of(v) for v in values] if negated else list(map(of, values))
-            got = self._columns[margin, atom, negated] = col, of, values
+            got = self._columns[margin, atom, negated] = col, of, spec.signal
         return got[0]
 
     def stats(self) -> dict[str, dict[str, int]]:
@@ -637,13 +680,19 @@ class _Recursion:
         # Each hold's column is made here, whatever the conservative_eta flag:
         # so an evaluation raises for an atom not in the table, or without eta
         # bounds, also when its folds add every hold of the atom unevaluated.
+        # The holds of one atom and sign share one column and its pads.
         self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
+        inputs: dict[tuple, tuple] = {}  # (atom, negated): column, pads
         for kind, lhs, rhs, pin, reach, low, offset, hold, _ in ev._nodes:
             if hold is not None:
-                col = ev._column(sem.margin, hold.atom, hold.negated)
-                lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
-                hold = col, (-hi, -lo) if hold.negated else (lo, hi)
+                key = hold.atom, hold.negated
+                got = inputs.get(key)
+                if got is None:
+                    col = ev._column(sem.margin, hold.atom, hold.negated)
+                    lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
+                    got = inputs[key] = col, (-hi, -lo) if hold.negated else (lo, hi)
+                hold = got
             elif kind is Within:
                 hold = self.slots[lhs][:2]
             self.nodes.append((kind, lhs, rhs, offset, hold))

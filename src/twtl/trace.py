@@ -10,6 +10,12 @@ config is a JSON object::
 ``sigma``, ``min`` and ``max`` are finite JSON numbers. ``min``/``max`` are
 the per-signal normalization range [L, U], with L < U and a finite U - L;
 they are optional, but given together, and required for AGM robustness.
+
+Every margin h(o) - sigma (sigma - h(o) for ``<=``) must be finite:
+`PredicateSpec.margin_of` owns the rule, and raises a ValueError naming the
+atom for a sample whose margin overflows, such as x = -1e308 against
+sigma = 1e308. A normalized margin never does, as its value is clamped to
+[L, U] first.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ class PredicateSpec:
     """Half-space atom ``signal >= sigma`` or ``signal <= sigma``.
 
     The margin is the signed distance h(o) - sigma (flipped for <=); it is
-    positive exactly when the atom holds.
+    positive exactly when the atom holds, and it must be finite. Both margin
+    methods are leaves, which call no Python function: they run once per
+    sample and column (see the semantics module notes).
     """
 
     name: str
@@ -73,12 +81,27 @@ class PredicateSpec:
                 f"[{self.bounds.lo}, {self.bounds.hi}]")
 
     def margin_of(self, value: float) -> float:
-        return value - self.sigma if self.op == ">=" else self.sigma - value
+        """The margin of `value`; a ValueError naming the atom when it overflows."""
+        m = value - self.sigma if self.op == ">=" else self.sigma - value
+        if -math.inf < m < math.inf:
+            return m
+        raise ValueError(f"atom {self.name}: the margin of sample {value:g} against "
+                         f"sigma={self.sigma:g} overflows")
 
     def eta_margin_of(self, value: float) -> float:
-        """The normalized margin of `value` clamped to [L, U]."""
-        b = self._require_bounds()
-        return self.margin_of(min(max(value, b.lo), b.hi)) / (b.hi - b.lo)
+        """The normalized margin of `value` clamped to [L, U].
+
+        margin_of(min(max(value, L), U)) / (U - L), operation for operation;
+        the margin of a value in [L, U] is finite, as sigma and U - L are.
+        """
+        b = self.bounds
+        if b is None:
+            self._require_bounds()
+        lo, hi = b.lo, b.hi
+        v = lo if lo > value else value  # max(value, lo), which keeps the first of equal values
+        if hi < v:  # min(v, hi)
+            v = hi
+        return (v - self.sigma if self.op == ">=" else self.sigma - v) / (hi - lo)
 
     def warn_clamped(self, values: Sequence[float], n: int) -> bool:
         """Log one warning if any of `values` lies outside [L, U]; return whether one did.

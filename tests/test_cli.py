@@ -309,6 +309,28 @@ def test_bounds_whose_span_overflows_exit_2(capsys, tmp_path, command):
                f"finite lo < hi and a finite hi - lo, got [-1e+308, 1e+308]\n")
 
 
+@pytest.mark.parametrize("op, sigma", [(">=", 1e308), ("<=", -1e308)])
+@pytest.mark.parametrize("command, flag", [
+    ("check", "--trace"), ("rho", "--trace"), ("oracle", "--trace"), ("monitor", "--trace"),
+    ("monitor", "--stream"),
+], ids=["check", "rho", "oracle", "monitor", "monitor_stream"])
+def test_margin_that_overflows_exits_2(capsys, monkeypatch, tmp_path, command, flag, op, sigma):
+    # x - sigma of two finite numbers overflows: rho printed -inf (inf for
+    # <=) and exited 0, check printed "unsat rho=-inf", monitor a record of -inf
+    formula, cfg, trace = tmp_path / "f.twtl", tmp_path / "c.json", tmp_path / "t.csv"
+    formula.write_text("H^1 A\n")
+    cfg.write_text(json.dumps({"atoms": {"A": {"signal": "x", "op": op, "sigma": sigma}}}))
+    text = f"time,x\n0,{-sigma}\n1,{-sigma}\n"
+    trace.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, command, "--formula", str(formula), "--config", str(cfg),
+                       *([flag] if flag == "--stream" else [flag, str(trace)]))
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("twtl: error:")] == [
+        f"twtl: error: atom A: the margin of sample {-sigma:g} against sigma={sigma:g} overflows"]
+
+
 BIG_FIELD = '"' + "9" * 200_000 + '"'  # over the csv module's field size limit
 
 

@@ -263,6 +263,28 @@ class TestMonitorState:
             assert st_.step(sample) == fresh.step(sample)
         assert st_.finalized
 
+    @pytest.mark.parametrize("at", [0, 2], ids=["first", "third"])
+    def test_sample_whose_margin_overflows_changes_nothing(self, at):
+        # x - sigma overflows at x = -1e308: the margins of a sample are
+        # computed before it changes any state, also the first one's, before
+        # any evaluation has made a margin column
+        table = PredicateTable.from_dict({"atoms": {
+            "A": {"signal": "x", "op": ">=", "sigma": 8e307, "min": -8e307, "max": 8e307},
+            "B": {"signal": "y", "op": ">=", "sigma": 0.0, "min": -1.0, "max": 1.0},
+        }})
+        f = parse("H^3 A | [H^1 !A & H^0 B]^[0,2]")
+        samples = [{"x": x, "y": y} for x, y in ((5.0, 0.5), (-7e307, -0.2), (9e307, 0.1),
+                                                (8e307, -0.3))]
+        st_, fresh = MonitorState(f, table), MonitorState(f, table)
+        for k, sample in enumerate(samples):
+            if k == at:
+                with pytest.raises(ValueError, match="^atom A: the margin of sample -1e"):
+                    st_.step({"x": -1e308, "y": 0.0})
+                assert st_.observed == k
+            assert st_.step(sample) == fresh.step(sample)
+        assert st_.finalized
+        assert st_.stats() == fresh.stats()
+
 
 def test_frontier_hold_builds_no_list_of_pads():
     # a hold window past the frontier pads its unobserved samples by count,

@@ -16,7 +16,7 @@ from twtl.oracle import _agm_and, oracle_bool, oracle_eta, oracle_rho
 from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
                             _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, _Recursion,
                             agm_and, agm_or, bool_sat, compile_formula, eta, rho)
-from twtl.trace import PredicateSpec, PredicateTable, Word
+from twtl.trace import NormalizationBounds, PredicateSpec, PredicateTable, Word
 
 from instances import GenConfig, random_formula, random_word
 
@@ -547,21 +547,25 @@ class TestWorkCounts:
         assert caplog.messages == ["atom P: 1 of 3 samples outside bounds [-1, 1], clamping"]
 
     def test_monitor_computes_each_margin_once_per_column(self, monkeypatch):
-        calls = 0
-        margin_of = PredicateSpec.margin_of
+        # eta_margin_of calls no margin_of, so each method is counted apart
+        calls = {"margin_of": 0, "eta_margin_of": 0}
 
-        def counted(spec, value):
-            nonlocal calls
-            calls += 1
-            return margin_of(spec, value)
+        def counted(name):
+            method = getattr(PredicateSpec, name)
 
-        monkeypatch.setattr(PredicateSpec, "margin_of", counted)
+            def wrapper(spec, value):
+                calls[name] += 1
+                return method(spec, value)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(PredicateSpec, name, counted(name))
         state = MonitorState(parse("H^200 A"), TABLE)
         for k in range(201):
             state.step({"x": 4.0 + k / 100})
         assert state.finalized
         # one rho column, shared with bool, and one eta column
-        assert calls <= 2 * 201
+        assert 0 < calls["margin_of"] <= 201 and 0 < calls["eta_margin_of"] <= 201, calls
 
     def test_counts_are_pinned(self):
         # the exact work of the recursion on two fixed inputs: a change that
@@ -1074,14 +1078,15 @@ class TestKernelInputs:
     span is finite, and pads, -1, 0, 1 and kernel results obey the same bound."""
 
     # bounds near the float limit with sigma at one end: A's margins reach
-    # exactly 1 and B's exactly -1, at x >= 8e307
+    # exactly 1 and B's exactly -1, at x >= 8e307. Samples stay below 9.7e307,
+    # past which x - sigma overflows and margin_of rejects the sample
     WIDE = PredicateTable.from_dict({"atoms": {
         "A": {"signal": "x", "op": ">=", "sigma": -8e307, "min": -8e307, "max": 8e307},
         "B": {"signal": "x", "op": "<=", "sigma": -8e307, "min": -8e307, "max": 8e307},
     }})
     CASES = ((TABLE, lambda rng: rng.uniform(-6.0, 14.0)),  # outside [0, 8] at both ends
-             (WIDE, lambda rng: rng.choice((-1e308, -8e307, 0.0, 8e307, 1e308,
-                                            rng.uniform(-1.0, 1.0) * 1e308))))
+             (WIDE, lambda rng: rng.choice((-1e308, -8e307, 0.0, 8e307, 9e307,
+                                            rng.uniform(-1.0, 0.9) * 1e308))))
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -1253,3 +1258,184 @@ class TestResumedFolds:
                 for i in range(h + 1):
                     for j in range(i, h + 1):
                         assert value(i, j) == want(i, j), (text, name, n, i, j, upper)
+
+
+def _clamp(v):
+    """The two-sided clamp every AGM kernel once called on its result."""
+    return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
+
+
+class TestLeafKernels:
+    """Every kernel of a semantics, and an atom's margin methods, is a leaf:
+    it calls no Python function (see the module notes). Each kernel that
+    became one is pinned here, bit for bit, to the composition of calls it
+    replaced, which the `former_*` functions write out."""
+
+    KERNELS = ("conj", "disj", "fold", "finish", "hold", "skip", "repeat", "fold_row")
+    VALUES = (-0.7, -0.0, 0.0, 0.4, -1.0, 1.0)
+
+    @staticmethod
+    def nested_calls(fn, *args):
+        """The names of the Python functions fn(*args) calls, fn's own call not counted."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(old)
+        assert calls[:1] == [fn.__code__]
+        return [code.co_name for code in calls[1:]]
+
+    def accumulators(self, sem):
+        # empty; eta's log domain (every value < 0) and positive sum (one >= 0)
+        return [sem.start, sem.fold(sem.start, -0.5), sem.fold(sem.fold(sem.start, -0.5), 0.3),
+                sem.fold(sem.start, 0.0), sem.fold(sem.start, -0.0)]
+
+    def arguments(self, sem, name):
+        values, accs = self.VALUES, self.accumulators(sem)
+        if name in ("conj", "disj"):
+            return itertools.product(values, values)
+        if name in ("fold", "skip"):
+            return itertools.product(accs, values)
+        if name == "finish":
+            return itertools.product(accs, (1, 3))
+        if name == "hold":
+            lists = [[v] for v in values] + [[0.4, -0.7, 0.0], [0.4, 0.9], [-0.0, -0.2]]
+            return itertools.product(lists, values, (0, 1, 3))
+        if name == "repeat":
+            return itertools.product(accs, values, (0, 1, 3))
+        return itertools.product(accs, [[v] for v in values] + [list(values), [0.3, -0.2]])
+
+    def test_kernels_and_margins_call_no_python_function(self):
+        nested = {}
+        for sem in (_BOOL, _RHO, _ETA):
+            for name in self.KERNELS:
+                for args in self.arguments(sem, name):
+                    for callee in self.nested_calls(getattr(sem, name), *args):
+                        nested.setdefault(f"{sem.name}.{name}", set()).add(callee)
+        bounds = NormalizationBounds(-2.0, 6.0)
+        for op, sigma in itertools.product((">=", "<="), (-2.0, 1.0, 6.0)):
+            spec = PredicateSpec("A", "x", op, sigma, bounds)
+            for method in (PredicateSpec.margin_of, PredicateSpec.eta_margin_of):
+                for x in (-9.0, -2.0, -0.0, 0.0, 1.0, 6.0, 8.5):
+                    for callee in self.nested_calls(method, spec, x):
+                        nested.setdefault(method.__name__, set()).add(callee)
+        assert nested == {}
+
+    # values at the edges of [-1, 1] and of the float range: signed zeros, the
+    # largest float below 1 and the least subnormal
+    EDGES = (0.0, -0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 5e-324, -5e-324)
+    PADS = (-1.0, -0.5, -0.0, 0.0, 0.3, 1.0)
+    COUNTS = (0, 1, 2, 17)
+
+    @staticmethod
+    def former_and2(a, b):
+        if a > 0.0 and b > 0.0:
+            return _clamp(math.expm1((math.log1p(a) + math.log1p(b)) / 2))
+        return _clamp(((a if a < 0.0 else 0.0) + (b if b < 0.0 else 0.0)) / 2)
+
+    @staticmethod
+    def former_or2(a, b):
+        if a < 0.0 and b < 0.0:
+            return _clamp(-math.expm1((math.log1p(-a) + math.log1p(-b)) / 2))
+        return _clamp(((a if a > 0.0 else 0.0) + (b if b > 0.0 else 0.0)) / 2)
+
+    @staticmethod
+    def former_or_finish(acc, n):
+        return _clamp(-math.expm1(-acc / n) if acc < 0.0 else acc / n)
+
+    @staticmethod
+    def former_and_hold(values, pad, m):
+        values = list(values) + [pad] * m
+        if all(v > 0.0 for v in values):
+            return _clamp(math.expm1(math.fsum(map(math.log1p, values)) / len(values)))
+        return _clamp(functools.reduce(lambda s, v: s + v if v <= 0.0 else s, values, 0.0)
+                      / len(values))
+
+    @staticmethod
+    def former_or_repeat(acc, v, m):
+        if not m:
+            return acc
+        acc = _agm_or_fold(acc, v)
+        if acc < 0.0:
+            term = math.log1p(-v)
+            for _ in range(m - 1):
+                acc -= term
+        elif v > 0.0:
+            for _ in range(m - 1):
+                acc += v
+        return acc
+
+    @staticmethod
+    def former_bool_hold(ms, pad, m):
+        low = min(ms)
+        return 1.0 if (pad if m and pad < low else low) > 0.0 else -1.0
+
+    def agm_accumulators(self):
+        accs = [_AGM_OR_START]
+        for v in self.EDGES + (-0.5, 0.25):
+            accs += [_agm_or_fold(_AGM_OR_START, v), _agm_or_fold(_agm_or_fold(0.3, -0.4), v)]
+        return accs
+
+    def test_two_value_kernels_keep_their_bits(self):
+        for a, b in itertools.product(self.EDGES + self.PADS, repeat=2):
+            assert repr(_agm_and2(a, b)) == repr(self.former_and2(a, b)), (a, b)
+            assert repr(_agm_or2(a, b)) == repr(self.former_or2(a, b)), (a, b)
+
+    def test_finish_and_repeat_keep_their_bits(self):
+        for acc in self.agm_accumulators():
+            for n in (1, 2, 17):
+                assert repr(_agm_or_finish(acc, n)) == repr(self.former_or_finish(acc, n)), (acc, n)
+            for v, m in itertools.product(self.EDGES + self.PADS, self.COUNTS):
+                want = self.former_or_repeat(acc, v, m)
+                assert repr(_agm_or_repeat(acc, v, m)) == repr(want), (acc, v, m)
+        for sem in (_BOOL, _RHO):
+            for acc, v, m in itertools.product((-math.inf, -1.0, -0.0, 0.0, 0.3),
+                                               self.EDGES + self.PADS, self.COUNTS):
+                want = (v if v > acc else acc) if m else acc  # _max2(acc, v) if m else acc
+                assert repr(sem.repeat(acc, v, m)) == repr(want), (sem.name, acc, v, m)
+
+    def test_holds_keep_their_bits(self):
+        lists = [[v] for v in self.EDGES] + [list(self.EDGES[:3]), [0.5, 1.0 - 2.0 ** -53],
+                                             [5e-324, 0.3], [-0.0, -0.5]]
+        for ms, pad, m in itertools.product(lists, self.PADS, self.COUNTS):
+            assert repr(_ETA.hold(ms, pad, m)) == repr(self.former_and_hold(ms, pad, m)), \
+                (ms, pad, m)
+            assert repr(_BOOL.hold(ms, pad, m)) == repr(self.former_bool_hold(ms, pad, m)), \
+                (ms, pad, m)
+
+    def test_public_functions_clamp_values_just_outside_the_unit_range(self):
+        # agm_and and agm_or accept values up to 1e-12 outside [-1, 1], whose
+        # means the kernels clamp back
+        over = 1.0 + 1e-12
+        lists = [[over], [-over], [over, over], [-over, -over], [over, 1.0], [-over, -1.0],
+                 [over, -over], [over, 0.5, over], [-over, -0.5, -over]]
+        for values in lists:
+            acc = functools.reduce(_agm_or_fold, values, _AGM_OR_START)
+            assert repr(agm_and(values)) == repr(self.former_and_hold(values, 0.0, 0)), values
+            assert repr(agm_or(values)) == repr(self.former_or_finish(acc, len(values))), values
+            if len(values) == 2:
+                assert repr(_agm_and2(*values)) == repr(self.former_and2(*values)), values
+                assert repr(_agm_or2(*values)) == repr(self.former_or2(*values)), values
+        assert agm_and([over, over]) == 1.0 and agm_or([-over, -over]) == -1.0
+
+    def test_one_sample_hold_equals_the_oracle(self):
+        rng = random.Random(3434)
+        values = list(self.EDGES) + [rng.uniform(-1.0, 1.0) for _ in range(20_000)]
+        for v in values:
+            assert repr(_ETA.hold([v], 0.0, 0)) == repr(_agm_and([v])), v
+
+    def test_eta_margin_is_the_clamped_margin_over_the_span(self):
+        for lo, hi in ((-2.0, 6.0), (0.1, 0.7), (-8e307, 8e307)):
+            for op, sigma in itertools.product((">=", "<="), (lo, (lo + hi) / 2, hi)):
+                spec = PredicateSpec("A", "x", op, sigma, NormalizationBounds(lo, hi))
+                for x in (lo, hi, -0.0, 0.0, lo - 1.0, hi + 1.0, (lo + hi) / 3, lo / 2, hi / 2,
+                          -1e308, 1e308):
+                    want = spec.margin_of(min(max(x, lo), hi)) / (hi - lo)
+                    assert repr(spec.eta_margin_of(x)) == repr(want), (op, sigma, lo, hi, x)

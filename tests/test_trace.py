@@ -77,6 +77,25 @@ class TestPredicateSpec:
         assert PredicateSpec("A", "x", ">=", -8e307, NormalizationBounds(-8e307, 8e307)
                              ).eta_extremes() == (0.0, 1.0)
 
+    @pytest.mark.parametrize("op, sigma, x", [(">=", 1e308, -1e308), (">=", -1e308, 1e308),
+                                              ("<=", -1e308, 1e308), ("<=", 1e308, -1e308)])
+    def test_margin_that_overflows_names_the_atom(self, op, sigma, x):
+        # x - sigma of finite numbers past the float range: rho was -inf or inf
+        spec = PredicateSpec("A", "x", op, sigma)
+        with pytest.raises(ValueError) as got:
+            spec.margin_of(x)
+        assert str(got.value) == \
+            f"atom A: the margin of sample {x:g} against sigma={sigma:g} overflows"
+        # a normalized margin clamps x to bounds with a finite span first:
+        # here to the bound farther from sigma, a margin of -1 or 1
+        bounds = NormalizationBounds(*sorted((sigma, sigma / 2)))
+        assert abs(PredicateSpec("A", "x", op, sigma, bounds).eta_margin_of(x)) == 1.0
+
+    def test_largest_margins_are_finite(self):
+        assert PredicateSpec("A", "x", ">=", -8e307).margin_of(9e307) == 8e307 + 9e307
+        assert PredicateSpec("A", "x", "<=", 8e307).margin_of(-9e307) == 8e307 + 9e307
+        assert PredicateSpec("A", "x", ">=", 1e308).margin_of(-7e307) == -7e307 - 1e308
+
     def test_bounds_required_for_eta(self):
         spec = PredicateSpec("A", "x", ">=", 1.0)
         with pytest.raises(ValueError, match="bounds"):
