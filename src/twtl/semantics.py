@@ -6,12 +6,13 @@ bottom, conjunction, disjunction and hold aggregate: min/max over signed
 margins for robustness `rho`, arithmetic-geometric means of normalized
 margins in [-1, 1] for AGM robustness `eta`, and min/max over 1 and -1 for
 satisfaction, where a hold is 1 when all its margins are positive. A window
-too short for its subformula yields the bottom value (`rho_bot`, or -1).
-`&` and `|` call a conjunction and a disjunction of two values; for `eta`
-they return the same bits as `agm_and` and `agm_or` over a list of the two,
-without building one. The splits of a `Concat` and the starts of a `Within`
-are folded into the disjunction, left to right unless the order changes no
-bits (below), so no list of values is built either.
+too short for its subformula yields the bottom value (`rho_bot`, or -1). An
+`&`/`|` chain folds its operands left to right by a conjunction and a
+disjunction of two values; for `eta` they return the same bits as `agm_and`
+and `agm_or` over a list of the two, without building one. The splits of a
+`Concat` and the starts of a `Within` are folded into the disjunction, left
+to right unless the order changes no bits (below), so no list of values is
+built either.
 A fold's accumulator is one float with no count: `finish` is given the
 window's, j - i splits of a `Concat` on [i, j] or b - a + 1 starts of a
 `[.]^[a,b]`, exact as each is folded, skipped or added in a run (below).
@@ -63,21 +64,29 @@ conj(bottom, bottom), which is bottom (below): one value, which a semantics'
 without evaluating lhs. When lhs reaches r steps, the splits t >= i + r
 read lhs on [i, i+r]: they are one value too, and one run.
 
-An evaluator compiles its one formula once, when it is built, into a
-post-order table of nodes (kind, children, pinned length, reach, low
-length, `Within` start offset, hold), and the recursion runs over node
-indices. A window is keyed on the samples it reads. `H^d` and `[.]^[a,b]`
+An evaluator compiles its one formula once, when it is built, into a table
+of nodes (kind, children, pinned length, reach, low length, `Within` start
+offset, hold or operands), children before parents, and the recursion runs
+over node indices. Each maximal left spine of `&` and `|` nodes, as in
+`a & b & c | d`, which parses to ((a & b) & c) | d, is one node: a window of it
+takes one value() call, which joins its operands left to right in the parse
+tree's order, each by its own conj or disj. A hold among them is inline:
+that call aggregates its margins with the cut, bottom and padding rules of
+a hold node, below. The case study's regions are such chains of half-plane
+holds. A window is keyed on the samples it reads. `H^d` and `[.]^[a,b]`
 read no sample after i + d and i + b (in steps), their pinned length: a
 shorter window is bottom, not memoized, and a longer one is cut to that
-length. An `&` or `|` of two pinned children pins the shorter of their
-lengths: a shorter window leaves both children bottom, and
-conj(bottom, bottom) and disj(bottom, bottom) are bottom, bit for bit, in
-every semantics (a min or a max of equal values; eta's (-1 + -1) / 2 and
--expm1((log1p(1) + log1p(1)) / 2), which the C library rounds to -1). A
-`!` pins nothing, as -bottom is not bottom, and neither does a `Concat`,
-whose split with one short side is conj(bottom, x). An `&`, `|` or `!`
-whose children all read a bounded length reads no sample after the
-longest of them, so a longer window is cut there too.
+length. An `&` or `|` of two pinned operands pins the shorter of their
+lengths: a shorter window leaves both operands bottom, and conj(bottom,
+bottom) and disj(bottom, bottom) are bottom, bit for bit, in every
+semantics (a min or a max of equal values; eta's (-1 + -1) / 2 and
+-expm1((log1p(1) + log1p(1)) / 2), which the C library rounds to -1). So a
+chain folded level by level has the bits of one whose levels return bottom
+or cut their windows on their own. A `!` pins nothing, as -bottom is not
+bottom, and neither does a `Concat`, whose split with one short side is
+conj(bottom, x). An `&`, `|` or `!` whose operands all read a bounded
+length reads no sample after the longest of them, so a longer window is cut
+there too.
 
 An evaluator's word grows by `append`, one sample at a time; samples at
 indices >= n, the number observed, are open. Every operator is monotone
@@ -89,15 +98,16 @@ from below and from above every completion whose margins lie within those
 extremes: they are the monitor module's intervals [rho] and [eta]. On a
 complete word the recursion gives the offline value.
 
-Each node has three memos, by the samples a window reads. A fully observed
-window (j < n) has one value, which both runs share, keyed (i, j). A
-window that starts at or after n reads no sample, so its value depends on
-its length and bound only, keyed (j - i, upper). Both are final: a sample
-appended leaves them as they are. The frontier windows read observed and
-open samples, keyed (i, j, upper); `append` drops them and the sweeps whose
-splits read an open sample, so the online monitor evaluates again only the
-frontier at each step. Holds read margin columns, shared by the evaluator's
-runs, that `append` extends: a sample's margin is computed once per column.
+Each node has three memos, by the samples a window reads; the levels and
+inline holds of a chain have none. A fully observed window (j < n) has one
+value, which both runs share, keyed (i, j). A window that starts at or
+after n reads no sample, so its value depends on its length and bound only,
+keyed (j - i, upper). Both are final: a sample appended leaves them as they
+are. The frontier windows read observed and open samples, keyed (i, j,
+upper); `append` drops them and the sweeps whose splits read an open
+sample, so the online monitor evaluates again only the frontier at each
+step. Holds read margin columns, shared by the evaluator's runs, that
+`append` extends: a sample's margin is computed once per column.
 
 A `Within` window [i, j] whose lhs reaches r steps reads lhs on [t, t+r]
 at each start t <= j - r, a window that is final where t < n - r and whose
@@ -119,7 +129,9 @@ whose rhs reaches p steps keeps its splits t < n-1-p, both of whose sides
 are observed, in the final sweep of its start. A `Within` window [s, s+b]
 whose lhs reaches r steps keeps one final sweep of its starts t < n-r,
 which read lhs on [t, t+r]. A step extends these sweeps by the splits and
-starts that became final, and folds the rest per window. A window that
+starts that became final, and folds the rest per window; a `Within` window
+folds both in one call of its fold helper, which stores the sweep where
+the final starts end. A window that
 reads no sample has a value that depends on its node, length and bound
 only, and so has the greatest value of a node on such windows up to a
 length: `tail` memoizes it once per node, bound and length.
@@ -466,53 +478,111 @@ _ETA = _Semantics("eta", "eta_margin_of", lambda cfg: -1.0, lambda cfg: 0.0, 1.0
                   _agm_or_repeat, _agm_or_row)
 
 
-def compile_formula(f: Formula, dt: float) -> list[tuple]:
-    """f's subformulas as a table of nodes in post-order; f's node is the last.
+class Spine:
+    """The kind of a compiled node that folds an `&`/`|` chain (see compile_formula).
 
-    The order and the child indices are those of `formula.postorder`, so
-    compiling does not recurse.
-    A node is a tuple (kind, lhs, rhs, pin, reach, low, offset, hold, depth): the
-    Formula class; the indices of its children, or None (a Not's or a
-    Within's only child is lhs); its pinned length, a shorter window being
-    bottom: the steps after a window's start that a hold or a Within reads,
-    or for an And or Or of two pinned children the shorter of their pins
-    (else None); its reach, the most steps after a window's start that it
-    reads: a hold's or a Within's pin, or for an And, Or or Not whose
-    children all have a reach the longest of theirs (else None: to the
-    window's end); its low length, a shorter window being at most the
-    semantics' `low`; a Within's first start, in steps after the window's
-    start (else 0); a hold's HoldAtom (else None); and its depth, the nesting
-    levels of its subformula: 1 for a hold, else one more than its children's.
+    No parser builds one: it exists only in a node table.
+    """
+
+
+def compile_formula(f: Formula, dt: float) -> list[tuple]:
+    """f's subformulas as a table of nodes, children before parents; f's node is the last.
+
+    The subformulas come from `formula.postorder`, so compiling does not
+    recurse. Each maximal left spine of `&` and `|` nodes is one Spine node:
+    `a & b & c | d` parses to ((a & b) & c) | d, and its three levels are one
+    node with the operands a, b, c and d. A hold that is an operand of a
+    Spine is stored in it inline and is no node of its own.
+
+    A node is a tuple (kind, lhs, rhs, pin, reach, low, offset, data, depth):
+    HoldAtom, Not, Within, Concat or Spine; the indices of its children, or
+    None (a Not's or a Within's only child is lhs; a Spine's are in data);
+    its pinned length, a shorter window being bottom: the steps after a
+    window's start that a hold or a Within reads, or for an And or Or of two
+    pinned operands the shorter of their pins (else None); its reach, the
+    most steps after a window's start that it reads: a hold's or a Within's
+    pin, or for an And, Or or Not whose operands all have a reach the
+    longest of theirs (else None: to the window's end); its low length, a
+    shorter window being at most the semantics' `low`; a Within's first
+    start, in steps after the window's start (else 0); a hold's HoldAtom or a
+    Spine's operands (else None); and its depth, the value() frames its
+    evaluation nests: 1 for a hold, one more than its deepest operand that
+    is a node for a Spine, and one more than its children's otherwise.
+
+    A Spine's operands are (op, k, hold) in the parse tree's order: op is
+    None for the first and And or Or for each later one, which it joins to
+    the value of those before it; k is the operand's node index, or None for
+    an inline hold, whose HoldAtom is hold. Its pin, reach and low length are
+    folded over its operands pairwise, left to right, as for the And and Or
+    nodes it stands for.
 
     The low length is a hold's or a Within's pin; for L . R, low(L) +
     low(R) + 1, as each split of a shorter window leaves lhs or rhs shorter
-    than its own; for an And the larger of its children's, as a conjunction
+    than its own; for an And the larger of its operands', as a conjunction
     with a value at most `low` is at most `low`; for an Or the smaller, as a
     disjunction of two such values is; and 0 for a Not, as -bottom is not
     bottom. A pin is at most the low length, and the low length at most the
     reach.
     """
     nodes: list[tuple] = []
+    # per post-order entry, what its parent takes: a node index; a HoldAtom,
+    # placed as a node unless a Spine takes it inline; or an open Spine, a
+    # list [operands, pin, reach, low, depth of its deepest node operand],
+    # which an & or | whose lhs it is extends in place
+    parts: list = []
+
+    def place(e: int) -> int:
+        """Entry e's node index, placing its hold or open Spine now."""
+        part = parts[e]
+        if type(part) is HoldAtom:
+            nodes.append((HoldAtom, None, None, part.d, part.d, part.d, 0, part, 1))
+        elif type(part) is list:
+            operands, pin, reach, low, depth = part
+            nodes.append((Spine, None, None, pin, reach, low, 0, tuple(operands), depth + 1))
+        else:
+            return part
+        return len(nodes) - 1
+
+    def operand(e: int) -> tuple:
+        """Entry e as a Spine operand: (k, hold, pin, reach, low, depth)."""
+        part = parts[e]
+        if type(part) is HoldAtom:
+            return None, part, part.d, part.d, part.d, 0
+        k = place(e)
+        _, _, _, pin, reach, low, _, _, depth = nodes[k]
+        return k, None, pin, reach, low, depth
+
     for g, lhs, rhs in postorder(f):
         kind = type(g)
         if kind is HoldAtom:
-            nodes.append((kind, None, None, g.d, g.d, g.d, 0, g, 1))
-        elif kind is Within:
+            parts.append(g)
+            continue
+        if kind is And or kind is Or:
+            spine = parts[lhs]
+            if type(spine) is not list:
+                k, hold, pin, reach, low, depth = operand(lhs)
+                spine = [[(None, k, hold)], pin, reach, low, depth]
+            operands, pa, a, la, da = spine
+            k, hold, pb, b, lb, db = operand(rhs)
+            operands.append((kind, k, hold))
+            spine[1:] = (None if pa is None or pb is None else min(pa, pb),
+                         None if a is None or b is None else max(a, b),
+                         max(la, lb) if kind is And else min(la, lb), da if da > db else db)
+            parts.append(spine)
+            continue
+        lhs = place(lhs)
+        if kind is Within:
             b = steps(g.b, dt)
             nodes.append((kind, lhs, None, b, b, b, steps(g.a, dt), None, nodes[lhs][8] + 1))
         elif kind is Not:
             nodes.append((kind, lhs, None, None, nodes[lhs][4], 0, 0, None, nodes[lhs][8] + 1))
         else:
-            _, _, _, pa, a, la, _, _, da = nodes[lhs]
-            _, _, _, pb, b, lb, _, _, db = nodes[rhs]
-            if kind is Concat:
-                pin = reach = None
-                low = la + lb + 1
-            else:
-                reach = None if a is None or b is None else max(a, b)
-                pin = None if pa is None or pb is None else min(pa, pb)
-                low = max(la, lb) if kind is And else min(la, lb)
-            nodes.append((kind, lhs, rhs, pin, reach, low, 0, None, (da if da > db else db) + 1))
+            rhs = place(rhs)
+            la, da, lb, db = nodes[lhs][5], nodes[lhs][8], nodes[rhs][5], nodes[rhs][8]
+            nodes.append((kind, lhs, rhs, None, None, la + lb + 1, 0, None,
+                          (da if da > db else db) + 1))
+        parts.append(len(nodes) - 1)
+    place(len(parts) - 1)
     return nodes
 
 
@@ -595,9 +665,13 @@ class Evaluator:
             raise ValueError(f"sample missing signals: {missing}")
         row = check_samples({s: (float(sample[s]),) for s in self._signals})
         if not self._appended:
-            for *_, hold, _ in self._nodes:
-                if hold is not None:
-                    self._column("margin_of", hold.atom, hold.negated)
+            for kind, *_, data, _ in self._nodes:
+                if kind is HoldAtom:
+                    self._column("margin_of", data.atom, data.negated)
+                elif kind is Spine:  # its inline holds
+                    for _, _, hold in data:
+                        if hold is not None:
+                            self._column("margin_of", hold.atom, hold.negated)
             self._appended = True
         margins = [of(row[signal][0]) for _, of, signal in self._columns.values()]
         for s, (v,) in row.items():
@@ -648,7 +722,9 @@ class Evaluator:
         counts as one. A `Within` start folded from its node's row counts as
         one value, as one folded by itself does. eta's splits that fit both
         sides, folded first, are counted too: where all of them are < 0, the
-        window folds them again with every other split, in order."""
+        window folds them again with every other split, in order. An `&`/`|`
+        chain is one node (see compile_formula), whose levels and inline holds
+        keep no memo entry."""
         out = {}
         for sem, run in self._runs.items():
             memo = sum(len(d) for _, _, _, *dicts in run.slots for d in dicts)
@@ -671,31 +747,45 @@ class _Recursion:
         self.skip, self.repeat, self.fold_row = sem.skip, sem.repeat, sem.fold_row
         self.maxfold = sem.maxfold
         self.bottom, self.low, self.top = sem.bottom(ev.cfg), sem.low(ev.cfg), sem.top
-        # per node: (kind, lhs, rhs, offset, hold) as compiled, but a hold's
-        # is its margin column and the pads of its lower and upper bound, the
-        # margins an unobserved sample takes, and a Within's is its lhs's pin
-        # (or 0) and reach, which each of its windows reads; and (pin or 0, reach,
-        # low, final, frontier, unobserved), its pinned length, reach and low
-        # length (see compile_formula) and its memos, keyed as in value().
-        # Each hold's column is made here, whatever the conservative_eta flag:
-        # so an evaluation raises for an atom not in the table, or without eta
-        # bounds, also when its folds add every hold of the atom unevaluated.
-        # The holds of one atom and sign share one column and its pads.
+        # per node: (kind, lhs, rhs, offset, data) as compiled, but a hold's
+        # data is its margin column and the pads of its lower and upper bound,
+        # the margins an unobserved sample takes; a Spine's is its operands,
+        # each (op, k, column, pads, d): the kernel that joins it, conj or
+        # disj (None for the first), and its node index or, for an inline
+        # hold, None and the hold's column, pads and d; and a Within's is its
+        # lhs's pin (or 0) and reach, which each of its windows reads. Then
+        # (pin or 0, reach, low, final, frontier, unobserved), its pinned
+        # length, reach and low length (see compile_formula) and its memos,
+        # keyed as in value().
+        # Each hold's column is made here, inline or not, whatever the
+        # conservative_eta flag: so an evaluation raises for an atom not in
+        # the table, or without eta bounds, also when its folds add every hold
+        # of the atom unevaluated. The holds of one atom and sign share one
+        # column and its pads.
         self.nodes: list[tuple] = []
         self.slots: list[tuple] = []
         inputs: dict[tuple, tuple] = {}  # (atom, negated): column, pads
-        for kind, lhs, rhs, pin, reach, low, offset, hold, _ in ev._nodes:
-            if hold is not None:
-                key = hold.atom, hold.negated
-                got = inputs.get(key)
-                if got is None:
-                    col = ev._column(sem.margin, hold.atom, hold.negated)
-                    lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
-                    got = inputs[key] = col, (-hi, -lo) if hold.negated else (lo, hi)
-                hold = got
+
+        def input_of(hold: HoldAtom) -> tuple:
+            key = hold.atom, hold.negated
+            got = inputs.get(key)
+            if got is None:
+                col = ev._column(sem.margin, hold.atom, hold.negated)
+                lo, hi = sem.extremes(ev.table[hold.atom], ev.cfg, ev.conservative_eta)
+                got = inputs[key] = col, (-hi, -lo) if hold.negated else (lo, hi)
+            return got
+
+        joins = {None: None, And: self.conj, Or: self.disj}
+        for kind, lhs, rhs, pin, reach, low, offset, data, _ in ev._nodes:
+            if kind is HoldAtom:
+                data = input_of(data)
+            elif kind is Spine:
+                data = tuple((joins[op], k, None, None, 0) if hold is None
+                             else (joins[op], k, *input_of(hold), hold.d)
+                             for op, k, hold in data)
             elif kind is Within:
-                hold = self.slots[lhs][:2]
-            self.nodes.append((kind, lhs, rhs, offset, hold))
+                data = self.slots[lhs][:2]
+            self.nodes.append((kind, lhs, rhs, offset, data))
             self.slots.append((pin or 0, reach, low, {}, {}, {}))
         # sweeps of a Concat's splits or a Within's starts. Final, keyed (node,
         # start), when every value folded reads only observed samples: a
@@ -779,22 +869,43 @@ class _Recursion:
         got = memo.get(key)
         if got is not None:
             return got
-        kind, lhs, rhs, offset, hold = self.nodes[k]
+        kind, lhs, rhs, offset, data = self.nodes[k]
         value = self.value
         if kind is HoldAtom:
-            col, pads = hold
+            col, pads = data
             if j < n:
                 got = self.hold(col[i:j + 1], 0.0, 0)
             elif i < n:  # an unobserved sample takes the pad of the bound asked for
                 got = self.hold(col[i:n], pads[upper], j + 1 - n)
             else:
                 got = pads[upper]
+        elif kind is Spine:
+            # an & / | chain, its operands folded left to right as the parse
+            # tree joins them. Each is the rhs of one level of the chain (the
+            # first, the lhs of the lowest): kind is that level's conj or disj
+            # (None for the first), rhs its node, or None for an inline hold
+            # with its column, pads and pin d. These names are the node's own
+            # fields, free here, so that the chain adds no local to the frame
+            # that every level of every formula takes. An inline hold is cut,
+            # bottom and padded as a hold node is above, but keeps no memo; a
+            # window the chain reads no sample of has i = n, so its holds
+            # take their pad
+            for kind, rhs, col, pads, pin in data:
+                if col is None:
+                    v = value(rhs, i, j, upper)
+                elif j - i < pin:
+                    v = self.bottom
+                else:
+                    end = i + pin if j - i > pin else j
+                    if end < n:
+                        v = self.hold(col[i:end + 1], 0.0, 0)
+                    elif i < n:
+                        v = self.hold(col[i:n], pads[upper], end + 1 - n)
+                    else:
+                        v = pads[upper]
+                got = v if kind is None else kind(got, v)
         elif kind is Not:
             got = -value(lhs, i, j, not upper)
-        elif kind is And:
-            got = self.conj(value(lhs, i, j, upper), value(rhs, i, j, upper))
-        elif kind is Or:
-            got = self.disj(value(lhs, i, j, upper), value(rhs, i, j, upper))
         elif kind is Concat and i == j:
             got = self.bottom
         elif kind is Concat:
@@ -920,29 +1031,40 @@ class _Recursion:
             # a frontier one; the others run up to those that read no sample
             # (t >= n) or, in a final window, leave lhs shorter than its pin.
             t, acc = i + offset, self.start
-            pin, r = hold  # lhs's
+            pin, r = data  # lhs's
             end = t if r is None else (j if j < n else n - 1) + 1 - r
-            if t < end:  # a frontier window's sweep, which a final one needs no more
-                state = self.sweeps.get((k, i)) if j >= n else self.sweeps.pop((k, i), None)
-                if state is not None:
-                    t, acc = state
-                row = None  # a frontier window or one that resumes a sweep: no row
-                if j < n and state is None:
-                    row = self.rows[k]
-                    if row is None or not row[0] <= t <= row[0] + len(row[1]):
-                        row = self.rows[k] = (t, [])
-                    begin, row = row
-                    if t < begin + len(row):  # the starts the row holds, in one call
-                        acc = self.fold_row(acc, row[t - begin:end - begin])
-                        first, t = t, begin + len(row) if begin + len(row) < end else end
-                        self.folded += t - first
-                if t < end:  # the starts after the row, which it gets
-                    t, acc = self.fold_starts(lhs, t, end, j, upper, acc, row)
-                if j >= n:
-                    self.sweeps[k, i] = t, acc
-            end = n if j >= n else j + 1 - pin
-            if t < end:
-                t, acc = self.fold_starts(lhs, t, end, j, upper, acc)
+            if j >= n:
+                # a frontier window: one fold runs to n, where the starts that
+                # read no sample begin, and stores the sweep of the final
+                # starts, those before end, which the next step resumes
+                if t < end:
+                    state = self.sweeps.get((k, i))
+                    if state is not None:
+                        t, acc = state
+                    if t < n:
+                        t, acc = self.fold_starts(lhs, t, n, j, upper, acc, save=(end, (k, i)))
+                elif t < n:
+                    t, acc = self.fold_starts(lhs, t, n, j, upper, acc)
+            else:
+                if t < end:  # the sweep of a frontier window, which a final one needs no more
+                    state = self.sweeps.pop((k, i), None)
+                    row = None  # a window that resumes a sweep: no row
+                    if state is not None:
+                        t, acc = state
+                    else:
+                        row = self.rows[k]
+                        if row is None or not row[0] <= t <= row[0] + len(row[1]):
+                            row = self.rows[k] = (t, [])
+                        begin, row = row
+                        if t < begin + len(row):  # the starts the row holds, in one call
+                            acc = self.fold_row(acc, row[t - begin:end - begin])
+                            first, t = t, begin + len(row) if begin + len(row) < end else end
+                            self.folded += t - first
+                    if t < end:  # the starts after the row, which it gets
+                        t, acc = self.fold_starts(lhs, t, end, j, upper, acc, row)
+                end = j + 1 - pin
+                if t < end:
+                    t, acc = self.fold_starts(lhs, t, end, j, upper, acc)
             if t <= j:
                 # the starts left are bottom in a final window. In a frontier
                 # one they read no sample, and hi, the tail of lhs up to j - t
@@ -983,11 +1105,19 @@ class _Recursion:
         return end, acc
 
     def fold_starts(self, lhs: int, t: int, end: int, j: int, upper: bool, acc: float,
-                    row: list[float] | None = None) -> tuple[int, float]:
+                    row: list[float] | None = None,
+                    save: tuple | None = None) -> tuple[int, float]:
         """Fold starts t..end-1 of a `Within` window ending at j into acc, in order; end
-        and acc. row, if a list, gets each value."""
+        and acc. row, if a list, gets each value. save, if (s, key), stores the sweep
+        (s, acc) under key once the starts before s are folded."""
         value, fold = self.value, self.fold
         self.folded += end - t
+        if save is not None:
+            s, key = save
+            for t in range(t, s):
+                acc = fold(acc, value(lhs, t, j, upper))
+            self.sweeps[key] = s, acc
+            t = s
         for t in range(t, end):
             v = value(lhs, t, j, upper)
             if row is not None:

@@ -590,8 +590,14 @@ CHECKED = {
 XS = [4.25 + (k * 37 % 101) / 50 for k in range(10_000)]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 caps the recursion limit")
-@pytest.mark.parametrize("name", CHECKED)
+# the & chain compiles to one node, which takes a frame or two whatever its
+# length; each other shape nests frames per level, past the limit that CPython
+# 3.10 caps
+CAPPED = pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 caps the recursion limit")
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=() if name == "and-chain" else CAPPED)
+                                  for name in CHECKED])
 def test_deep_formula_is_checked(files, capsys, tmp_path, name):
     text, n = CHECKED[name]
     (tmp_path / "deep.twtl").write_text(text + "\n")

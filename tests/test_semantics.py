@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -15,7 +16,7 @@ from twtl.monitor import MonitorState, Verdict, make_prefix, rho_interval, singl
 from twtl.oracle import _agm_and, oracle_bool, oracle_eta, oracle_rho
 from twtl.semantics import (_AGM_OR_START, _BOOL, _ETA, _RHO, EvalConfig, Evaluator, _agm_and2,
                             _agm_or2, _agm_or_finish, _agm_or_fold, _agm_or_repeat, _Recursion,
-                            agm_and, agm_or, bool_sat, compile_formula, eta, rho)
+                            Spine, agm_and, agm_or, bool_sat, compile_formula, eta, rho)
 from twtl.trace import NormalizationBounds, PredicateSpec, PredicateTable, Word
 
 from instances import GenConfig, random_formula, random_word
@@ -50,10 +51,18 @@ def pinned_joins(f):
     nodes = compile_formula(f, 1.0)
 
     def joined(k):
-        return nodes[k][0] in (And, Or) and nodes[k][3] is not None
+        return nodes[k][0] is Spine and nodes[k][3] is not None
 
     return (any(kind is Concat and joined(rhs) for kind, _, rhs, *_ in nodes),
             any(kind is Within and joined(lhs) for kind, lhs, *_ in nodes))
+
+
+def spine_low(nodes, operands):
+    """The low length of a Spine's operands, folded as compile_formula folds it."""
+    for op, k, hold in operands:
+        ell = hold.d if k is None else nodes[k][5]
+        low = ell if op is None else max(low, ell) if op is And else min(low, ell)
+    return low
 
 
 class TestAgm:
@@ -311,7 +320,7 @@ class TestPins:
     ])
     def test_compiled_pin(self, text, pin):
         kind, _, _, got, *_ = compile_formula(parse(text), 1.0)[-1]
-        assert kind in (And, Or)
+        assert kind is Spine
         assert got == pin
 
     @pytest.mark.parametrize("sem, cfg", [
@@ -587,11 +596,14 @@ class TestWorkCounts:
         # is skips it: the too-short starts of a final Within window, folded
         # one by one, made rho fold 4,014 values and eta 12,839; an & window
         # shorter than both operands' pins is bottom, not memoized. The rhs
-        # bound is tried only where a split that fits is left. On the chain,
+        # bound is tried only where a split that fits is left. Each & chain
+        # is one node, whose interior levels and holds keep no memo: with a
+        # node per & and per hold, memo/inserted read 575/4,434 for rho and
+        # 832/7,983 for eta, and the folds were the same. On the . chain,
         # bool does rho's work, and eta folds each node's one fitting split
         # first; where it is < 0, it folds every split again in order
-        assert state.stats() == {"rho": {"memo": 575, "inserted": 4_434, "folded": 3_870},
-                                 "eta": {"memo": 832, "inserted": 7_983, "folded": 11_439}}
+        assert state.stats() == {"rho": {"memo": 184, "inserted": 1_903, "folded": 3_870},
+                                 "eta": {"memo": 279, "inserted": 4_042, "folded": 11_439}}
         k = 200
         f = parse(" . ".join(["H^0 P"] * k))
         rng = random.Random(7)
@@ -631,7 +643,9 @@ class TestWorkCounts:
         # folding each of them, it folded 5,355 values and inserted 4,453
         # entries, as many as the upper run. Folding the too-short starts of
         # a final Within window one by one, the runs folded 1,454 / 3,069 /
-        # 6,825 / 6,956 and 1,454 / 3,069 / 6,621 / 6,951 values
+        # 6,825 / 6,956 and 1,454 / 3,069 / 6,621 / 6,951 values. With a
+        # node per & and per hold of the & chains, the runs inserted 1,857 /
+        # 3,054 / 4,236 / 4,459 entries on the nominal trace and folded as now
         f, table = build_formula(), build_table()
         h = steps(horizon(f, 1.0), 1.0)
         counts = {}
@@ -645,14 +659,14 @@ class TestWorkCounts:
                 stats = ev.stats()[name]
                 counts[trace.__name__, name, upper] = stats["inserted"], stats["folded"]
         assert counts == {
-            ("nominal_trajectory", "rho", False): (1_857, 1_310),
-            ("nominal_trajectory", "rho", True): (3_054, 2_925),
-            ("nominal_trajectory", "eta", False): (4_236, 5_992),
-            ("nominal_trajectory", "eta", True): (4_459, 6_123),
-            ("tight_trajectory", "rho", False): (1_857, 1_310),
-            ("tight_trajectory", "rho", True): (3_054, 2_925),
-            ("tight_trajectory", "eta", False): (4_109, 5_786),
-            ("tight_trajectory", "eta", True): (4_459, 6_116),
+            ("nominal_trajectory", "rho", False): (642, 1_310),
+            ("nominal_trajectory", "rho", True): (1_383, 2_925),
+            ("nominal_trajectory", "eta", False): (2_145, 5_992),
+            ("nominal_trajectory", "eta", True): (2_092, 6_123),
+            ("tight_trajectory", "rho", False): (642, 1_310),
+            ("tight_trajectory", "rho", True): (1_383, 2_925),
+            ("tight_trajectory", "eta", False): (2_066, 5_786),
+            ("tight_trajectory", "eta", True): (2_092, 6_116),
         }
         assert counts["nominal_trajectory", "rho", False][1] <= 5_355 // 2
 
@@ -823,7 +837,9 @@ class TestLowLengths:
         # A node whose low length is too small shows too: no window of
         # exactly that length exceeds low. So each kind of node with a low
         # length, and each & and | whose operands' low lengths differ, must
-        # exceed low somewhere on a window of exactly its low length
+        # exceed low somewhere on a window of exactly its low length. An & or
+        # | is the last join of a Spine, between the chain before it and its
+        # last operand
         gen = GenConfig(max_depth=4, max_hold=3, max_window=5, p_negate_atom=0.3,
                         weights=(2.0, 1.0, 1.0, 1.0, 4.0, 2.5))
         cfg = EvalConfig(rho_bot=-2.0, rho_top=1.5)
@@ -840,7 +856,7 @@ class TestLowLengths:
                 for sem in (_BOOL, _RHO, _ETA):
                     ev._evaluate(sem, 0, h, False)
                     run, low = ev._runs[sem], sem.low(cfg)
-                    for (k, (kind, lhs, rhs, _, _, ell, *_)), upper in itertools.product(
+                    for (k, (kind, _, _, _, _, ell, _, data, _)), upper in itertools.product(
                             enumerate(nodes), (False, True)):
                         for i in range(h + 1):
                             for j in range(i, i + ell):
@@ -848,10 +864,14 @@ class TestLowLengths:
                                 assert v <= low, (format_formula(f), k, i, j, sem.name, upper)
                                 checked += 1
                             if run.value(k, i, i + ell, upper) > low:
-                                differ = rhs is not None and nodes[lhs][5] != nodes[rhs][5]
-                                tight.add((kind, differ) if kind in (And, Or) else kind)
+                                if kind is Spine:
+                                    *chain, (op, last, hold) = data
+                                    differ = spine_low(nodes, chain) != (
+                                        hold.d if last is None else nodes[last][5])
+                                    kind = kind, op, differ
+                                tight.add(kind)
         assert checked > 500_000
-        assert {HoldAtom, Within, Concat, (And, True), (Or, True)} <= tight, tight
+        assert {HoldAtom, Within, Concat, (Spine, And, True), (Spine, Or, True)} <= tight, tight
 
 
 # deep formulas, each rho = 1 on its samples: the chain and the even ! prefix
@@ -1070,6 +1090,90 @@ class TestRuns:
         assert {("row", "rho"), ("row", "eta"), ("concat bottoms", "eta")} <= fired, fired
         assert {("within bottoms", name) for name in ("bool", "rho", "eta")} <= fired, fired
         assert not {("concat bottoms", "bool"), ("concat bottoms", "rho")} & fired, fired
+
+
+class TestSpines:
+    """An & / | chain is one node whose holds are inline: a window of it costs
+    one value() call, and its holds raise as hold nodes do."""
+
+    def test_within_asks_one_value_per_chain_window(self, monkeypatch):
+        # with a node per & and per hold, each chain window cost 7 value calls
+        # (3 &s and 4 holds) where every &'s operands fit it: 48 calls offline,
+        # and 100 calls on the chain's root & and 436 more on its other nodes
+        # through the monitor
+        calls = []
+        value = _Recursion.value
+
+        def counted(run, k, i, j, upper):
+            calls.append(k)
+            return value(run, k, i, j, upper)
+
+        monkeypatch.setattr(_Recursion, "value", counted)
+        f = parse("[H^1 A & H^2 B & H^0 !A & H^1 B]^[0,6]")
+        nodes = compile_formula(f, 1.0)
+        root, chain = len(nodes) - 1, nodes[-1][1]
+        xs = (5.0, 4.5, 5.5, 3.0, 5.0, 4.8, 5.2)
+        for sem in ("bool_sat", "rho", "eta"):
+            calls.clear()
+            getattr(Evaluator(Word(1.0, {"x": xs}), f, TABLE), sem)(0, 6)
+            assert calls == [root] + [chain] * 7, sem  # one per start
+        calls.clear()
+        state = MonitorState(f, TABLE)
+        for x in xs:
+            state.step({"x": x})
+        assert state.finalized
+        assert collections.Counter(calls) == {root: 28, chain: 100}
+
+    # A lacks eta bounds and its margin against sigma = 1e308 overflows at
+    # x = -1e308; B is safe
+    PARTIAL = PredicateTable.from_dict({"atoms": {
+        "A": {"signal": "x", "op": ">=", "sigma": 1e308},
+        "B": {"signal": "x", "op": "<=", "sigma": 6.0, "min": 0.0, "max": 8.0},
+    }})
+
+    @staticmethod
+    def error(call):
+        with pytest.raises((KeyError, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("lone, chain", [
+        ("H^2 Z", "H^0 B & H^2 Z"),
+        ("H^2 !Z", "(H^0 B | H^0 A) & H^2 !Z"),
+    ])
+    def test_unknown_atom_raises_as_in_a_hold_node(self, lone, chain):
+        # at an evaluation, where the one sample leaves the hold too short to
+        # read, and at the first append
+        for text in (lone, chain):
+            assert len(compile_formula(parse(text), 1.0)) == 1
+        for sem in ("bool_sat", "rho", "eta"):
+            got = {self.error(lambda: getattr(Evaluator(
+                Word(1.0, {"x": (5.0,)}), parse(text), TABLE), sem)(0, 0)) for text in (lone, chain)}
+            assert got == {(KeyError, "'unresolved atom Z'")}, sem
+        got = {self.error(lambda: Evaluator(Word(1.0, {"x": ()}), parse(text), TABLE).append(
+            {"x": 5.0})) for text in (lone, chain)}
+        assert got == {(KeyError, "'unresolved atom Z'")}
+
+    def test_missing_eta_bounds_raise_as_in_a_hold_node(self):
+        # also where every window of A's hold is too short to read its column
+        for xs in ((5.0,), (5.0, 4.0, 3.0)):
+            got = {self.error(lambda: eta(Word(1.0, {"x": xs}), parse(text), self.PARTIAL))
+                   for text in ("H^2 A", "(H^0 B | H^2 A) & H^0 B")}
+            assert got == {(ValueError, "atom A: normalization bounds required for AGM robustness")}
+
+    @pytest.mark.parametrize("before", [(), (5.0,), (5.0, -3.0)])
+    def test_margin_that_overflows_raises_as_in_a_hold_node(self, before):
+        # at the first append and at later ones, after rho evaluations
+        got = set()
+        for text in ("H^2 A", "H^0 B & H^2 A"):
+            ev = Evaluator(Word(1.0, {"x": ()}), parse(text), self.PARTIAL)
+            for x in before:
+                ev.append({"x": x})
+                ev.rho(0, 2)
+            got.add(self.error(lambda: ev.append({"x": -1e308})))
+            assert ev.n == len(before)
+        assert got == {(ValueError, "atom A: the margin of sample -1e+308 against sigma=1e+308 "
+                                    "overflows")}
 
 
 class TestKernelInputs:
